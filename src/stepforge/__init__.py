@@ -3,7 +3,7 @@
 from .model import (
     AnalysisConfig,
     DaySummary,
-    MinuteRecord,
+    MinuteTable,
     MortalityRecord,
     SubjectCovariates,
     SubjectSummary,
@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisConfig",
     "DaySummary",
-    "MinuteRecord",
+    "MinuteTable",
     "MortalityRecord",
     "SubjectCovariates",
     "SubjectSummary",

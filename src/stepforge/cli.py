@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
@@ -29,8 +30,9 @@ from .dsp import vector_magnitude
 from .model import (
     BOOLEAN_COVARIATES,
     CATEGORICAL_LEVELS,
+    WEAR_CODE,
     AnalysisConfig,
-    MinuteRecord,
+    MinuteTable,
     MortalityRecord,
     SubjectCovariates,
     SubjectSummary,
@@ -91,31 +93,21 @@ def _coerce(name: str, text: str, target_type) -> object:
             if lowered in ("0", "false", "no", "off"):
                 return False
             raise ValueError(text)
-        if target_type is int:
-            return int(text)
-        if target_type is float:
-            return float(text)
-        if name == "age_range":
-            lo, hi = (part.strip() for part in text.split(","))
-            return (int(lo), int(hi))
+        if target_type in (int, float):
+            return target_type(text)
+        if typing.get_origin(target_type) is tuple:
+            parts = [part.strip() for part in text.split(",")]
+            kinds = typing.get_args(target_type)
+            if len(parts) != len(kinds):
+                raise ValueError(text)
+            return tuple(kind(part) for kind, part in zip(kinds, parts))
     except ValueError:
         raise FatalCliError(f"config key {name!r}: cannot parse {text!r}") from None
     return text
 
 
-_CONFIG_TYPES = {
-    "min_valid_minutes": int,
-    "min_wake_minutes": int,
-    "min_nonzero_mims_minutes": int,
-    "min_valid_days": int,
-    "winsor_percentile": float,
-    "hr_step_increment": float,
-    "cv_folds": int,
-    "cv_repeats": int,
-    "rng_seed": int,
-    "age_range": tuple,
-    "nonzero_mims_among_valid": bool,
-}
+#: Config keys and their types, straight from the AnalysisConfig fields.
+_CONFIG_TYPES = typing.get_type_hints(AnalysisConfig)
 
 
 def load_config(
@@ -221,25 +213,24 @@ def _steps_worker(args: tuple) -> tuple[str, dict[str, float], str]:
             )
         ac = activity_counts(rec, AcParams())
         mims = mims_units(rec, MimsParams())
-        records = []
-        for minute in range(n_minutes):
-            steps = {
-                name: float(run.minutes[name][minute]) for name in sorted(run.minutes)
-            }
-            records.append(
-                MinuteRecord(
-                    subject_id=subject,
-                    day_index=1 + minute // 1440,
-                    minute_of_day=minute % 1440,
-                    wear=WearState.UNKNOWN,
-                    quality_flagged=False,
-                    mims=float(mims[minute]) if minute < len(mims) else 0.0,
-                    ac=int(ac[minute]) if minute < len(ac) else 0,
-                    steps=steps,
-                )
-            )
+        minute = np.arange(n_minutes)
+        names = tuple(sorted(run.minutes))
+        table = MinuteTable(
+            subject=np.full(n_minutes, subject),
+            day=1 + minute // 1440,
+            minute=minute % 1440,
+            wear=np.full(n_minutes, WEAR_CODE[WearState.UNKNOWN]),
+            flag=np.zeros(n_minutes, dtype=bool),
+            # a minute past the last full epoch reads 0
+            mims=np.pad(mims[:n_minutes], (0, n_minutes - len(mims[:n_minutes]))),
+            ac=np.pad(ac[:n_minutes], (0, n_minutes - len(ac[:n_minutes]))),
+            steps=np.array(
+                [run.minutes[name][:n_minutes] for name in names], dtype=np.float64
+            ).reshape(len(names), n_minutes).T,
+            detectors=names,
+        )
         out_path = Path(out_dir_text) / f"{subject}_minutes.csv"
-        ingest.write_minute_file(records, out_path)
+        ingest.write_minute_file(table, out_path)
         return subject, dict(run.timings_s), ""
     except Exception as exc:  # noqa: BLE001 - per-subject isolation
         return subject, {}, f"{type(exc).__name__}: {exc}"
@@ -285,22 +276,13 @@ def cmd_steps(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_minutes(minute_path: Path) -> list[MinuteRecord]:
+def _load_minutes(minute_path: Path) -> MinuteTable:
     if minute_path.is_dir():
-        files = sorted(minute_path.glob("*.csv"))
-        if not files:
+        if not any(minute_path.glob("*.csv")):
             raise FatalCliError(f"no minute files in {minute_path}")
-        records: list[MinuteRecord] = []
-        for f in files:
-            records.extend(ingest.read_minute_file(f))
-    elif minute_path.is_file():
-        records = ingest.read_minute_file(minute_path)
-    else:
+    elif not minute_path.is_file():
         raise FatalCliError(f"minute input {minute_path} does not exist")
-    from .model import check_unique_minutes
-
-    check_unique_minutes(records)
-    return records
+    return ingest.read_minute_file(minute_path)
 
 
 AGE_GROUP_WIDTH = 10
@@ -401,7 +383,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return out_dir / f"{stem}{suffix}.csv"
 
     minutes = _load_minutes(Path(args.minutes))
-    minutes = validity.impute_unknown_as_wear(minutes)
     days_by_subject, subject_summaries = validity.screen_cohort(minutes, cfg)
 
     validity_rows = []
@@ -811,28 +792,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     minutes = simulate.gen_cohort(args.subjects, args.days, seed=cfg.rng_seed)
     ingest.write_minute_file(minutes, out_dir / "minutes.csv")
-    subject_ids = sorted({m.subject_id for m in minutes})
+    subject_ids = np.unique(minutes.subject).tolist()
     covariates = simulate.gen_covariates(
         subject_ids, seed=cfg.rng_seed + 1, age_range=(45.0, 84.0)
     )
     ingest.write_covariates(covariates, out_dir / "covariates.csv")
 
-    _, summaries = validity.screen_cohort(
-        validity.impute_unknown_as_wear(minutes), cfg
-    )
-    first_steps_key = None
-    for s in summaries.values():
-        for key in sorted(s.means):
-            if key.startswith("steps_"):
-                first_steps_key = key
-                break
-        if first_steps_key:
-            break
+    _, summaries = validity.screen_cohort(minutes, cfg)
+    # the first detector's daily mean; 0 for subjects without valid days
+    steps_key = f"steps_{minutes.detectors[0]}" if minutes.detectors else None
     mean_steps = {
-        subject: summaries[subject].means.get(first_steps_key, 0.0)
-        if first_steps_key
-        else 0.0
-        for subject in subject_ids
+        subject: summaries[subject].means.get(steps_key, 0.0) for subject in subject_ids
     }
     ages = {
         c.subject_id: c.age_years if c.age_years is not None else 60.0

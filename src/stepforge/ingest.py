@@ -3,8 +3,9 @@
 Raw accelerometer payloads are delimiter-separated text (optionally gzip),
 streamed in hour-sized chunks; a little-endian float32 binary cache with
 magic ``SFG1`` is written beside each text file on first read so re-runs
-skip parsing.  Table I/O round-trips exactly: floats are serialized with
-``repr`` so ``read(write(x)) == x`` bit for bit.
+skip parsing; a sidecar older than its text is ignored and rewritten.
+Table I/O round-trips exactly: floats are serialized with ``repr`` so
+``read(write(x)) == x`` bit for bit.
 """
 
 from __future__ import annotations
@@ -26,13 +27,16 @@ from .model import (
     AGE_TOPCODE,
     BOOLEAN_COVARIATES,
     CATEGORICAL_LEVELS,
-    MinuteRecord,
+    WEAR_CODE,
+    WEAR_STATES,
+    MINUTE_COLUMNS,
+    MinuteTable,
     MortalityRecord,
     SubjectCovariates,
     SubjectSummary,
     TriaxialRecording,
     WearState,
-    check_unique_minutes,
+    stack_minutes,
 )
 
 CACHE_MAGIC = b"SFG1"
@@ -175,7 +179,9 @@ def read_raw_recording(
     Values are cast to float32 on read so text and binary-cache paths yield
     bit-identical samples.  On the first text read an SFG1 cache is written
     next to the file (atomically, via a temp file); later reads stream from
-    the cache.  Memory stays bounded by the chunk size either way.
+    the cache while it is not older than the text, and otherwise parse the
+    text again and rewrite it.  Memory stays bounded by the chunk size
+    either way.
     """
     path = Path(path)
     if subject_id is None:
@@ -183,7 +189,7 @@ def read_raw_recording(
     chunk_len = max(1, int(round(chunk_seconds * schema.sample_rate_hz)))
 
     cache = cache_path(path)
-    if use_cache and cache.exists():
+    if use_cache and _cache_is_current(cache, path):
         x, y, z = read_binary_cache(cache)
         for start in range(0, len(x), chunk_len):
             sl = slice(start, start + chunk_len)
@@ -230,6 +236,11 @@ def read_raw_recording(
             for tf in tmp_files:
                 tf.close()
                 os.unlink(tf.name)
+
+
+def _cache_is_current(cache: Path, source: Path) -> bool:
+    """A sidecar is used only when it is not older than the text it caches."""
+    return cache.exists() and cache.stat().st_mtime_ns >= source.stat().st_mtime_ns
 
 
 def _flush_chunk(bufs, subject_id, schema, tmp_files) -> Iterator[TriaxialRecording]:
@@ -326,68 +337,105 @@ def _parse_int(text: str, context: str) -> int:
 # Minute-level files
 # ---------------------------------------------------------------------------
 
-_WEAR_LABELS = {state.value: state for state in WearState}
-MINUTE_BASE_COLUMNS = ("subject", "day", "minute", "wear", "flag", "mims", "ac")
+_WEAR_LABELS = {state.value: WEAR_CODE[state] for state in WearState}
+#: Rows parsed per block, bounding the text held in memory while reading.
+_MINUTE_BLOCK_ROWS = 1 << 16
 
 
-def read_minute_file(path: str | os.PathLike) -> list[MinuteRecord]:
-    """Parse ``subject,day,minute,wear,flag,mims[,ac][,steps_*...]`` rows."""
+def read_minute_file(path: str | os.PathLike) -> MinuteTable:
+    """Parse ``subject,day,minute,wear,flag,mims[,ac][,steps_*...]`` rows.
+
+    ``path`` is one file or a directory, whose ``*.csv`` files are read in
+    name order into one table.  Parse errors name the file and line; the
+    table rules (see :class:`MinuteTable`) and the key-uniqueness check run
+    once over the whole table.
+    """
     path = Path(path)
+    files = sorted(path.glob("*.csv")) if path.is_dir() else [path]
+    blocks = [block for f in files for block in _minute_blocks(f)]
+    try:
+        return stack_minutes(blocks)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _minute_blocks(path: Path) -> Iterator[dict[str, object]]:
+    """Parse a minute file in blocks of rows, each a mapping of table fields."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            return []
-        required = {"subject", "day", "minute", "wear", "flag", "mims"}
-        missing = required - set(reader.fieldnames)
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            return
+        missing = {"subject", "day", "minute", "wear", "flag", "mims"} - set(header)
         if missing:
             raise ValueError(f"{path}: missing columns {sorted(missing)}")
-        step_cols = [c for c in reader.fieldnames if c.startswith("steps_")]
-        records: list[MinuteRecord] = []
-        for idx, row in enumerate(reader, start=2):
-            ctx = f"{path}:{idx}"
-            wear_label = row["wear"].strip().lower()
-            if wear_label not in _WEAR_LABELS:
-                raise ValueError(f"{ctx}: unknown wear label {row['wear']!r}")
-            steps = {
-                c[len("steps_") :]: _parse_float(row[c], ctx) for c in step_cols
+        step_names = [c for c in header if c.startswith("steps_")]
+        while True:
+            rows, lines = [], []
+            for row in reader:
+                if row:
+                    rows.append(row)
+                    lines.append(reader.line_num)
+                    if len(rows) == _MINUTE_BLOCK_ROWS:
+                        break
+            if not rows:
+                return
+            for row, line in zip(rows, lines):
+                if len(row) != len(header):
+                    raise ValueError(
+                        f"{path}:{line}: expected {len(header)} fields, got {len(row)}"
+                    )
+            by_name = dict(zip(header, zip(*rows)))
+
+            def numbers(texts, kind) -> np.ndarray:
+                try:
+                    return np.array(list(map(kind, texts)))
+                except ValueError:
+                    parse = _parse_int if kind is int else _parse_float
+                    for text, line in zip(texts, lines):
+                        parse(text, f"{path}:{line}")
+                    raise
+
+            ac = by_name.get("ac", [""] * len(rows))
+            codes = {}
+            for text, line in zip(by_name["wear"], lines):
+                if text not in codes:
+                    label = text.strip().lower()
+                    if label not in _WEAR_LABELS:
+                        raise ValueError(f"{path}:{line}: unknown wear label {text!r}")
+                    codes[text] = _WEAR_LABELS[label]
+            yield {
+                "subject": np.array(by_name["subject"]),
+                "day": numbers(by_name["day"], int),
+                "minute": numbers(by_name["minute"], int),
+                "wear": np.array([codes[text] for text in by_name["wear"]], np.int8),
+                "flag": numbers(by_name["flag"], int) != 0,
+                "mims": numbers(by_name["mims"], float),
+                "ac": numbers([t or "0" for t in ac], float),
+                "steps": np.array(
+                    [numbers(by_name[c], float) for c in step_names]
+                ).reshape(len(step_names), len(rows)).T,
+                "detectors": tuple(c[len("steps_") :] for c in step_names),
             }
-            records.append(
-                MinuteRecord(
-                    subject_id=row["subject"],
-                    day_index=_parse_int(row["day"], ctx),
-                    minute_of_day=_parse_int(row["minute"], ctx),
-                    wear=_WEAR_LABELS[wear_label],
-                    quality_flagged=bool(_parse_int(row["flag"], ctx)),
-                    mims=_parse_float(row["mims"], ctx),
-                    ac=_parse_float(row.get("ac") or "0", ctx),
-                    steps=steps,
-                )
-            )
-    check_unique_minutes(records)
-    return records
 
 
-def write_minute_file(
-    records: Sequence[MinuteRecord], path: str | os.PathLike
-) -> None:
-    """Write minute records with step columns in sorted detector order."""
-    detector_names = sorted({name for r in records for name in r.steps})
-    fieldnames = list(MINUTE_BASE_COLUMNS) + [f"steps_{n}" for n in detector_names]
-    rows = []
-    for r in records:
-        row: dict[str, object] = {
-            "subject": r.subject_id,
-            "day": r.day_index,
-            "minute": r.minute_of_day,
-            "wear": r.wear.value,
-            "flag": int(r.quality_flagged),
-            "mims": float(r.mims),
-            "ac": float(r.ac),
-        }
-        for n in detector_names:
-            row[f"steps_{n}"] = float(r.steps.get(n, 0.0))
-        rows.append(row)
-    write_table(rows, path, fieldnames=fieldnames)
+def write_minute_file(table: MinuteTable, path: str | os.PathLike) -> None:
+    """Write a minute table, step columns in its (sorted) detector order."""
+    labels = [state.value for state in WEAR_STATES]
+    columns = [
+        table.subject.tolist(),
+        table.day.tolist(),
+        table.minute.tolist(),
+        [labels[code] for code in table.wear.tolist()],
+        table.flag.astype(np.int64).tolist(),
+        map(repr, table.mims.tolist()),
+        map(repr, table.ac.tolist()),
+        *(map(repr, column) for column in table.steps.T.tolist()),
+    ]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([*MINUTE_COLUMNS, *(f"steps_{n}" for n in table.detectors)])
+        writer.writerows(zip(*columns))
 
 
 # ---------------------------------------------------------------------------
@@ -613,25 +661,23 @@ def import_external_steps(
 
 
 def merge_external_steps(
-    minutes: Sequence[MinuteRecord], series: ExternalStepSeries
-) -> list[MinuteRecord]:
-    """Attach an external series to minute records under its detector name.
+    table: MinuteTable, series: ExternalStepSeries
+) -> MinuteTable:
+    """Add an external series to a minute table as one more detector.
 
     Minutes without an external value get 0 steps for that detector;
     external values without a matching minute are ignored.
     """
-    out = []
-    for m in minutes:
-        if series.detector_name in m.steps:
-            raise ValueError(
-                f"minute {m.key} already has steps for {series.detector_name!r}"
-            )
-        steps = dict(m.steps)
-        steps[series.detector_name] = series.values.get(
-            (m.subject_id, m.day_index, m.minute_of_day), 0.0
-        )
-        out.append(replace(m, steps=steps))
-    return out
+    name = series.detector_name
+    if name in table.detectors:
+        raise ValueError(f"minute table already has steps for {name!r}")
+    keys = zip(table.subject.tolist(), table.day.tolist(), table.minute.tolist())
+    column = [series.values.get(key, 0.0) for key in keys]
+    return replace(
+        table,
+        steps=np.column_stack([table.steps, np.asarray(column, dtype=np.float64)]),
+        detectors=table.detectors + (name,),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Everything downstream (ingestion, detectors, summaries, validity screening,
 survival analysis) passes these types around.  They are deliberately plain:
 frozen dataclasses with eager validation, no behavior beyond small derived
-properties.
+properties.  Minute-level data is one columnar :class:`MinuteTable` rather
+than an object per minute.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime
 from enum import Enum
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -85,68 +86,124 @@ class TriaxialRecording:
         return len(self.x) / self.sample_rate_hz
 
 
-@dataclass(frozen=True)
-class MinuteRecord:
-    """One subject-minute: wear state, quality flag, and activity measures.
+#: Wear states in the order of their int8 codes in :attr:`MinuteTable.wear`.
+WEAR_STATES = tuple(WearState)
+WEAR_CODE = {state: code for code, state in enumerate(WEAR_STATES)}
 
-    ``steps`` maps detector name to a nonnegative per-minute step value.
+
+#: The per-minute columns of a :class:`MinuteTable` (besides ``steps``) and
+#: their dtypes.
+MINUTE_COLUMNS = {
+    "subject": str,
+    "day": np.int64,
+    "minute": np.int64,
+    "wear": np.int8,
+    "flag": bool,
+    "mims": np.float64,
+    "ac": np.float64,
+}
+
+
+@dataclass(frozen=True, eq=False)
+class MinuteTable:
+    """Subject-minutes as aligned columns: one row per (subject, day, minute).
+
+    ``wear`` holds int8 codes into :data:`WEAR_STATES` and ``steps`` is an
+    n x k matrix whose columns follow ``detectors``, which are kept sorted.
     ``mims`` may carry the :data:`MIMS_INVALID` sentinel; a sentinel minute
-    never counts as nonzero activity and contributes zero to totals.
+    never counts as nonzero activity and contributes zero to totals.  Every
+    row rule and the key-uniqueness check run once, on construction.
     """
 
-    subject_id: str
-    day_index: int
-    minute_of_day: int
-    wear: WearState
-    quality_flagged: bool = False
-    mims: float = 0.0
-    ac: int = 0
-    steps: Mapping[str, float] = field(default_factory=dict)
-    effective_wear: bool | None = None
+    subject: np.ndarray
+    day: np.ndarray
+    minute: np.ndarray
+    wear: np.ndarray
+    flag: np.ndarray
+    mims: np.ndarray
+    ac: np.ndarray
+    steps: np.ndarray
+    detectors: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.day_index < 1:
-            raise ValueError("day_index starts at 1")
-        if not 0 <= self.minute_of_day <= 1439:
-            raise ValueError("minute_of_day must lie in [0, 1439]")
-        if self.mims < 0 and self.mims != MIMS_INVALID:
+        n = len(self.subject)
+        for name, dtype in MINUTE_COLUMNS.items():
+            value = np.asarray(getattr(self, name), dtype=dtype)
+            if value.shape != (n,):
+                raise ValueError(f"{name} has shape {value.shape} for {n} minutes")
+            object.__setattr__(self, name, value)
+        detectors = tuple(self.detectors)
+        steps = np.asarray(self.steps, dtype=np.float64)
+        if steps.shape != (n, len(detectors)) or len(set(detectors)) < len(detectors):
             raise ValueError(
-                f"negative mims {self.mims!r} is not the invalid sentinel {MIMS_INVALID}"
+                f"steps has shape {steps.shape} for {n} minutes and "
+                f"detectors {detectors}"
             )
-        if not math.isfinite(self.mims):
-            raise ValueError("mims must be finite")
-        if self.ac < 0:
-            raise ValueError("ac must be nonnegative")
-        object.__setattr__(self, "steps", dict(self.steps))
-        for name, value in self.steps.items():
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"steps[{name!r}] must be finite and nonnegative")
+        order = sorted(range(len(detectors)), key=detectors.__getitem__)
+        object.__setattr__(self, "steps", steps[:, order])
+        object.__setattr__(self, "detectors", tuple(detectors[j] for j in order))
 
-    @property
-    def key(self) -> tuple[str, int, int]:
-        return (self.subject_id, self.day_index, self.minute_of_day)
+        def usable(values: np.ndarray) -> np.ndarray:
+            return np.isfinite(values) & (values >= 0)
 
-    @property
-    def mims_usable(self) -> float:
-        """MIMS value with the invalid sentinel mapped to zero."""
-        return 0.0 if self.mims == MIMS_INVALID else self.mims
+        def reject(bad: np.ndarray, rule: str) -> None:
+            if bad.any():
+                raise ValueError(f"minute {self.key(int(np.argmax(bad)))}: {rule}")
 
-    @property
-    def log10_mims(self) -> float:
-        return math.log10(1.0 + self.mims_usable)
+        reject(self.day < 1, "day starts at 1")
+        reject((self.minute < 0) | (self.minute > 1439), "minute must lie in [0, 1439]")
+        reject((self.wear < 0) | (self.wear >= len(WEAR_STATES)), "unknown wear code")
+        reject(~np.isfinite(self.mims), "mims must be finite")
+        reject(
+            (self.mims < 0) & (self.mims != MIMS_INVALID),
+            f"negative mims is not the invalid sentinel {MIMS_INVALID}",
+        )
+        reject(~usable(self.ac), "ac must be finite and nonnegative")
+        bad_steps = ~usable(self.steps)
+        for j, name in enumerate(self.detectors):
+            reject(bad_steps[:, j], f"steps[{name!r}] must be finite and nonnegative")
+        check_unique_minutes(self)
 
-    @property
-    def log10_ac(self) -> float:
-        return math.log10(1.0 + self.ac)
+    def __len__(self) -> int:
+        return len(self.subject)
+
+    def key(self, i: int) -> tuple[str, int, int]:
+        """The (subject, day, minute) key of row ``i``."""
+        return (str(self.subject[i]), int(self.day[i]), int(self.minute[i]))
 
 
-def check_unique_minutes(minutes: Iterable[MinuteRecord]) -> None:
-    """Reject datasets carrying duplicate (subject, day, minute) keys."""
-    seen: set[tuple[str, int, int]] = set()
-    for m in minutes:
-        if m.key in seen:
-            raise ValueError(f"duplicate minute key {m.key}")
-        seen.add(m.key)
+def stack_minutes(blocks: Sequence[Mapping[str, Any]]) -> MinuteTable:
+    """Build one table from row blocks, each a mapping of the table's fields.
+
+    The detectors are the union over the blocks; a detector that a block
+    lacks reads 0 steps there.
+    """
+    detectors = tuple(sorted({name for b in blocks for name in b["detectors"]}))
+    index = {name: j for j, name in enumerate(detectors)}
+    steps = []
+    for b in blocks:
+        block = np.zeros((len(b["subject"]), len(detectors)))
+        for j, name in enumerate(b["detectors"]):
+            block[:, index[name]] = np.asarray(b["steps"])[:, j]
+        steps.append(block)
+    columns = {
+        name: np.concatenate([np.asarray(b[name]) for b in blocks]) if blocks else []
+        for name in MINUTE_COLUMNS
+    }
+    return MinuteTable(
+        **columns,
+        steps=np.concatenate(steps) if blocks else np.zeros((0, 0)),
+        detectors=detectors,
+    )
+
+
+def check_unique_minutes(table: MinuteTable) -> None:
+    """Reject tables carrying duplicate (subject, day, minute) keys."""
+    order = np.lexsort((table.minute, table.day, table.subject))
+    s, d, m = table.subject[order], table.day[order], table.minute[order]
+    dup = (s[1:] == s[:-1]) & (d[1:] == d[:-1]) & (m[1:] == m[:-1])
+    if dup.any():
+        raise ValueError(f"duplicate minute key {table.key(order[np.argmax(dup)])}")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ from .model import (
     BMI_LEVELS,
     EDUCATION_LEVELS,
     HEALTH_LEVELS,
-    MinuteRecord,
+    WEAR_CODE,
+    MinuteTable,
     MortalityRecord,
     RACE_LEVELS,
     SEX_LEVELS,
@@ -26,6 +27,7 @@ from .model import (
     SubjectCovariates,
     TriaxialRecording,
     WearState,
+    stack_minutes,
 )
 
 
@@ -140,7 +142,7 @@ def make_boundary_day(
     n_wake: int,
     n_nonzero_mims: int,
     detector_names: Sequence[str] = ("peak_original",),
-) -> list[MinuteRecord]:
+) -> MinuteTable:
     """Construct a full day with exact validity counts.
 
     The first ``n_valid`` minutes are unflagged wear (the first ``n_wake`` of
@@ -150,39 +152,23 @@ def make_boundary_day(
     """
     if not 0 <= n_wake <= n_valid <= 1440 or not 0 <= n_nonzero_mims <= n_valid:
         raise ValueError("need 0 <= n_wake, n_nonzero_mims <= n_valid <= 1440")
-    records = []
-    for minute in range(1440):
-        if minute < n_valid:
-            wear = WearState.WAKE_WEAR if minute < n_wake else WearState.SLEEP_WEAR
-            mims = 5.0 if minute < n_nonzero_mims else 0.0
-            steps = {name: (4.0 if wear is WearState.WAKE_WEAR else 0.0)
-                     for name in detector_names}
-            records.append(
-                MinuteRecord(
-                    subject_id=subject_id,
-                    day_index=day_index,
-                    minute_of_day=minute,
-                    wear=wear,
-                    quality_flagged=False,
-                    mims=mims,
-                    ac=int(mims * 100),
-                    steps=steps,
-                )
-            )
-        else:
-            records.append(
-                MinuteRecord(
-                    subject_id=subject_id,
-                    day_index=day_index,
-                    minute_of_day=minute,
-                    wear=WearState.NON_WEAR,
-                    quality_flagged=False,
-                    mims=0.0,
-                    ac=0,
-                    steps={name: 0.0 for name in detector_names},
-                )
-            )
-    return records
+    minute = np.arange(1440)
+    wear = np.full(1440, WEAR_CODE[WearState.NON_WEAR], dtype=np.int8)
+    wear[:n_valid] = WEAR_CODE[WearState.SLEEP_WEAR]
+    wear[:n_wake] = WEAR_CODE[WearState.WAKE_WEAR]
+    mims = np.where(minute < n_nonzero_mims, 5.0, 0.0)
+    steps = np.where(minute < n_wake, 4.0, 0.0)
+    return MinuteTable(
+        subject=np.full(1440, subject_id),
+        day=np.full(1440, day_index),
+        minute=minute,
+        wear=wear,
+        flag=np.zeros(1440, dtype=bool),
+        mims=mims,
+        ac=mims * 100,
+        steps=np.repeat(steps[:, None], len(detector_names), axis=1),
+        detectors=tuple(detector_names),
+    )
 
 
 def gen_cohort(
@@ -190,7 +176,7 @@ def gen_cohort(
     n_days: int,
     profile: CohortProfile | None = None,
     seed: int = 0,
-) -> list[MinuteRecord]:
+) -> MinuteTable:
     """Sample a minute-level cohort with controllable validity rates.
 
     Subjects are named ``S0001`` onward.  When the profile asks for boundary
@@ -211,15 +197,17 @@ def gen_cohort(
         WearState.NON_WEAR,
         WearState.UNKNOWN,
     )
+    state_codes = np.array([WEAR_CODE[state] for state in states], dtype=np.int8)
     scales = np.asarray(profile.detector_scale, dtype=np.float64)
-    records: list[MinuteRecord] = []
+    k = len(scales)
+    days: list[dict[str, object]] = []
     low_wear_states = np.array([0.45, 0.20, 0.30, 0.05])
     for s in range(n_subjects):
         subject = f"S{s + 1:04d}"
         activity = rng.lognormal(mean=0.0, sigma=0.4)
         # Stable relative bias per subject and measure, so subject-level
         # daily means disagree across measures even after averaging.
-        measure_bias = rng.lognormal(mean=0.0, sigma=0.1, size=len(scales) + 2)
+        measure_bias = rng.lognormal(mean=0.0, sigma=0.1, size=k + 2)
         low_wear = rng.random() < profile.p_low_wear_subject
         p_subject = low_wear_states if low_wear else p_states
         for day in range(1, n_days + 1):
@@ -231,10 +219,10 @@ def gen_cohort(
                     (1368, 419, 420),
                     (1368, 420, 419),
                 ][day - 1]
-                records.extend(
-                    make_boundary_day(
+                days.append(
+                    vars(make_boundary_day(
                         subject, day, n_valid, n_wake, n_mims, profile.detector_names
-                    )
+                    ))
                 )
                 continue
             wear_idx = rng.choice(len(states), size=1440, p=p_subject)
@@ -244,31 +232,26 @@ def gen_cohort(
             # Detectors disagree minute to minute; without this jitter every
             # measure would be an exact rescaling of the same series.
             jitter = measure_bias * rng.lognormal(
-                mean=0.0, sigma=0.2, size=(1440, len(scales) + 2)
+                mean=0.0, sigma=0.2, size=(1440, k + 2)
             )
-            for minute in range(1440):
-                wear = states[wear_idx[minute]]
-                active = wear is WearState.WAKE_WEAR and not zero_mims[minute]
-                level = base[minute] if active else 0.0
-                steps = {
-                    name: float(np.round(level * jitter[minute, k] * scale / 3.0, 3))
-                    for k, (name, scale) in enumerate(
-                        zip(profile.detector_names, scales)
-                    )
+            active = (wear_idx == states.index(WearState.WAKE_WEAR)) & ~zero_mims
+            level = np.where(active, base, 0.0)
+            days.append(
+                {
+                    "subject": np.full(1440, subject),
+                    "day": np.full(1440, day),
+                    "minute": np.arange(1440),
+                    "wear": state_codes[wear_idx],
+                    "flag": flagged,
+                    "mims": np.round(level * jitter[:, -2] * 2.5, 4),
+                    "ac": np.trunc(level * jitter[:, -1] * 180),
+                    "steps": np.round(
+                        level[:, None] * jitter[:, :k] * scales / 3.0, 3
+                    ),
+                    "detectors": tuple(profile.detector_names),
                 }
-                records.append(
-                    MinuteRecord(
-                        subject_id=subject,
-                        day_index=day,
-                        minute_of_day=minute,
-                        wear=wear,
-                        quality_flagged=bool(flagged[minute]),
-                        mims=float(np.round(level * jitter[minute, -2] * 2.5, 4)),
-                        ac=int(level * jitter[minute, -1] * 180),
-                        steps=steps,
-                    )
-                )
-    return records
+            )
+    return stack_minutes(days)
 
 
 def gen_covariates(

@@ -3,20 +3,18 @@
 Both measures run per axis through a resample → band-pass → rectify stage
 and then diverge: AC deadbands, clips, quantizes, and sums; MIMS integrates
 the rectified curve and truncates tiny areas.  Axis results combine per
-epoch.  The ``log10(1 + x)`` transform used by downstream analyses lives
-here too.
+epoch.  Both return one value per epoch; the ``steps`` command stores them
+as the ``ac`` and ``mims`` columns of a minute table.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dsp import UniformSeries, butterworth_bandpass, resample_linear
-from .model import MinuteRecord, TriaxialRecording
+from .model import TriaxialRecording
 
 
 @dataclass(frozen=True)
@@ -143,66 +141,3 @@ def mims_units(rec: TriaxialRecording, params: MimsParams | None = None) -> np.n
         per_axis.append(areas)
     n_epochs = min(len(a) for a in per_axis)
     return np.sum([a[:n_epochs] for a in per_axis], axis=0)
-
-
-def log10_plus1(values):
-    """Elementwise log10(1 + x); rejects negative input."""
-    arr = np.asarray(values, dtype=np.float64)
-    if np.any(arr < 0):
-        raise ValueError("log10_plus1 requires nonnegative input")
-    out = np.log10(1.0 + arr)
-    return float(out) if np.isscalar(values) or arr.ndim == 0 else out
-
-
-def attach_minute_summaries(
-    minutes: Sequence[MinuteRecord],
-    ac: np.ndarray | None = None,
-    mims: np.ndarray | None = None,
-    steps: Mapping[str, np.ndarray] | None = None,
-) -> list[MinuteRecord]:
-    """Merge per-minute AC / MIMS / step arrays onto minute records.
-
-    Array lengths must match the record count exactly; epoch misalignment is
-    an error, not a silent truncation.
-    """
-    n = len(minutes)
-    for label, arr in (("ac", ac), ("mims", mims)):
-        if arr is not None and len(arr) != n:
-            raise ValueError(f"{label} has {len(arr)} epochs for {n} minutes")
-    steps = dict(steps or {})
-    for name, arr in steps.items():
-        if len(arr) != n:
-            raise ValueError(f"steps[{name!r}] has {len(arr)} epochs for {n} minutes")
-    out = []
-    for i, rec in enumerate(minutes):
-        merged = dict(rec.steps)
-        for name, arr in steps.items():
-            merged[name] = float(arr[i])
-        out.append(
-            replace(
-                rec,
-                ac=int(ac[i]) if ac is not None else rec.ac,
-                mims=float(mims[i]) if mims is not None else rec.mims,
-                steps=merged,
-            )
-        )
-    return out
-
-
-def minute_skeleton(
-    subject_id: str, n_minutes: int, start_day: int = 1
-) -> list[MinuteRecord]:
-    """Blank wake-wear minute records for freshly processed raw data."""
-    from .model import WearState
-
-    out = []
-    for i in range(n_minutes):
-        out.append(
-            MinuteRecord(
-                subject_id=subject_id,
-                day_index=start_day + i // 1440,
-                minute_of_day=i % 1440,
-                wear=WearState.WAKE_WEAR,
-            )
-        )
-    return out

@@ -241,7 +241,9 @@ def cox_fit(
     """Maximize the weighted Breslow partial likelihood by Newton-Raphson.
 
     Steps that fail to improve the objective are halved (up to 30 times);
-    convergence is a relative log-likelihood change below ``tol``.  Columns
+    convergence is a relative log-likelihood change below ``tol``, or, when
+    every halving is refused, a Newton step whose predicted gain
+    ``score . delta / 2`` is below that same tolerance.  Columns
     are scaled to unit dispersion internally and the fit mapped back, so raw
     step counts may be entered without conditioning trouble.  The covariance
     is the robust sandwich built from weighted score residuals.
@@ -266,6 +268,7 @@ def cox_fit(
     ll, score, hess = _loglik_score_hess(scaled, beta)
     loglik_seq = [ll]
     converged = False
+    failure = f"did not converge in {max_iter} iterations"
     for _ in range(max_iter):
         try:
             delta = np.linalg.solve(-hess, score)
@@ -281,7 +284,12 @@ def cox_fit(
             new_beta = beta + step * delta
             new_ll, new_score, new_hess = _loglik_score_hess(scaled, new_beta)
         if new_ll < ll:
-            break  # no improving step found
+            # No halving improved the objective.  At the optimum the Newton
+            # step's predicted gain can lie below the last bit of ll, so the
+            # step computes as a loss; that counts as convergence.
+            converged = score @ delta / 2.0 < tol * (abs(ll) + tol)
+            failure = f"step search failed after {len(loglik_seq) - 1} steps"
+            break
         beta, ll, score, hess = new_beta, new_ll, new_score, new_hess
         loglik_seq.append(ll)
         if abs(loglik_seq[-1] - loglik_seq[-2]) < tol * (abs(loglik_seq[-2]) + tol):
@@ -312,9 +320,7 @@ def cox_fit(
         covariate_names=data.covariate_names,
     )
     if not converged:
-        raise ConvergenceError(
-            f"Newton-Raphson did not converge in {max_iter} iterations", fit
-        )
+        raise ConvergenceError(f"Newton-Raphson {failure}", fit)
     return fit
 
 

@@ -1,94 +1,54 @@
 """Minute/day/subject validity screening and wear-state bookkeeping.
 
-The screening rules operate purely on minute records: a valid minute is
+The screening rules operate on a :class:`MinuteTable`: a valid minute is
 unflagged wear (unknown counts as wear), a valid day clears the wear-minute,
 wake-minute, and nonzero-MIMS thresholds, and a subject is included with
-enough valid days.
+enough valid days.  Rows are grouped into subject-days with one ``lexsort``
+and counted with ``reduceat``; each day total is an exact ``math.fsum``.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Iterable, Mapping, Sequence
+import math
+from typing import Sequence
 
 import numpy as np
 
 from .dsp import compensated_sum
 from .model import (
+    MIMS_INVALID,
     AnalysisConfig,
     DaySummary,
-    MinuteRecord,
+    MinuteTable,
     SubjectSummary,
     TRANSITION_STATE_ORDER,
+    WEAR_CODE,
     WearState,
 )
 
 
-def impute_unknown_as_wear(minutes: Sequence[MinuteRecord]) -> list[MinuteRecord]:
-    """Stamp each record with its effective wear flag.
-
-    Unknown minutes count as wear; only non-wear is excluded.  Wear states
-    themselves are preserved.
-    """
-    return [replace(m, effective_wear=m.wear.counts_as_wear) for m in minutes]
+def impute_unknown_as_wear(table: MinuteTable) -> np.ndarray:
+    """Effective-wear mask: unknown minutes count as wear, non-wear does not."""
+    return table.wear != WEAR_CODE[WearState.NON_WEAR]
 
 
-def is_valid_minute(minute: MinuteRecord) -> bool:
-    """A valid minute is unflagged and classified as (possibly unknown) wear."""
-    return not minute.quality_flagged and minute.wear.counts_as_wear
-
-
-def _day_totals(valid_minutes: Sequence[MinuteRecord]) -> dict[str, float]:
-    detector_names = sorted({name for m in valid_minutes for name in m.steps})
-    totals: dict[str, float] = {}
-    for name in detector_names:
-        totals[f"steps_{name}"] = compensated_sum(
-            m.steps.get(name, 0.0) for m in valid_minutes
-        )
-    totals["mims"] = compensated_sum(m.mims_usable for m in valid_minutes)
-    totals["ac"] = compensated_sum(float(m.ac) for m in valid_minutes)
-    totals["log10_mims"] = compensated_sum(m.log10_mims for m in valid_minutes)
-    totals["log10_ac"] = compensated_sum(m.log10_ac for m in valid_minutes)
-    return totals
-
-
-def is_valid_day(
-    day_minutes: Sequence[MinuteRecord], cfg: AnalysisConfig
-) -> DaySummary:
-    """Screen one subject-day and accumulate its activity totals.
-
-    A day is valid when it has at least ``cfg.min_valid_minutes`` valid
-    minutes, ``cfg.min_wake_minutes`` wake-wear minutes, and
-    ``cfg.min_nonzero_mims_minutes`` minutes with strictly positive MIMS
-    (counted among valid minutes when ``cfg.nonzero_mims_among_valid``).
-    Totals accumulate over valid minutes only; the MIMS invalid sentinel
-    contributes zero and never counts as nonzero activity.
-    """
-    if not day_minutes:
-        raise ValueError("day_minutes must be nonempty")
-    subject = day_minutes[0].subject_id
-    day = day_minutes[0].day_index
-    for m in day_minutes:
-        if m.subject_id != subject or m.day_index != day:
-            raise ValueError("day_minutes must belong to a single subject-day")
-    valid = [m for m in day_minutes if is_valid_minute(m)]
-    mims_pool = valid if cfg.nonzero_mims_among_valid else list(day_minutes)
-    n_nonzero = sum(1 for m in mims_pool if m.mims > 0.0)
-    n_wake = sum(1 for m in day_minutes if m.wear is WearState.WAKE_WEAR)
-    day_valid = (
-        len(valid) >= cfg.min_valid_minutes
-        and n_wake >= cfg.min_wake_minutes
-        and n_nonzero >= cfg.min_nonzero_mims_minutes
-    )
-    return DaySummary(
-        subject_id=subject,
-        day_index=day,
-        n_valid_minutes=len(valid),
-        n_wake_minutes=n_wake,
-        n_nonzero_mims_minutes=n_nonzero,
-        valid=day_valid,
-        totals=_day_totals(valid),
-    )
+def _totals_by_day(
+    table: MinuteTable, rows: np.ndarray, bounds: np.ndarray
+) -> list[dict[str, float]]:
+    """Exact totals per day: ``rows`` are the valid minutes, day-sorted, and
+    day ``i`` is ``rows[bounds[i]:bounds[i + 1]]``."""
+    columns = {
+        f"steps_{name}": table.steps[rows, j] for j, name in enumerate(table.detectors)
+    }
+    columns["mims"] = np.where(table.mims == MIMS_INVALID, 0.0, table.mims)[rows]
+    columns["ac"] = table.ac[rows]
+    out = []
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        day = {key: column[lo:hi].tolist() for key, column in columns.items()}
+        day["log10_mims"] = [math.log10(1.0 + v) for v in day["mims"]]
+        day["log10_ac"] = [math.log10(1.0 + v) for v in day["ac"]]
+        out.append({key: compensated_sum(values) for key, values in day.items()})
+    return out
 
 
 def summarize_subject(
@@ -119,31 +79,70 @@ def summarize_subject(
     )
 
 
-def group_minutes_by_day(
-    minutes: Iterable[MinuteRecord],
-) -> dict[tuple[str, int], list[MinuteRecord]]:
-    """Group minute records by (subject, day), each day minute-ordered."""
-    grouped: dict[tuple[str, int], list[MinuteRecord]] = {}
-    for m in minutes:
-        grouped.setdefault((m.subject_id, m.day_index), []).append(m)
-    for day in grouped.values():
-        day.sort(key=lambda m: m.minute_of_day)
-    return grouped
+def _sort_rows(table: MinuteTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row order by (subject, day, minute), the sorted subject names, and each
+    ordered row's index into them."""
+    subjects, code = np.unique(table.subject, return_inverse=True)
+    order = np.lexsort((table.minute, table.day, code))
+    return order, subjects, code[order]
 
 
 def screen_cohort(
-    minutes: Sequence[MinuteRecord], cfg: AnalysisConfig
+    table: MinuteTable, cfg: AnalysisConfig
 ) -> tuple[dict[str, list[DaySummary]], dict[str, SubjectSummary]]:
-    """Run day and subject screening over a whole minute-level cohort."""
-    by_day = group_minutes_by_day(minutes)
+    """Screen every subject-day of a minute table, then every subject.
+
+    A day is valid when it has at least ``cfg.min_valid_minutes`` valid
+    minutes, ``cfg.min_wake_minutes`` wake-wear minutes, and
+    ``cfg.min_nonzero_mims_minutes`` minutes with strictly positive MIMS
+    (counted among valid minutes when ``cfg.nonzero_mims_among_valid``).
+    Totals accumulate over valid minutes only; the MIMS invalid sentinel
+    contributes zero and never counts as nonzero activity.
+    """
+    if len(table) == 0:
+        return {}, {}
+    order, subjects, code = _sort_rows(table)
+    day = table.day[order]
+    new_day = np.ones(len(order), dtype=bool)
+    new_day[1:] = (code[1:] != code[:-1]) | (day[1:] != day[:-1])
+    starts = np.flatnonzero(new_day)
+    valid = (impute_unknown_as_wear(table) & ~table.flag)[order]
+    nonzero = table.mims[order] > 0.0
+    if cfg.nonzero_mims_among_valid:
+        nonzero &= valid
+    wake = table.wear[order] == WEAR_CODE[WearState.WAKE_WEAR]
+    n_valid, n_wake, n_nonzero = (
+        np.add.reduceat(flags.astype(np.int64), starts).tolist()
+        for flags in (valid, wake, nonzero)
+    )
+    # valid rows stay day-sorted, so each day's valid minutes are one slice
+    valid_before = np.concatenate([[0], np.cumsum(valid)])
+    bounds = valid_before[np.append(starts, len(order))]
+    totals = _totals_by_day(table, order[valid], bounds)
+
     days_by_subject: dict[str, list[DaySummary]] = {}
-    for (subject, _day), recs in sorted(by_day.items()):
-        days_by_subject.setdefault(subject, []).append(is_valid_day(recs, cfg))
-    subjects = {
+    names = subjects[code[starts]].tolist()
+    for i, (subject, day_index) in enumerate(zip(names, day[starts].tolist())):
+        days_by_subject.setdefault(subject, []).append(
+            DaySummary(
+                subject_id=subject,
+                day_index=day_index,
+                n_valid_minutes=n_valid[i],
+                n_wake_minutes=n_wake[i],
+                n_nonzero_mims_minutes=n_nonzero[i],
+                valid=(
+                    n_valid[i] >= cfg.min_valid_minutes
+                    and n_wake[i] >= cfg.min_wake_minutes
+                    and n_nonzero[i] >= cfg.min_nonzero_mims_minutes
+                ),
+                totals=totals[i],
+            )
+        )
+    subject_summaries = {
         subject: summarize_subject(days, cfg)
         for subject, days in days_by_subject.items()
     }
-    return days_by_subject, subjects
+    return days_by_subject, subject_summaries
 
 
 def exclusion_reason(summary: SubjectSummary, cfg: AnalysisConfig) -> str:
@@ -157,7 +156,7 @@ def exclusion_reason(summary: SubjectSummary, cfg: AnalysisConfig) -> str:
 
 
 def unknown_bout_transition_matrix(
-    minutes: Sequence[MinuteRecord],
+    table: MinuteTable,
 ) -> tuple[np.ndarray, tuple[str, ...]]:
     """Joint distribution of states flanking each maximal unknown bout.
 
@@ -168,34 +167,29 @@ def unknown_bout_transition_matrix(
     state, both ordered Unknown, NonWear, Sleep, Wake; entries are joint
     proportions summing to 1 when any bouts were found.
     """
-    order = TRANSITION_STATE_ORDER
-    index = {state: i for i, state in enumerate(order)}
+    order_index = np.zeros(len(WEAR_CODE), dtype=np.int64)
+    for i, state in enumerate(TRANSITION_STATE_ORDER):
+        order_index[WEAR_CODE[state]] = i
     counts = np.zeros((4, 4))
-    by_subject: dict[str, list[MinuteRecord]] = {}
-    for m in minutes:
-        by_subject.setdefault(m.subject_id, []).append(m)
-    for recs in by_subject.values():
-        recs.sort(key=lambda m: (m.day_index, m.minute_of_day))
-        abs_minute = [1440 * (m.day_index - 1) + m.minute_of_day for m in recs]
-        i = 0
-        while i < len(recs):
-            if recs[i].wear is not WearState.UNKNOWN:
-                i += 1
-                continue
-            j = i
-            while (
-                j + 1 < len(recs)
-                and recs[j + 1].wear is WearState.UNKNOWN
-                and abs_minute[j + 1] == abs_minute[j] + 1
-            ):
-                j += 1
-            has_before = i > 0 and abs_minute[i - 1] == abs_minute[i] - 1
-            has_after = j + 1 < len(recs) and abs_minute[j + 1] == abs_minute[j] + 1
-            if has_before and has_after:
-                counts[index[recs[i - 1].wear], index[recs[j + 1].wear]] += 1.0
-            i = j + 1
+    if len(table):
+        order, _, code = _sort_rows(table)
+        abs_minute = 1440 * (table.day[order] - 1) + table.minute[order]
+        # joined[i]: row i follows row i - 1 on the same subject's timeline
+        joined = np.zeros(len(order), dtype=bool)
+        joined[1:] = (code[1:] == code[:-1]) & (abs_minute[1:] == abs_minute[:-1] + 1)
+        unknown = table.wear[order] == WEAR_CODE[WearState.UNKNOWN]
+        continues = np.zeros(len(order), dtype=bool)
+        continues[1:] = unknown[1:] & unknown[:-1] & joined[1:]
+        first = np.flatnonzero(unknown & ~continues)
+        last = np.flatnonzero(unknown & ~np.append(continues[1:], False))
+        after = last + 1
+        flanked = joined[first] & (after < len(order))
+        flanked[flanked] &= joined[after[flanked]]
+        state = order_index[table.wear[order]]
+        pairs = 4 * state[first[flanked] - 1] + state[after[flanked]]
+        counts = np.bincount(pairs, minlength=16).astype(np.float64).reshape(4, 4)
     total = counts.sum()
     if total > 0:
         counts /= total
-    labels = tuple(state.value for state in order)
+    labels = tuple(state.value for state in TRANSITION_STATE_ORDER)
     return counts, labels

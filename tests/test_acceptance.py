@@ -35,10 +35,10 @@ from stepforge.ingest import (
 )
 from stepforge.model import (
     MIMS_INVALID,
-    MinuteRecord,
     TriaxialRecording,
     WearState,
     make_config,
+    stack_minutes,
 )
 from stepforge.simulate import GaitSegment, gen_gait, gen_survival
 from stepforge.stats import (
@@ -47,6 +47,7 @@ from stepforge.stats import (
     winsorize_upper,
 )
 from stepforge.summaries import activity_counts, mims_units
+from tests.conftest import make_minute, minute_table
 from stepforge.survival import (
     SurvivalDataset,
     concordance,
@@ -250,16 +251,15 @@ def test_05_hazard_ratio_recovery_and_coverage(capsys):
 # ---------------------------------------------------------------- 06 ----
 
 def minute(subject, day, i, wear, flagged, mims, steps=0.0):
-    return MinuteRecord(
-        subject_id=subject,
-        day_index=day,
-        minute_of_day=i,
-        wear=wear,
-        quality_flagged=flagged,
-        mims=mims,
-        ac=1.0,
-        steps={"peak_original": steps},
-    )
+    return make_minute(subject, day, i, wear, flagged, mims, 1.0,
+                       {"peak_original": steps})
+
+
+def screen_days(day_tables, cfg):
+    """Day summaries of one table stacking every day, keyed by subject."""
+    table = stack_minutes([vars(day) for day in day_tables])
+    by_subject, _ = validity.screen_cohort(table, cfg)
+    return {subject: summaries[0] for subject, summaries in by_subject.items()}
 
 
 def composed_day(subject, n_wake, n_sleep, n_nonzero):
@@ -333,19 +333,25 @@ def test_06_day_validity_matches_recount(capsys):
     ]
     expected_valid = [True, False, False, False]
     boundary_ok = True
+    screened = screen_days([minute_table(day) for day in days], cfg)
     for day, want in zip(days, expected_valid):
-        summary = validity.is_valid_day(day, cfg)
+        summary = screened[day[0].subject_id]
         boundary_ok &= summary.valid is want and recount_day(day, cfg)[0] is want
 
     rng = np.random.default_rng(42)
     agree = 0
     n_valid = 0
+    recounts, day_tables = [], []
     for k in range(1000):
         day = random_day(rng, f"S{k}")
-        s = validity.is_valid_day(day, cfg)
+        recounts.append(recount_day(day, cfg))
+        day_tables.append(minute_table(day))
+    screened = screen_days(day_tables, cfg)
+    for k, recount in enumerate(recounts):
+        s = screened[f"S{k}"]
         agree += (
             s.valid, s.n_valid_minutes, s.n_wake_minutes, s.n_nonzero_mims_minutes
-        ) == recount_day(day, cfg)
+        ) == recount
         n_valid += s.valid
     ok = boundary_ok and agree == 1000 and 0 < n_valid < 1000
     detail = (f"boundaries exact, {agree}/1000 random days agree "
@@ -473,19 +479,14 @@ def test_11_real_cohort_hooks(capsys):
 
     root = Path(root)
     minutes_path = root / "minutes.csv"
-    if minutes_path.exists():
-        minutes = read_minute_file(minutes_path)
-    else:
-        minutes = [
-            m for p in sorted((root / "minutes").glob("*.csv"))
-            for m in read_minute_file(p)
-        ]
+    if not minutes_path.exists():
+        minutes_path = root / "minutes"
+    minutes = read_minute_file(minutes_path)
     for name in ("stepcount_rf", "adept"):
         series = import_external_steps(root / f"{name}.csv", name)
         minutes = merge_external_steps(minutes, series)
 
     cfg = make_config()
-    minutes = validity.impute_unknown_as_wear(minutes)
     _, subject_summaries = validity.screen_cohort(minutes, cfg)
     summaries = [s for _, s in sorted(subject_summaries.items()) if s.included]
     covariates = read_covariates(root / "covariates.csv")

@@ -1,11 +1,12 @@
 import filecmp
 import os
+from dataclasses import fields as dataclass_fields
 
 import pytest
 
 from stepforge.cli import FatalCliError, load_config, main, parse_config_file
 from stepforge.ingest import read_minute_file, read_table
-from stepforge.model import make_config
+from stepforge.model import AnalysisConfig, make_config
 
 
 class TestParseConfigFile:
@@ -91,6 +92,30 @@ class TestLoadConfig:
             with pytest.raises(FatalCliError, match=message):
                 load_config(str(path), env={})
 
+    def test_every_field_settable_from_file(self, tmp_path):
+        # a non-default value for every AnalysisConfig field
+        texts = {
+            "min_valid_minutes": ("1200", 1200),
+            "min_wake_minutes": ("400", 400),
+            "min_nonzero_mims_minutes": ("300", 300),
+            "min_valid_days": ("4", 4),
+            "winsor_percentile": ("0.95", 0.95),
+            "hr_step_increment": ("1000", 1000.0),
+            "cv_folds": ("5", 5),
+            "cv_repeats": ("7", 7),
+            "rng_seed": ("99", 99),
+            "age_range": ("40, 69", (40, 69)),
+            "nonzero_mims_among_valid": ("false", False),
+        }
+        assert set(texts) == {f.name for f in dataclass_fields(AnalysisConfig)}
+        path = tmp_path / "c.conf"
+        path.write_text("".join(f"{key} = {text}\n" for key, (text, _) in texts.items()))
+        cfg, _ = load_config(str(path), env={})
+        for key, (_, value) in texts.items():
+            assert getattr(cfg, key) == value, key
+            assert getattr(cfg, key) != getattr(AnalysisConfig(), key), key
+            assert type(getattr(cfg, key)) is type(value), key
+
     def test_out_of_range_value_fatal(self, tmp_path):
         path = tmp_path / "c.conf"
         path.write_text("min_valid_days = 0\n")
@@ -143,11 +168,9 @@ class TestPipeline:
             assert filecmp.cmp(out1 / name, out2 / name, shallow=False)
         minutes = read_minute_file(out1 / "R0001_minutes.csv")
         assert len(minutes) == 2  # 120 s recording
-        detected = {k for m in minutes for k in m.steps}
-        assert detected == {"peak_original", "peak_revised", "spectral", "template"}
+        assert minutes.detectors == ("peak_original", "peak_revised", "spectral", "template")
         # the 60 s walk at 2 Hz straddles the two minutes
-        for name in detected:
-            total = minutes[0].steps[name] + minutes[1].steps[name]
+        for name, total in zip(minutes.detectors, minutes.steps.sum(axis=0)):
             assert 100.0 <= total <= 132.0, (name, total)
 
     def test_analyze_without_mortality_skips_survival(self, corpus, tmp_path, capsys):

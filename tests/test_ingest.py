@@ -1,9 +1,11 @@
 import gzip
 import math
+import os
 
 import numpy as np
 import pytest
 
+from stepforge import ingest
 from stepforge.ingest import (
     CACHE_MAGIC,
     ExternalStepSeries,
@@ -32,7 +34,7 @@ from stepforge.model import (
     WearState,
 )
 from stepforge.simulate import gen_covariates
-from tests.conftest import make_minute
+from tests.conftest import assert_tables_equal, make_minute, minute_table
 
 
 def write_raw(path, rows, header="x,y,z"):
@@ -80,20 +82,38 @@ class TestRawReading:
             merged, np.array([0.001 * i for i in range(n)], dtype=np.float32)
         )
 
-    def test_text_and_cache_reads_are_bit_identical(self, tmp_path):
+    def test_text_and_cache_reads_are_bit_identical(self, tmp_path, monkeypatch):
         path = tmp_path / "S3.csv"
         rows = [(0.123456789, -1.987654321, 0.5000000001) for _ in range(50)]
         write_raw(path, rows)
         first = list(read_raw_recording(path, RawFileSchema()))
         assert cache_path(path).exists()
-        # corrupt the text file to prove the second read uses the cache
-        path.write_text("x,y,z\n9,9,9\n")
+
+        # a text parse on the second read would raise, so it uses the cache
+        def no_parse(*args):
+            raise AssertionError("text parsed although the cache is current")
+
+        monkeypatch.setattr(ingest, "_parse_raw_rows", no_parse)
         second = list(read_raw_recording(path, RawFileSchema()))
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a.x, b.x)
             np.testing.assert_array_equal(a.y, b.y)
             np.testing.assert_array_equal(a.z, b.z)
         assert first[0].x[0] == np.float32(0.123456789)
+
+    def test_stale_cache_is_reparsed_and_rewritten(self, tmp_path):
+        path = tmp_path / "S7.csv"
+        write_raw(path, [(0.5, 0.5, 0.5)] * 10)
+        list(read_raw_recording(path, RawFileSchema()))
+        cached_at = cache_path(path).stat().st_mtime_ns
+        # replace the text with different samples and a later mtime
+        write_raw(path, [(0.25, -0.75, 1.0)] * 12)
+        os.utime(path, ns=(cached_at + 10**9, cached_at + 10**9))
+        (chunk,) = read_raw_recording(path, RawFileSchema())
+        np.testing.assert_array_equal(chunk.x, np.full(12, 0.25, dtype=np.float32))
+        np.testing.assert_array_equal(chunk.z, np.full(12, 1.0, dtype=np.float32))
+        rx, _, _ = read_binary_cache(cache_path(path))
+        np.testing.assert_array_equal(rx, np.full(12, 0.25, dtype=np.float32))
 
     def test_gzipped_input(self, tmp_path):
         path = tmp_path / "S4.csv.gz"
@@ -207,25 +227,27 @@ class TestWriteTable:
 class TestMinuteFiles:
     def test_round_trip_with_sentinel(self, tmp_path):
         path = tmp_path / "m.csv"
-        records = [
+        table = minute_table([
             make_minute(minute=0, mims=3.25, steps={"a": 12.0, "b": 0.0}),
             make_minute(minute=1, mims=MIMS_INVALID, steps={"a": 0.0, "b": 4.5},
                         wear=WearState.UNKNOWN),
             make_minute(minute=2, mims=0.0, steps={"a": 7.0, "b": 1.0},
                         wear=WearState.NON_WEAR, flagged=True),
-        ]
-        write_minute_file(records, path)
-        assert read_minute_file(path) == records
+        ])
+        write_minute_file(table, path)
+        assert_tables_equal(read_minute_file(path), table)
 
     def test_header_columns(self, tmp_path):
         path = tmp_path / "m.csv"
-        write_minute_file([make_minute(steps={"zeta": 1.0, "alpha": 2.0})], path)
+        write_minute_file(minute_table([make_minute(steps={"zeta": 1.0, "alpha": 2.0})]), path)
         header = path.read_text().splitlines()[0]
         assert header == "subject,day,minute,wear,flag,mims,ac,steps_alpha,steps_zeta"
 
     def test_duplicate_minutes_rejected(self, tmp_path):
         path = tmp_path / "dup.csv"
-        write_minute_file([make_minute(), make_minute()], path)
+        path.write_text(
+            "subject,day,minute,wear,flag,mims\nS1,1,0,wake,0,1.0\nS1,1,0,sleep,0,0.0\n"
+        )
         with pytest.raises(ValueError, match="duplicate"):
             read_minute_file(path)
 
@@ -249,9 +271,10 @@ class TestMinuteFiles:
             "subject,day,minute,wear,flag,mims,steps_peak_original\n"
             "S1,1,0,wake,0,2.0,55.0\n"
         )
-        (rec,) = read_minute_file(path)
-        assert rec.steps == {"peak_original": 55.0}
-        assert rec.ac == 0.0
+        table = read_minute_file(path)
+        assert table.detectors == ("peak_original",)
+        assert table.steps.tolist() == [[55.0]]
+        assert table.ac.tolist() == [0.0]
 
 
 class TestCovariateFiles:
@@ -319,9 +342,10 @@ class TestExternalSteps:
             "subject,day,minute,steps\nS1,1,0,30\nS1,1,2,12.5\nGHOST,1,0,99\n"
         )
         series = import_external_steps(path, "wearable_x")
-        minutes = [make_minute(minute=m, steps={}) for m in range(3)]
+        minutes = minute_table([make_minute(minute=m, steps={}) for m in range(3)])
         merged = merge_external_steps(minutes, series)
-        assert [m.steps["wearable_x"] for m in merged] == [30.0, 0.0, 12.5]
+        assert merged.detectors == ("wearable_x",)
+        assert merged.steps[:, 0].tolist() == [30.0, 0.0, 12.5]
 
     def test_builtin_name_collision(self, tmp_path):
         path = tmp_path / "ext.csv"
@@ -343,9 +367,9 @@ class TestExternalSteps:
 
     def test_merge_refuses_existing_detector(self):
         series = ExternalStepSeries("wearable_x", {("S1", 1, 0): 5.0})
-        minute = make_minute(steps={"wearable_x": 1.0})
+        minutes = minute_table([make_minute(steps={"wearable_x": 1.0})])
         with pytest.raises(ValueError, match="already has steps"):
-            merge_external_steps([minute], series)
+            merge_external_steps(minutes, series)
 
     def test_series_validation(self):
         with pytest.raises(ValueError, match="out of range"):

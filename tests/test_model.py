@@ -5,7 +5,7 @@ from stepforge.model import (
     AGE_TOPCODE,
     MIMS_INVALID,
     AnalysisConfig,
-    MinuteRecord,
+    MinuteTable,
     MortalityRecord,
     SubjectCovariates,
     TriaxialRecording,
@@ -13,6 +13,8 @@ from stepforge.model import (
     check_unique_minutes,
     make_config,
 )
+from stepforge.validity import screen_cohort
+from tests.conftest import make_minute, minute_table
 
 
 def covariates(**overrides):
@@ -71,46 +73,68 @@ class TestTriaxialRecording:
             TriaxialRecording("s", np.zeros(3), np.zeros(3), np.zeros(3), 0.0)
 
 
-class TestMinuteRecord:
+def one_day_totals(**row):
+    cfg = make_config({"min_valid_minutes": 1, "min_wake_minutes": 0,
+                       "min_nonzero_mims_minutes": 0})
+    days, _ = screen_cohort(minute_table([make_minute(**row)]), cfg)
+    return days["S1"][0].totals
+
+
+class TestMinuteTable:
     def test_sentinel_mims_usable(self):
-        m = MinuteRecord("s", 1, 0, WearState.WAKE_WEAR, mims=MIMS_INVALID)
-        assert m.mims == MIMS_INVALID
-        assert m.mims_usable == 0.0
-        assert m.log10_mims == 0.0
+        table = minute_table([make_minute(mims=MIMS_INVALID)])
+        assert table.mims.tolist() == [MIMS_INVALID]
+        totals = one_day_totals(mims=MIMS_INVALID)
+        assert totals["mims"] == 0.0
+        assert totals["log10_mims"] == 0.0
 
     def test_log10_transform(self):
-        m = MinuteRecord("s", 1, 0, WearState.WAKE_WEAR, mims=3.2, ac=99)
-        assert m.log10_mims == pytest.approx(np.log10(4.2), abs=1e-15)
-        assert m.log10_ac == pytest.approx(2.0, abs=1e-15)
+        totals = one_day_totals(mims=3.2, ac=99)
+        assert totals["log10_mims"] == pytest.approx(np.log10(4.2), abs=1e-15)
+        assert totals["log10_ac"] == pytest.approx(2.0, abs=1e-15)
 
     def test_negative_mims_not_sentinel(self):
         with pytest.raises(ValueError, match="sentinel"):
-            MinuteRecord("s", 1, 0, WearState.WAKE_WEAR, mims=-0.5)
+            minute_table([make_minute(mims=-0.5)])
 
     def test_day_index_starts_at_one(self):
-        with pytest.raises(ValueError, match="day_index"):
-            MinuteRecord("s", 0, 0, WearState.WAKE_WEAR)
+        with pytest.raises(ValueError, match="day starts at 1"):
+            minute_table([make_minute(day=0)])
 
     def test_minute_range(self):
-        with pytest.raises(ValueError, match="minute_of_day"):
-            MinuteRecord("s", 1, 1440, WearState.WAKE_WEAR)
+        with pytest.raises(ValueError, match=r"minute must lie in \[0, 1439\]"):
+            minute_table([make_minute(minute=1440)])
 
     def test_negative_steps(self):
         with pytest.raises(ValueError, match="steps"):
-            MinuteRecord("s", 1, 0, WearState.WAKE_WEAR, steps={"d": -1.0})
+            minute_table([make_minute(steps={"d": -1.0})])
 
     def test_steps_copied(self):
-        steps = {"d": 1.0}
-        m = MinuteRecord("s", 1, 0, WearState.WAKE_WEAR, steps=steps)
-        steps["d"] = 99.0
-        assert m.steps["d"] == 1.0
+        steps = np.array([[1.0]])
+        table = MinuteTable(["s"], [1], [0], [0], [False], [0.0], [0.0], steps, ("d",))
+        steps[0, 0] = 99.0
+        assert table.steps[0, 0] == 1.0
 
     def test_duplicate_keys_rejected(self):
-        a = MinuteRecord("s", 1, 5, WearState.WAKE_WEAR)
-        b = MinuteRecord("s", 1, 5, WearState.SLEEP_WEAR)
+        a = make_minute(minute=5)
+        b = make_minute(minute=5, wear=WearState.SLEEP_WEAR)
         with pytest.raises(ValueError, match="duplicate"):
-            check_unique_minutes([a, b])
-        check_unique_minutes([a])
+            minute_table([a, b])
+        check_unique_minutes(minute_table([a]))
+
+    def test_detectors_kept_sorted(self):
+        table = MinuteTable(["s"], [1], [0], [0], [False], [0.0], [0.0],
+                            [[1.0, 2.0]], ("zeta", "alpha"))
+        assert table.detectors == ("alpha", "zeta")
+        assert table.steps.tolist() == [[2.0, 1.0]]
+
+    def test_misaligned_columns_rejected(self):
+        with pytest.raises(ValueError, match="for 2 minutes"):
+            MinuteTable(["s", "s"], [1, 1], [0, 1], [0, 0], [False] * 2,
+                        [0.0], [0.0, 0.0], np.zeros((2, 0)))
+        with pytest.raises(ValueError, match="steps has shape"):
+            MinuteTable(["s"], [1], [0], [0], [False], [0.0], [0.0],
+                        np.zeros((1, 2)), ("a",))
 
 
 class TestSubjectCovariates:

@@ -12,6 +12,7 @@ from stepforge.simulate import (
     gen_survival,
     make_boundary_day,
 )
+from tests.conftest import assert_tables_equal, minute_rows
 
 
 class TestGenGait:
@@ -57,7 +58,7 @@ class TestGenGait:
 
 class TestBoundaryDay:
     def test_exact_threshold_counts(self):
-        minutes = make_boundary_day("S1", 1, 1368, 420, 420)
+        minutes = minute_rows(make_boundary_day("S1", 1, 1368, 420, 420))
         assert len(minutes) == 1440
         valid = [
             m
@@ -76,15 +77,15 @@ class TestGenCohort:
         minutes = gen_cohort(3, 2, seed=0)
         assert len(minutes) == 3 * 2 * 1440
         check_unique_minutes(minutes)
-        assert {m.subject_id for m in minutes} == {"S0001", "S0002", "S0003"}
+        assert set(minutes.subject.tolist()) == {"S0001", "S0002", "S0003"}
 
     def test_determinism(self):
         a = gen_cohort(2, 1, seed=3)
         b = gen_cohort(2, 1, seed=3)
-        assert [(m.key, m.mims, m.ac) for m in a] == [(m.key, m.mims, m.ac) for m in b]
+        assert_tables_equal(a, b)
 
     def test_boundary_days_lead_first_subject(self):
-        minutes = gen_cohort(1, 4, seed=0)
+        minutes = minute_rows(gen_cohort(1, 4, seed=0))
         by_day = {}
         for m in minutes:
             by_day.setdefault(m.day_index, []).append(m)

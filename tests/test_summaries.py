@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 
 from stepforge.dsp import UniformSeries, butterworth_bandpass, resample_linear
-from stepforge.model import TriaxialRecording
+from stepforge.model import MinuteTable, TriaxialRecording, make_config
 from stepforge.summaries import (
     AcParams,
     MimsParams,
     activity_counts,
-    attach_minute_summaries,
-    log10_plus1,
     mims_units,
-    minute_skeleton,
 )
-from tests.conftest import make_minute
+from stepforge.validity import screen_cohort
+from tests.conftest import make_minute, minute_table
 
 
 def recording(x, y, z, rate=30.0, subject="S1"):
@@ -195,57 +193,74 @@ class TestMims:
             MimsParams(truncation_floor=-1.0)
 
 
+def day_totals(table):
+    """Screening day totals of a table, every minute valid, keyed by subject."""
+    cfg = make_config({"min_valid_minutes": 1, "min_wake_minutes": 0,
+                       "min_nonzero_mims_minutes": 0})
+    days, _ = screen_cohort(table, cfg)
+    return {subject: d[0].totals for subject, d in days.items()}
+
+
 class TestLog10Plus1:
+    """The log10(1 + x) transform of the screening day totals."""
+
     def test_anchor_points(self):
-        assert log10_plus1(0.0) == 0.0
-        assert log10_plus1(9.0) == pytest.approx(1.0)
-        assert log10_plus1(99.0) == pytest.approx(2.0)
+        rows = [make_minute(f"S{i}", mims=m, ac=a)
+                for i, (m, a) in enumerate([(0.0, 0), (9.0, 99)])]
+        totals = day_totals(minute_table(rows))
+        assert totals["S0"]["log10_mims"] == 0.0
+        assert totals["S0"]["log10_ac"] == 0.0
+        assert totals["S1"]["log10_mims"] == pytest.approx(1.0)
+        assert totals["S1"]["log10_ac"] == pytest.approx(2.0)
 
     def test_monotone_on_arrays(self):
         x = np.linspace(0, 50, 101)
-        out = log10_plus1(x)
+        rows = [make_minute(f"S{i:03d}", mims=float(v)) for i, v in enumerate(x)]
+        totals = day_totals(minute_table(rows))
+        out = np.array([totals[f"S{i:03d}"]["log10_mims"] for i in range(len(x))])
         assert out.shape == x.shape
         assert np.all(np.diff(out) > 0)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            log10_plus1(np.array([1.0, -0.1]))
+            minute_table([make_minute(ac=-0.1)])
 
     def test_scalar_returns_float(self):
-        assert isinstance(log10_plus1(3), float)
+        totals = day_totals(minute_table([make_minute(mims=3.0, ac=3)]))
+        assert type(totals["S1"]["log10_mims"]) is float
+        assert type(totals["S1"]["log10_ac"]) is float
 
 
 class TestAttachMinuteSummaries:
+    """Per-minute AC, MIMS and step arrays become the columns of one table."""
+
     def test_merges_all_channels(self):
-        minutes = [make_minute(minute=m, steps={"spectral": 1.0}) for m in range(3)]
-        out = attach_minute_summaries(
-            minutes,
-            ac=np.array([1, 2, 3]),
-            mims=np.array([0.5, 3.2, 0.0]),
-            steps={"peak_original": np.array([10.0, 0.0, 5.0])},
+        ac = np.array([1, 2, 3])
+        mims = np.array([0.5, 3.2, 0.0])
+        steps = {"spectral": np.ones(3), "peak_original": np.array([10.0, 0.0, 5.0])}
+        names = tuple(sorted(steps))
+        out = MinuteTable(
+            subject=["S1"] * 3, day=[1] * 3, minute=[0, 1, 2], wear=[0] * 3,
+            flag=[False] * 3, mims=mims, ac=ac,
+            steps=np.column_stack([steps[n] for n in names]), detectors=names,
         )
-        assert [r.ac for r in out] == [1, 2, 3]
-        assert out[1].mims == 3.2
-        assert out[1].log10_mims == pytest.approx(math.log10(4.2))
-        assert out[0].steps == {"spectral": 1.0, "peak_original": 10.0}
+        assert out.ac.tolist() == [1.0, 2.0, 3.0]
+        assert out.mims[1] == 3.2
+        assert out.detectors == ("peak_original", "spectral")
+        assert out.steps[0].tolist() == [10.0, 1.0]
+        assert day_totals(out)["S1"]["log10_mims"] == pytest.approx(
+            math.log10(1.5) + math.log10(4.2)
+        )
         # inputs untouched
-        assert minutes[0].ac == 10
+        assert ac.dtype == np.int64 and ac.tolist() == [1, 2, 3]
 
     def test_length_mismatch_is_an_error(self):
-        minutes = [make_minute(minute=m) for m in range(3)]
-        with pytest.raises(ValueError, match="epochs for 3 minutes"):
-            attach_minute_summaries(minutes, ac=np.array([1, 2]))
-        with pytest.raises(ValueError, match="epochs for 3 minutes"):
-            attach_minute_summaries(minutes, steps={"x": np.zeros(4)})
+        def table(ac=np.zeros(3), steps=np.zeros((3, 1))):
+            return MinuteTable(["S1"] * 3, [1] * 3, [0, 1, 2], [0] * 3, [False] * 3,
+                               np.zeros(3), ac, steps, ("x",))
 
-
-class TestMinuteSkeleton:
-    def test_day_rollover(self):
-        out = minute_skeleton("S1", 1441)
-        assert (out[0].day_index, out[0].minute_of_day) == (1, 0)
-        assert (out[-1].day_index, out[-1].minute_of_day) == (2, 0)
-        assert len(out) == 1441
-
-    def test_start_day_offset(self):
-        out = minute_skeleton("S1", 2, start_day=4)
-        assert [r.day_index for r in out] == [4, 4]
+        table()
+        with pytest.raises(ValueError, match="for 3 minutes"):
+            table(ac=np.array([1, 2]))
+        with pytest.raises(ValueError, match="for 3 minutes"):
+            table(steps=np.zeros((4, 1)))

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,6 +204,56 @@ class TestCoxFit:
         # the capped iterate is already descending toward the full solution
         full = cox_fit(d)
         assert abs(last.beta[0] - full.beta[0]) < abs(full.beta[0])
+
+
+COX_PROBE = Path(__file__).with_name("data") / "cox_probe.csv"
+
+
+def cox_probe_fold():
+    """A CV training fold on which the last Newton step gains less than the
+    last bit of the log-likelihood (29 rows, 20 events, 7 columns)."""
+    table = np.genfromtxt(COX_PROBE, delimiter=",", names=True)
+    names = table.dtype.names[3:]
+    return SurvivalDataset(
+        followup_months=table["followup_months"],
+        event=table["event"].astype(bool),
+        covariates=np.column_stack([table[n] for n in names]),
+        weights=table["weight"],
+        covariate_names=tuple(names),
+    )
+
+
+class TestCoxFitStopping:
+    def test_refused_step_at_the_optimum_converges(self):
+        data = cox_probe_fold()
+        fit = cox_fit(data)
+        assert fit.converged
+        assert len(fit.loglik_seq) == 5  # four accepted Newton steps
+        # no move of 0.01 per column-sd along any coordinate raises the
+        # likelihood
+        best = breslow_partial_loglik(data, fit.beta)
+        sd = data.covariates.std(axis=0, ddof=1)
+        for j in range(len(fit.beta)):
+            for sign in (-1.0, 1.0):
+                moved = fit.beta.copy()
+                moved[j] += sign * 0.01 / sd[j]
+                assert breslow_partial_loglik(data, moved) <= best
+
+    def test_failed_step_search_names_its_step_count(self, monkeypatch):
+        import stepforge.survival as survival
+
+        real = survival._loglik_score_hess
+        calls = []
+
+        def refuse_every_move(data, beta, want_derivs=True):
+            calls.append(1)
+            ll, score, hess = real(data, beta, want_derivs)
+            return (ll if len(calls) == 1 else -math.inf), score, hess
+
+        monkeypatch.setattr(survival, "_loglik_score_hess", refuse_every_move)
+        d = gen_survival(80, -0.4 / 3000, 0.03, censor_rate=0.3, seed=11)
+        with pytest.raises(ConvergenceError, match="step search failed after 0 steps"):
+            cox_fit(d)
 
 
 class TestEffectReporting:

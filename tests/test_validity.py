@@ -5,18 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stepforge.model import MIMS_INVALID, WearState, make_config
+from stepforge.model import MIMS_INVALID, WearState, make_config, stack_minutes
 from stepforge.validity import (
     exclusion_reason,
-    group_minutes_by_day,
     impute_unknown_as_wear,
-    is_valid_day,
-    is_valid_minute,
     screen_cohort,
     summarize_subject,
     unknown_bout_transition_matrix,
 )
-from tests.conftest import make_minute
+from tests.conftest import make_minute, minute_table
 
 WEARABLE = (WearState.WAKE_WEAR, WearState.SLEEP_WEAR, WearState.UNKNOWN)
 
@@ -33,27 +30,38 @@ def boundary_day(subject="S1", day=1):
     return minutes
 
 
+def screen_day(day, cfg):
+    """Screen the minutes of one subject-day through the cohort screen."""
+    days, _ = screen_cohort(minute_table(day), cfg)
+    ((only,),) = days.values()
+    return only
+
+
 class TestMinuteRules:
     def test_unknown_counts_as_wear(self):
-        out = impute_unknown_as_wear(
-            [make_minute(wear=w) for w in WearState]
-        )
-        by_state = {m.wear: m.effective_wear for m in out}
+        states = list(WearState)
+        table = minute_table(make_minute(minute=i, wear=w) for i, w in enumerate(states))
+        by_state = dict(zip(states, impute_unknown_as_wear(table).tolist()))
         assert by_state[WearState.UNKNOWN] is True
         assert by_state[WearState.WAKE_WEAR] is True
         assert by_state[WearState.SLEEP_WEAR] is True
         assert by_state[WearState.NON_WEAR] is False
 
     def test_valid_minute(self):
-        assert is_valid_minute(make_minute(wear=WearState.UNKNOWN))
-        assert not is_valid_minute(make_minute(flagged=True))
-        assert not is_valid_minute(make_minute(wear=WearState.NON_WEAR))
+        cfg = make_config({"min_valid_minutes": 1})
+
+        def n_valid(minute):
+            return screen_day([minute], cfg).n_valid_minutes
+
+        assert n_valid(make_minute(wear=WearState.UNKNOWN)) == 1
+        assert n_valid(make_minute(flagged=True)) == 0
+        assert n_valid(make_minute(wear=WearState.NON_WEAR)) == 0
 
 
 class TestDayScreening:
     def test_boundary_day_is_valid(self):
         cfg = make_config()
-        summary = is_valid_day(boundary_day(), cfg)
+        summary = screen_day(boundary_day(), cfg)
         assert (summary.n_valid_minutes, summary.n_wake_minutes) == (1368, 420)
         assert summary.n_nonzero_mims_minutes == 420
         assert summary.valid
@@ -62,15 +70,15 @@ class TestDayScreening:
         cfg = make_config()
         flagged = boundary_day()
         flagged[500] = make_minute(minute=500, wear=WearState.SLEEP_WEAR, mims=0.0, flagged=True)
-        assert not is_valid_day(flagged, cfg).valid
+        assert not screen_day(flagged, cfg).valid
 
         less_wake = boundary_day()
         less_wake[10] = make_minute(minute=10, wear=WearState.SLEEP_WEAR, mims=1.0)
-        assert not is_valid_day(less_wake, cfg).valid
+        assert not screen_day(less_wake, cfg).valid
 
         less_active = boundary_day()
         less_active[10] = make_minute(minute=10, wear=WearState.WAKE_WEAR, mims=0.0)
-        assert not is_valid_day(less_active, cfg).valid
+        assert not screen_day(less_active, cfg).valid
 
     def test_raising_thresholds_never_validates(self):
         day = boundary_day()
@@ -80,7 +88,7 @@ class TestDayScreening:
             ("min_nonzero_mims_minutes", 420),
         ]:
             verdicts = [
-                is_valid_day(day, make_config({key: k})).valid
+                screen_day(day, make_config({key: k})).valid
                 for k in (base - 1, base, base + 1)
             ]
             assert verdicts == [True, True, False]
@@ -95,7 +103,7 @@ class TestDayScreening:
             make_minute(minute=1, mims=MIMS_INVALID, steps={"a": 4.0}),
             make_minute(minute=2, mims=3.0, steps={"a": 5.0}),
         ]
-        summary = is_valid_day(day, cfg)
+        summary = screen_day(day, cfg)
         assert summary.n_nonzero_mims_minutes == 2
         assert summary.totals["mims"] == 5.0
         assert summary.totals["steps_a"] == 12.0
@@ -111,19 +119,21 @@ class TestDayScreening:
         base = dict(min_valid_minutes=1, min_wake_minutes=0, min_nonzero_mims_minutes=1)
         strict = make_config(dict(base, nonzero_mims_among_valid=True))
         loose = make_config(dict(base, nonzero_mims_among_valid=False))
-        assert not is_valid_day(day, strict).valid
-        assert is_valid_day(day, loose).valid
+        assert not screen_day(day, strict).valid
+        assert screen_day(day, loose).valid
 
     def test_missing_detector_key_counts_as_zero(self):
         cfg = make_config(
             {"min_valid_minutes": 1, "min_wake_minutes": 0,
              "min_nonzero_mims_minutes": 0}
         )
-        day = [
-            make_minute(minute=0, steps={"a": 2.0, "b": 7.0}),
-            make_minute(minute=1, steps={"a": 3.0}),
-        ]
-        totals = is_valid_day(day, cfg).totals
+        # stacked blocks: the second lacks detector b, which reads 0 there
+        table = stack_minutes([
+            vars(minute_table([make_minute(minute=0, steps={"a": 2.0, "b": 7.0})])),
+            vars(minute_table([make_minute(minute=1, steps={"a": 3.0})])),
+        ])
+        days, _ = screen_cohort(table, cfg)
+        totals = days["S1"][0].totals
         assert totals["steps_a"] == 5.0
         assert totals["steps_b"] == 7.0
 
@@ -131,14 +141,14 @@ class TestDayScreening:
         day = boundary_day()
         shuffled = day.copy()
         random.Random(3).shuffle(shuffled)
-        assert is_valid_day(day, make_config()) == is_valid_day(shuffled, make_config())
+        assert screen_day(day, make_config()) == screen_day(shuffled, make_config())
 
     def test_mixed_day_rejected(self):
+        # a table mixing days screens into one summary per day; none is empty
         day = [make_minute(day=1), make_minute(day=2, minute=1)]
-        with pytest.raises(ValueError, match="single subject-day"):
-            is_valid_day(day, make_config())
-        with pytest.raises(ValueError, match="nonempty"):
-            is_valid_day([], make_config())
+        days, _ = screen_cohort(minute_table(day), make_config())
+        assert [(d.day_index, d.n_valid_minutes) for d in days["S1"]] == [(1, 1), (2, 1)]
+        assert screen_cohort(minute_table([]), make_config()) == ({}, {})
 
     def test_randomized_days_match_longhand_recount(self):
         cfg = make_config(
@@ -162,7 +172,7 @@ class TestDayScreening:
                         steps={"a": float(rng.integers(0, 90))},
                     )
                 )
-            summary = is_valid_day(day, cfg)
+            summary = screen_day(day, cfg)
             valid = [
                 m for m in day if not m.quality_flagged and m.wear in WEARABLE
             ]
@@ -185,7 +195,7 @@ class TestSubjectScreening:
         cfg = make_config()
         days = []
         for i, steps in enumerate([8000.0, 9000.0, 10000.0, 400.0]):
-            day = is_valid_day(boundary_day(day=i + 1), cfg)
+            day = screen_day(boundary_day(day=i + 1), cfg)
             day = replace(
                 day,
                 totals=dict(day.totals, steps_a=steps),
@@ -198,28 +208,34 @@ class TestSubjectScreening:
         assert summary.means["steps_a"] == 9000.0
 
     def test_inclusion_threshold(self):
-        days = [is_valid_day(boundary_day(day=d), make_config()) for d in (1, 2)]
+        days = [screen_day(boundary_day(day=d), make_config()) for d in (1, 2)]
         assert not summarize_subject(days, make_config()).included
         assert summarize_subject(days, make_config({"min_valid_days": 1})).included
 
     def test_no_valid_days_yields_empty_means(self):
-        day = is_valid_day(boundary_day(), make_config({"min_wake_minutes": 500}))
+        day = screen_day(boundary_day(), make_config({"min_wake_minutes": 500}))
         summary = summarize_subject([day], make_config())
         assert summary.means == {} and not summary.included
 
     def test_single_subject_enforced(self):
-        a = is_valid_day(boundary_day("A"), make_config())
-        b = is_valid_day(boundary_day("B"), make_config())
+        a = screen_day(boundary_day("A"), make_config())
+        b = screen_day(boundary_day("B"), make_config())
         with pytest.raises(ValueError, match="single subject"):
             summarize_subject([a, b], make_config())
 
 
 class TestCohortScreening:
     def test_grouping_sorts_unordered_input(self):
-        minutes = [make_minute(minute=5), make_minute(minute=1), make_minute(day=2)]
-        grouped = group_minutes_by_day(minutes)
-        assert set(grouped) == {("S1", 1), ("S1", 2)}
-        assert [m.minute_of_day for m in grouped[("S1", 1)]] == [1, 5]
+        minutes = [
+            make_minute("B", minute=5), make_minute("A", day=2),
+            make_minute("B", minute=1), make_minute("A", day=1, minute=7),
+        ]
+        days, subjects = screen_cohort(minute_table(minutes), make_config())
+        assert list(days) == list(subjects) == ["A", "B"]
+        assert [(d.subject_id, d.day_index) for d in days["A"] + days["B"]] == [
+            ("A", 1), ("A", 2), ("B", 1),
+        ]
+        assert days["B"][0].n_valid_minutes == 2
 
     def test_screen_cohort_end_to_end(self):
         cfg = make_config({"min_valid_days": 2})
@@ -227,7 +243,7 @@ class TestCohortScreening:
         for day in (1, 2):
             minutes.extend(boundary_day("A", day))
         minutes.extend(boundary_day("B", 1))
-        days, subjects = screen_cohort(minutes, cfg)
+        days, subjects = screen_cohort(minute_table(minutes), cfg)
         assert [d.day_index for d in days["A"]] == [1, 2]
         assert subjects["A"].included and not subjects["B"].included
         assert exclusion_reason(subjects["A"], cfg) == ""
@@ -242,7 +258,7 @@ class TestUnknownTransitions:
             make_minute(minute=2, wear=WearState.UNKNOWN),
             make_minute(minute=3, wear=WearState.WAKE_WEAR),
         ]
-        matrix, labels = unknown_bout_transition_matrix(minutes)
+        matrix, labels = unknown_bout_transition_matrix(minute_table(minutes))
         assert labels == ("unknown", "nonwear", "sleep", "wake")
         assert matrix[3, 3] == 1.0
         assert matrix.sum() == 1.0
@@ -255,7 +271,7 @@ class TestUnknownTransitions:
             make_minute(minute=3, wear=WearState.UNKNOWN),
             make_minute(minute=4, wear=WearState.NON_WEAR),
         ]
-        matrix, _ = unknown_bout_transition_matrix(minutes)
+        matrix, _ = unknown_bout_transition_matrix(minute_table(minutes))
         assert matrix[3, 2] == 0.5  # wake -> sleep
         assert matrix[2, 1] == 0.5  # sleep -> nonwear
         assert matrix.sum() == 1.0
@@ -268,7 +284,7 @@ class TestUnknownTransitions:
             # minute 3 missing: bout at 2 touches a coverage gap
             make_minute(minute=4, wear=WearState.WAKE_WEAR),
         ]
-        matrix, _ = unknown_bout_transition_matrix(minutes)
+        matrix, _ = unknown_bout_transition_matrix(minute_table(minutes))
         assert matrix.sum() == 0.0
 
     def test_day_rollover_is_contiguous(self):
@@ -277,7 +293,7 @@ class TestUnknownTransitions:
             make_minute(day=2, minute=0, wear=WearState.UNKNOWN),
             make_minute(day=2, minute=1, wear=WearState.WAKE_WEAR),
         ]
-        matrix, _ = unknown_bout_transition_matrix(minutes)
+        matrix, _ = unknown_bout_transition_matrix(minute_table(minutes))
         assert matrix[2, 3] == 1.0
 
     def test_subjects_do_not_bridge(self):
@@ -286,5 +302,5 @@ class TestUnknownTransitions:
             make_minute("A", minute=1, wear=WearState.UNKNOWN),
             make_minute("B", minute=2, wear=WearState.WAKE_WEAR),
         ]
-        matrix, _ = unknown_bout_transition_matrix(minutes)
+        matrix, _ = unknown_bout_transition_matrix(minute_table(minutes))
         assert matrix.sum() == 0.0
