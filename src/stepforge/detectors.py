@@ -147,19 +147,16 @@ def detect_steps_peak(
     locs = _strict_local_maxima(values, params.k_neighbors)
     locs = locs[values[locs] > params.mag_threshold_g]
 
-    # Inter-peak period screen: gap to the previous retained candidate.
-    kept: list[int] = []
-    for loc in locs:
-        if not kept:
-            kept.append(int(loc))
-            continue
-        gap = loc - kept[-1]
-        if params.period_min_samples <= gap <= params.period_max_samples:
-            kept.append(int(loc))
-    locs = np.asarray(kept, dtype=np.intp)
+    # Inter-peak period screen: gap to the previous candidate, kept or not,
+    # so counting resumes after a pause (Verisense, Gu et al. 2017).  The
+    # first candidate has no period to screen.
+    gaps = np.diff(locs)
+    keep = np.ones(len(locs), dtype=bool)
+    keep[1:] = (params.period_min_samples <= gaps) & (gaps <= params.period_max_samples)
+    locs = locs[keep]
 
     # Amplitude-similarity screen against the previous surviving peak.
-    kept = []
+    kept: list[int] = []
     for loc in locs:
         if kept and abs(values[loc] - values[kept[-1]]) > params.similarity_threshold_g:
             continue

@@ -134,104 +134,106 @@ class CoxFit:
         return float(self.beta[i]), float(self.se[i])
 
 
-def _risk_sums(
-    times: np.ndarray, eta: np.ndarray, w: np.ndarray, x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Breslow risk-set sums S0/S1/S2 at each unique time.
+class _RiskSets:
+    """Breslow risk-set bookkeeping of one dataset, built once per fit.
 
-    Computed as reverse cumulative sums over time-sorted rows, so S(t)
-    aggregates every row with time >= t.
+    Rows are kept in descending time order, so the risk set of an event time
+    (every row with time >= t) is a prefix.  Event times are ascending; event
+    time k's prefix ends at ``ends[k]``, and the rows in
+    ``[ends[k + 1], ends[k])`` join the risk set at that time (block k).
+    Blocks of equal length are stacked, so S2 takes one batched Gram
+    product per distinct block length.
     """
-    order = np.argsort(times, kind="stable")
-    times_sorted = times[order]
-    unique_times = np.unique(times)
-    rexp = (w * np.exp(eta))[order][::-1]
-    xs = x[order][::-1]
-    cum0 = np.cumsum(rexp)
-    cum1 = np.cumsum(rexp[:, None] * xs, axis=0)
-    cum2 = np.cumsum(rexp[:, None, None] * xs[:, :, None] * xs[:, None, :], axis=0)
-    first_pos = np.searchsorted(times_sorted, unique_times, side="left")
-    at = len(times) - first_pos - 1
-    return unique_times, cum0[at], cum1[at], cum2[at]
 
+    def __init__(self, data: SurvivalDataset, covariates: np.ndarray | None = None):
+        t, ev, w = data.followup_months, data.event, data.weights
+        x = data.covariates if covariates is None else covariates
+        self.x, self.w = x, w
+        ascending = np.argsort(t, kind="stable")
+        self.desc = ascending[::-1]
+        self.xs = x[self.desc]
+        event_times = np.unique(t[ev])
+        self.ends = len(t) - np.searchsorted(t, event_times, sorter=ascending)
+        # number of event times <= t_i, which index the cumulative hazard sums
+        self.n_times_upto = np.searchsorted(event_times, t, side="right")
+        self.event_rows = np.flatnonzero(ev)
+        self.k_of_event = np.searchsorted(event_times, t[self.event_rows])
+        ew = w[self.event_rows]
+        self.d0 = np.bincount(self.k_of_event, ew, len(event_times))
+        d1 = np.zeros((len(event_times), x.shape[1]))
+        np.add.at(d1, self.k_of_event, ew[:, None] * x[self.event_rows])
+        self.d1_total = d1.sum(axis=0)
+        starts = np.append(self.ends[1:], 0)
+        lengths = self.ends - starts
+        self.blocks = []
+        for length in np.unique(lengths):
+            ks = np.flatnonzero(lengths == length)
+            rows = starts[ks, None] + np.arange(length)
+            self.blocks.append((ks, rows, self.xs[rows]))
 
-def _event_aggregates(
-    data: SurvivalDataset, unique_times: np.ndarray, eta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-unique-time event sums: weight mass, w*eta, w*x, subject bucket."""
-    t = data.followup_months
-    w = data.weights
-    ev = data.event
-    x = data.covariates
-    u_of_subject = np.searchsorted(unique_times, t)
-    d0 = np.zeros(len(unique_times))
-    d_eta = np.zeros(len(unique_times))
-    d1 = np.zeros((len(unique_times), x.shape[1]))
-    ev_idx = np.flatnonzero(ev)
-    np.add.at(d0, u_of_subject[ev_idx], w[ev_idx])
-    np.add.at(d_eta, u_of_subject[ev_idx], w[ev_idx] * eta[ev_idx])
-    np.add.at(d1, u_of_subject[ev_idx], w[ev_idx, None] * x[ev_idx])
-    return d0, d_eta, d1, u_of_subject
+    def risk_sums(
+        self, beta: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """eta, w*exp(eta) in descending time order, and S0/S1 per event time."""
+        eta = self.x @ beta
+        eta = eta - eta.max()  # global shift cancels in the partial likelihood
+        rexp = (self.w * np.exp(eta))[self.desc]
+        at = self.ends - 1
+        s0 = np.cumsum(rexp)[at]
+        s1 = np.cumsum(rexp[:, None] * self.xs, axis=0)[at]
+        return eta, rexp, s0, s1
+
+    def s2(self, rexp: np.ndarray) -> np.ndarray:
+        """S2 per event time: one Gram product per block, then a running sum."""
+        p = self.xs.shape[1]
+        grams = np.empty((len(self.ends), p, p))
+        for ks, rows, xb in self.blocks:
+            grams[ks] = (xb.transpose(0, 2, 1) * rexp[rows][:, None, :]) @ xb
+        return np.cumsum(grams[::-1], axis=0)[::-1]
 
 
 def _loglik_score_hess(
-    data: SurvivalDataset, beta: np.ndarray, want_derivs: bool = True
+    risk: _RiskSets, beta: np.ndarray, want_derivs: bool = True
 ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
-    t = data.followup_months
-    x = data.covariates
-    w = data.weights
-    eta = x @ beta
-    eta = eta - eta.max()  # global shift cancels in the partial likelihood
-    unique_times, s0, s1, s2 = _risk_sums(t, eta, w, x)
-    d0, d_eta, d1, _ = _event_aggregates(data, unique_times, eta)
-    has_events = d0 > 0
+    eta, rexp, s0, s1 = risk.risk_sums(beta)
     # an overshooting trial step can underflow every at-risk exp(eta) to 0;
     # report -inf so the caller rejects the step instead of chasing log(0)
-    if not np.all(s0[has_events] > 0.0):
+    if not np.all(s0 > 0.0):
         return -math.inf, None, None
-    ll = compensated_sum(
-        d_eta[has_events] - d0[has_events] * np.log(s0[has_events])
-    )
+    ev = risk.event_rows
+    d_eta = np.bincount(risk.k_of_event, risk.w[ev] * eta[ev], len(s0))
+    ll = compensated_sum(d_eta - risk.d0 * np.log(s0))
     if not math.isfinite(ll):
         return -math.inf, None, None
     if not want_derivs:
         return ll, None, None
-    with np.errstate(invalid="ignore", divide="ignore"):
-        xbar = s1 / s0[:, None]
-        v = s2 / s0[:, None, None] - xbar[:, :, None] * xbar[:, None, :]
-    xbar[~has_events] = 0.0
-    v[~has_events] = 0.0
-    score = d1[has_events].sum(axis=0) - (d0[:, None] * xbar)[has_events].sum(axis=0)
-    hess = -(d0[has_events, None, None] * v[has_events]).sum(axis=0)
+    xbar = s1 / s0[:, None]
+    v = risk.s2(rexp) / s0[:, None, None] - xbar[:, :, None] * xbar[:, None, :]
+    score = risk.d1_total - (risk.d0[:, None] * xbar).sum(axis=0)
+    hess = -(risk.d0[:, None, None] * v).sum(axis=0)
     return ll, score, hess
 
 
 def breslow_partial_loglik(data: SurvivalDataset, beta: Sequence[float]) -> float:
     """Weighted Breslow partial log-likelihood at a given coefficient vector."""
-    ll, _, _ = _loglik_score_hess(data, np.asarray(beta, dtype=np.float64), False)
+    ll, _, _ = _loglik_score_hess(
+        _RiskSets(data), np.asarray(beta, dtype=np.float64), False
+    )
     return ll
 
 
-def _score_residuals(data: SurvivalDataset, beta: np.ndarray) -> np.ndarray:
+def _score_residuals(risk: _RiskSets, beta: np.ndarray) -> np.ndarray:
     """Per-subject weighted score residuals (rows sum to the total score)."""
-    t = data.followup_months
-    x = data.covariates
-    w = data.weights
-    ev = data.event
-    eta = x @ beta
-    eta = eta - eta.max()
-    unique_times, s0, s1, _ = _risk_sums(t, eta, w, x)
-    d0, _, _, u_of_subject = _event_aggregates(data, unique_times, eta)
-    # hazard increments exist only at event times; never divide elsewhere
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rate = np.where(d0 > 0.0, d0 / s0, 0.0)
-        xbar = np.where(s0[:, None] > 0.0, s1 / s0[:, None], 0.0)
+    eta, _, s0, s1 = risk.risk_sums(beta)
+    x, w, ev = risk.x, risk.w, risk.event_rows
+    rate = risk.d0 / s0
+    xbar = np.where(s0[:, None] > 0.0, s1 / s0[:, None], 0.0)
     # cumulative hazard-increment sums over event times <= t_i
-    g0 = np.cumsum(rate)
-    g1 = np.cumsum(rate[:, None] * xbar, axis=0)
+    g0 = np.concatenate(([0.0], np.cumsum(rate)))[risk.n_times_upto]
+    g1 = np.vstack((np.zeros(x.shape[1]), np.cumsum(rate[:, None] * xbar, axis=0)))
     rexp = w * np.exp(eta)
-    resid = -rexp[:, None] * (x * g0[u_of_subject, None] - g1[u_of_subject])
-    resid[ev] += w[ev, None] * (x[ev] - xbar[u_of_subject[ev]])
+    resid = -rexp[:, None] * (x * g0[:, None] - g1[risk.n_times_upto])
+    resid[ev] += w[ev, None] * (x[ev] - xbar[risk.k_of_event])
     return resid
 
 
@@ -260,12 +262,10 @@ def cox_fit(
         )
     col_scale = centered.std(axis=0, ddof=1)
     col_scale[col_scale == 0.0] = 1.0
-    scaled = replace(
-        data, covariates=x / col_scale, scaling={}, covariate_names=data.covariate_names
-    )
+    risk = _RiskSets(data, x / col_scale)
 
     beta = np.zeros(p)
-    ll, score, hess = _loglik_score_hess(scaled, beta)
+    ll, score, hess = _loglik_score_hess(risk, beta)
     loglik_seq = [ll]
     converged = False
     failure = f"did not converge in {max_iter} iterations"
@@ -276,13 +276,13 @@ def cox_fit(
             raise ValueError("singular information matrix") from exc
         step = 1.0
         new_beta = beta + delta
-        new_ll, new_score, new_hess = _loglik_score_hess(scaled, new_beta)
+        new_ll, new_score, new_hess = _loglik_score_hess(risk, new_beta)
         halvings = 0
         while new_ll < ll and halvings < 30:
             step *= 0.5
             halvings += 1
             new_beta = beta + step * delta
-            new_ll, new_score, new_hess = _loglik_score_hess(scaled, new_beta)
+            new_ll, new_score, new_hess = _loglik_score_hess(risk, new_beta)
         if new_ll < ll:
             # No halving improved the objective.  At the optimum the Newton
             # step's predicted gain can lie below the last bit of ll, so the
@@ -297,7 +297,7 @@ def cox_fit(
             break
 
     with np.errstate(all="ignore"):
-        resid = _score_residuals(scaled, beta)
+        resid = _score_residuals(risk, beta)
         try:
             bread = np.linalg.inv(-hess)
         except np.linalg.LinAlgError:
@@ -377,24 +377,19 @@ def concordance(predictors: Sequence[float], data: SurvivalDataset) -> float:
         raise ValueError("predictors must align with data rows")
     t = data.followup_months
     w = data.weights
-    ev = data.event
-
-    def pair_terms(counting: str):
-        for i in np.flatnonzero(ev):
-            for j in range(len(t)):
-                if t[i] < t[j]:
-                    pw = w[i] * w[j]
-                    if counting == "comparable":
-                        yield pw
-                    elif pred[i] > pred[j]:
-                        yield pw
-                    elif pred[i] == pred[j]:
-                        yield 0.5 * pw
-
-    comparable = compensated_sum(pair_terms("comparable"))
-    if comparable == 0.0:
+    comparable: list[np.ndarray] = []
+    concordant: list[np.ndarray] = []
+    for i in np.flatnonzero(data.event):
+        later = t[i] < t
+        pw = w[i] * w[later]
+        others = pred[later]
+        comparable.append(pw)
+        concordant.append(pw[pred[i] > others])
+        concordant.append(0.5 * pw[pred[i] == others])
+    total = compensated_sum(np.concatenate(comparable).tolist())
+    if total == 0.0:
         raise ValueError("no comparable pairs")
-    return compensated_sum(pair_terms("concordant")) / comparable
+    return compensated_sum(np.concatenate(concordant).tolist()) / total
 
 
 @dataclass(frozen=True)
@@ -468,7 +463,9 @@ def repeated_cv_concordance(
     reps = cfg.cv_repeats if repeats is None else repeats
     if cfg.cv_folds < 2:
         raise ValueError("cfg.cv_folds must be at least 2")
-    subset = data.select(covariates)
+    # CV never reads subject IDs; dropping them keeps ``take`` from
+    # rebuilding the ID tuple for every fold
+    subset = replace(data.select(covariates), subject_ids=None)
     per_repeat: list[float] = []
     for r in range(reps):
         plan = _plan_with_events_everywhere(subset, cfg.cv_folds, cfg.rng_seed + r, r)

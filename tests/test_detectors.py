@@ -17,7 +17,8 @@ from stepforge.detectors import (
     per_second_to_minutes,
     run_detectors,
 )
-from stepforge.dsp import UniformSeries
+from stepforge.dsp import UniformSeries, vector_magnitude
+from stepforge.simulate import GaitSegment, gen_gait
 
 
 def series(values, rate=80.0):
@@ -105,6 +106,20 @@ class TestPeakDetector:
             for th in (1.05, 1.15, 1.25, 1.35, 1.45)
         ]
         assert totals == sorted(totals, reverse=True)
+
+    def test_counting_resumes_after_a_rest(self):
+        recipe = [
+            GaitSegment("rest", 60, noise_sd_g=0.02),
+            GaitSegment("walk", 120, cadence_hz=1.8, amplitude_g=0.35, noise_sd_g=0.02),
+            GaitSegment("rest", 60, noise_sd_g=0.02),
+            GaitSegment("walk", 120, cadence_hz=2.0, amplitude_g=0.35, noise_sd_g=0.02),
+            GaitSegment("rest", 30, noise_sd_g=0.02),
+        ]
+        rec, _ = gen_gait(recipe, sample_rate_hz=80.0, seed=3)
+        per_sec = detect_steps_peak(vector_magnitude(rec)).steps_per_second
+        for (start, stop), true_steps in (((60, 180), 216.0), ((240, 360), 240.0)):
+            assert per_sec[start:stop].sum() == pytest.approx(true_steps, rel=0.10)
+        assert per_sec[:60].sum() == per_sec[180:240].sum() == per_sec[360:].sum() == 0.0
 
     def test_rate_below_target_rejected(self):
         with pytest.raises(ValueError, match="target rate"):

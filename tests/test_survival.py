@@ -3,11 +3,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stepforge.model import make_config
 from stepforge.simulate import gen_survival
 from stepforge.survival import (
     ConvergenceError,
+    _loglik_score_hess,
+    _RiskSets,
+    _score_residuals,
     CoxFit,
     SurvivalDataset,
     breslow_partial_loglik,
@@ -133,6 +138,68 @@ class TestBreslowLoglik:
             )
 
 
+def oracle_derivatives(data, beta):
+    """Breslow log-likelihood, score and Hessian with S0/S1/S2 summed over a
+    boolean risk-set mask at each event time, written longhand."""
+    t, ev, w, x = data.followup_months, data.event, data.weights, data.covariates
+    eta = x @ beta
+    r = w * np.exp(eta)
+    terms, score, hess = [], np.zeros(len(beta)), np.zeros((len(beta), len(beta)))
+    for tk in np.unique(t[ev]):
+        at_risk = t >= tk
+        dying = ev & (t == tk)
+        s0 = r[at_risk].sum()
+        s1 = (r[at_risk, None] * x[at_risk]).sum(axis=0)
+        s2 = sum(r[j] * np.outer(x[j], x[j]) for j in np.flatnonzero(at_risk))
+        d0 = w[dying].sum()
+        xbar = s1 / s0
+        terms += [w[j] * eta[j] for j in np.flatnonzero(dying)] + [-d0 * math.log(s0)]
+        score += (w[dying, None] * x[dying]).sum(axis=0) - d0 * xbar
+        hess -= d0 * (s2 / s0 - np.outer(xbar, xbar))
+    # log S0 carries the rounding of S0's sum as an absolute error, and the
+    # engine shifts eta by its maximum: both scale with the event weight
+    slack = w[ev].sum() * (1.0 + np.abs(eta).max())
+    return math.fsum(terms), score, hess, math.fsum(abs(v) for v in terms) + slack
+
+
+@st.composite
+def risk_set_data(draw):
+    """Small weighted designs with tied times and rows censored after the
+    last event time."""
+    n = draw(st.integers(2, 25))
+    p = draw(st.integers(1, 6))
+    times = draw(st.lists(st.integers(1, 8), min_size=n, max_size=n))
+    event = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    event[draw(st.integers(0, n - 1))] = True
+    late = draw(st.integers(0, 3))  # censored beyond every event time
+    times += [9 + k for k in range(late)]
+    event += [False] * late
+    n += late
+    floats = st.floats(-2.0, 2.0, allow_nan=False)
+    x = np.array(draw(st.lists(floats, min_size=n * p, max_size=n * p))).reshape(n, p)
+    w = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    beta = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=p, max_size=p)))
+    return dataset(times, event, x, w=w), beta
+
+
+class TestRiskSetEngine:
+    @settings(max_examples=150, deadline=None)
+    @given(risk_set_data())
+    def test_matches_risk_set_mask_oracle(self, drawn):
+        data, beta = drawn
+        risk = _RiskSets(data)
+        ll, score, hess = _loglik_score_hess(risk, beta)
+        want_ll, want_score, want_hess, ll_scale = oracle_derivatives(data, beta)
+        assert ll == pytest.approx(want_ll, rel=1e-12, abs=1e-12 * ll_scale)
+        # event weight times the largest |x| (score) or x^2 (Hessian)
+        xmax = max(np.abs(data.covariates).max(), 1.0)
+        scale = data.weights[data.event].sum() * xmax
+        np.testing.assert_allclose(score, want_score, rtol=0, atol=1e-10 * scale)
+        np.testing.assert_allclose(hess, want_hess, rtol=0, atol=1e-10 * scale * xmax)
+        resid = _score_residuals(risk, beta)
+        np.testing.assert_allclose(resid.sum(axis=0), score, rtol=0, atol=1e-10 * scale)
+
+
 class TestCoxFit:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_grid_oracle(self, seed):
@@ -224,11 +291,10 @@ def cox_probe_fold():
 
 
 class TestCoxFitStopping:
-    def test_refused_step_at_the_optimum_converges(self):
+    def test_probe_fold_converges_at_a_local_maximum(self):
         data = cox_probe_fold()
         fit = cox_fit(data)
         assert fit.converged
-        assert len(fit.loglik_seq) == 5  # four accepted Newton steps
         # no move of 0.01 per column-sd along any coordinate raises the
         # likelihood
         best = breslow_partial_loglik(data, fit.beta)
@@ -238,6 +304,32 @@ class TestCoxFitStopping:
                 moved = fit.beta.copy()
                 moved[j] += sign * 0.01 / sd[j]
                 assert breslow_partial_loglik(data, moved) <= best
+
+    def test_refused_step_at_the_optimum_converges(self, monkeypatch):
+        # Once the real gain of a trial falls below the relative tolerance,
+        # report it as a loss of one unit in the last place of the current
+        # log-likelihood, as rounding did on this fold: every halving is then
+        # refused, and the predicted gain decides convergence.
+        import stepforge.survival as survival
+
+        real = survival._loglik_score_hess
+        reported = []  # (log-likelihood reported, whether it was made a loss)
+
+        def ulp_loss_at_the_optimum(risk, beta, want_derivs=True):
+            ll, score, hess = real(risk, beta, want_derivs)
+            current = max((r for r, _ in reported), default=-math.inf)
+            loss = ll - current < 1e-9 * abs(current)
+            if loss:
+                ll = np.nextafter(current, -math.inf)
+            reported.append((ll, loss))
+            return ll, score, hess
+
+        monkeypatch.setattr(survival, "_loglik_score_hess", ulp_loss_at_the_optimum)
+        fit = cox_fit(cox_probe_fold())
+        assert fit.converged
+        losses = [loss for _, loss in reported]
+        assert losses[-31:] == [True] * 31  # the Newton step and 30 halvings
+        assert not any(losses[:-31])
 
     def test_failed_step_search_names_its_step_count(self, monkeypatch):
         import stepforge.survival as survival
@@ -342,6 +434,28 @@ class TestConcordance:
         pred = rng.integers(0, 6, size=n).astype(float)  # ties in predictor
         d = dataset(t, ev, pred[:, None], w=w)
         assert concordance(pred, d) == concordance_oracle(pred, d)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bitwise_equal_to_pairwise_oracle(self, drawn):
+        n = drawn.draw(st.integers(1, 30))
+
+        def column(values):
+            drawn_values = drawn.draw(st.lists(values, min_size=n, max_size=n))
+            return np.array(drawn_values, dtype=float)
+
+        t = column(st.integers(0, 5))  # tied times
+        pred = column(st.integers(0, 3))  # tied predictors
+        w = column(st.floats(0.1, 10.0))
+        ev = np.zeros(n, dtype=bool)
+        events = drawn.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+        ev[events] = True  # a single event when one index is drawn
+        d = dataset(t, ev, pred[:, None], w=w)
+        if not any(ev[i] and t[i] < t[j] for i in range(n) for j in range(n)):
+            with pytest.raises(ValueError, match="no comparable"):
+                concordance(pred, d)
+        else:
+            assert concordance(pred, d) == concordance_oracle(pred, d)
 
     def test_perfect_and_constant_predictors(self):
         t = np.array([5.0, 3.0, 9.0, 1.0, 7.0])
