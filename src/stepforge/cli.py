@@ -200,6 +200,7 @@ def _steps_worker(args: tuple) -> tuple[str, dict[str, float], str]:
         x = np.concatenate([c.x for c in chunks])
         y = np.concatenate([c.y for c in chunks])
         z = np.concatenate([c.z for c in chunks])
+        del chunks  # the detectors then hold one copy of the recording, not two
         from .model import TriaxialRecording
 
         rec = TriaxialRecording(subject, x, y, z, schema.sample_rate_hz)

@@ -13,13 +13,14 @@ from __future__ import annotations
 import csv
 import gzip
 import io
+import itertools
 import math
 import os
 import struct
 import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -120,46 +121,118 @@ def read_binary_cache(
     return x.copy(), y.copy(), z.copy()
 
 
-def _parse_raw_rows(
-    path: Path, schema: RawFileSchema
-) -> Iterator[tuple[float | None, float, float, float]]:
+#: Non-blank lines parsed per block, bounding the text held while reading.
+_BLOCK_ROWS = 1 << 16
+#: Empty lines: ``csv.reader`` yields no row for them, ``np.loadtxt`` skips them.
+_BLANK_LINES = ("\n", "\r\n", "\r")
+#: Characters that make the block parse refuse a block: a quote, which
+#: ``csv.reader`` unquotes; NUL, which numpy drops from the end of a string;
+#: and \x1c-\x1f, which ``np.loadtxt`` strips around a number but ``float``
+#: and ``int`` reject.
+_REFUSED_CHARS = '"\x00\x1c\x1d\x1e\x1f'
+
+
+def _text_blocks(
+    fh: Iterable[str], dtype: np.dtype, delimiter: str
+) -> Iterator[tuple[list[str], np.ndarray | None]]:
+    """Read ``fh`` in blocks of ``_BLOCK_ROWS`` non-blank lines.
+
+    Yields each block's physical lines with their rows parsed by one
+    ``np.loadtxt`` call (2-D for a plain dtype, 1-D for a structured one), or
+    with None where the block holds a refused character or ``np.loadtxt``
+    raises; the caller then parses the lines with its per-line parser.  Each
+    block but the last holds exactly ``_BLOCK_ROWS`` non-blank lines, so its
+    rows are the rows ``csv.reader`` would group the same way.
+    """
+    while True:
+        lines: list[str] = []
+        blank, wanted = 0, _BLOCK_ROWS
+        while wanted:
+            more = list(itertools.islice(fh, wanted))
+            if not more:
+                break
+            lines += more
+            wanted = sum(map(more.count, _BLANK_LINES))
+            blank += wanted
+        if len(lines) == blank:
+            return
+        rows = None
+        text = "".join(lines)
+        if not any(c in text for c in _REFUSED_CHARS):
+            try:
+                rows = np.loadtxt(
+                    lines, dtype=dtype, delimiter=delimiter, comments=None,
+                    quotechar=None, ndmin=1 if dtype.names else 2,
+                )
+            except ValueError:
+                pass
+        yield lines, rows
+
+
+def _parse_raw_lines(
+    lines: Iterable[str], line_no: int, path: Path, schema: RawFileSchema
+) -> Iterator[list[float]]:
+    """Parse raw text line by line, ``line_no`` lines after the file start.
+
+    The reference that the block parse must match, and its fallback: it
+    raises at the first bad line, naming it.
+    """
+    for line in lines:
+        line_no += 1
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(schema.delimiter)
+        if len(parts) != schema.n_columns:
+            raise ValueError(
+                f"{path}:{line_no}: expected {schema.n_columns} columns, "
+                f"got {len(parts)}"
+            )
+        try:
+            values = [float(p) for p in parts]
+        except ValueError:
+            raise ValueError(f"{path}:{line_no}: malformed row {line!r}") from None
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"{path}:{line_no}: non-finite value in {line!r}")
+        yield values
+
+
+def _raw_blocks(path: Path, schema: RawFileSchema) -> Iterator[np.ndarray]:
+    """Yield the rows of a raw text file as float64 ``(n, n_columns)`` blocks.
+
+    A block that the block parse refuses, or that has the wrong number of
+    columns or a non-finite value, goes through :func:`_parse_raw_lines`; on
+    a bad line the rows before it are yielded first, then its error raised.
+    """
+    n_columns = schema.n_columns
     with _open_text(path, schema) as fh:
         line_no = 0
         if schema.has_header:
             fh.readline()
             line_no = 1
-        for line in fh:
-            line_no += 1
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(schema.delimiter)
-            if len(parts) != schema.n_columns:
-                raise ValueError(
-                    f"{path}:{line_no}: expected {schema.n_columns} columns, "
-                    f"got {len(parts)}"
-                )
-            try:
-                values = [float(p) for p in parts]
-            except ValueError:
-                raise ValueError(f"{path}:{line_no}: malformed row {line!r}") from None
-            if not all(math.isfinite(v) for v in values):
-                raise ValueError(f"{path}:{line_no}: non-finite value in {line!r}")
-            if schema.has_timestamp:
-                yield values[0], values[1], values[2], values[3]
-            else:
-                yield None, values[0], values[1], values[2]
+        for lines, rows in _text_blocks(fh, np.dtype(np.float64), schema.delimiter):
+            refused = rows is None or rows.shape[1] != n_columns
+            if refused or not np.isfinite(rows).all():
+                parsed: list[list[float]] = []
+                try:
+                    parsed.extend(_parse_raw_lines(lines, line_no, path, schema))
+                except ValueError:
+                    yield np.array(parsed, dtype=np.float64).reshape(-1, n_columns)
+                    raise
+                rows = np.array(parsed, dtype=np.float64).reshape(-1, n_columns)
+            line_no += len(lines)
+            yield rows
 
 
 def _check_cadence(
-    timestamps: Sequence[float], schema: RawFileSchema, path: Path
+    count: int, first: float, last: float, schema: RawFileSchema, path: Path
 ) -> None:
-    if len(timestamps) < 2:
+    if count < 2:
         return
-    span = timestamps[-1] - timestamps[0]
+    span = last - first
     if span <= 0:
         return
-    observed = (len(timestamps) - 1) / span
+    observed = (count - 1) / span
     if abs(observed - schema.sample_rate_hz) > 1e-4 * schema.sample_rate_hz:
         raise ValueError(
             f"{path}: declared rate {schema.sample_rate_hz} Hz but rows run at "
@@ -180,8 +253,9 @@ def read_raw_recording(
     bit-identical samples.  On the first text read an SFG1 cache is written
     next to the file (atomically, via a temp file); later reads stream from
     the cache while it is not older than the text, and otherwise parse the
-    text again and rewrite it.  Memory stays bounded by the chunk size
-    either way.
+    text again and rewrite it.  The text is parsed in blocks of
+    ``_BLOCK_ROWS`` lines, so a read holds at most one chunk and one block;
+    a caller that keeps every chunk (``steps`` does) holds the recording.
     """
     path = Path(path)
     if subject_id is None:
@@ -198,10 +272,10 @@ def read_raw_recording(
             )
         return
 
-    bufs: list[list[float]] = [[], [], []]
-    stamps: list[float] = []
-    last_stamp: float | None = None
-    total = 0
+    # float32 (3, n) axis blocks not yet yielded, and their sample count
+    pending: list[np.ndarray] = []
+    held = total = 0
+    first_stamp = last_stamp = None
     tmp_files = None
     if use_cache:
         tmp_files = [
@@ -211,23 +285,43 @@ def read_raw_recording(
             for _ in range(3)
         ]
     try:
-        for stamp, x, y, z in _parse_raw_rows(path, schema):
-            if stamp is not None:
-                if last_stamp is not None and stamp <= last_stamp:
-                    raise ValueError(
-                        f"{path}: non-monotone timestamp {stamp} after {last_stamp}"
+        for rows in _raw_blocks(path, schema):
+            error = None
+            if schema.has_timestamp and len(rows):
+                stamps = rows[:, 0]
+                before = np.concatenate(
+                    ([-np.inf if last_stamp is None else last_stamp], stamps[:-1])
+                )
+                late = np.flatnonzero(stamps <= before)
+                if late.size:
+                    # the rows before the first late stamp count, as read line by line
+                    k = late[0]
+                    error = ValueError(
+                        f"{path}: non-monotone timestamp {float(stamps[k])} "
+                        f"after {float(before[k])}"
                     )
-                last_stamp = stamp
-                stamps.append(stamp)
-            bufs[0].append(x)
-            bufs[1].append(y)
-            bufs[2].append(z)
-            total += 1
-            if len(bufs[0]) == chunk_len:
-                yield from _flush_chunk(bufs, subject_id, schema, tmp_files)
-        if bufs[0]:
-            yield from _flush_chunk(bufs, subject_id, schema, tmp_files)
-        _check_cadence(stamps, schema, path)
+                    rows = rows[:k]
+                if len(rows):
+                    if first_stamp is None:
+                        first_stamp = float(rows[0, 0])
+                    last_stamp = float(rows[-1, 0])
+            pending.append(rows[:, -3:].T.astype(np.float32))
+            held += len(rows)
+            total += len(rows)
+            if held >= chunk_len:
+                axes = np.concatenate(pending, axis=1)
+                cut = held - held % chunk_len
+                for start in range(0, cut, chunk_len):
+                    chunk = axes[:, start : start + chunk_len]
+                    yield _flush_chunk(chunk, subject_id, schema, tmp_files)
+                pending, held = [axes[:, cut:]], held - cut
+            if error is not None:
+                raise error
+        if held:
+            axes = np.concatenate(pending, axis=1)
+            yield _flush_chunk(axes, subject_id, schema, tmp_files)
+        if first_stamp is not None:
+            _check_cadence(total, first_stamp, last_stamp, schema, path)
         if tmp_files is not None:
             _assemble_cache(cache, tmp_files, total)
             tmp_files = None
@@ -243,15 +337,12 @@ def _cache_is_current(cache: Path, source: Path) -> bool:
     return cache.exists() and cache.stat().st_mtime_ns >= source.stat().st_mtime_ns
 
 
-def _flush_chunk(bufs, subject_id, schema, tmp_files) -> Iterator[TriaxialRecording]:
-    arrays = [np.array(b, dtype=np.float32) for b in bufs]
-    for b in bufs:
-        b.clear()
+def _flush_chunk(axes, subject_id, schema, tmp_files) -> TriaxialRecording:
     if tmp_files is not None:
-        for tf, arr in zip(tmp_files, arrays):
+        for tf, arr in zip(tmp_files, axes):
             tf.write(arr.astype("<f4").tobytes())
-    yield TriaxialRecording(
-        subject_id, arrays[0], arrays[1], arrays[2], schema.sample_rate_hz
+    return TriaxialRecording(
+        subject_id, axes[0], axes[1], axes[2], schema.sample_rate_hz
     )
 
 
@@ -338,8 +429,12 @@ def _parse_int(text: str, context: str) -> int:
 # ---------------------------------------------------------------------------
 
 _WEAR_LABELS = {state.value: WEAR_CODE[state] for state in WearState}
-#: Rows parsed per block, bounding the text held in memory while reading.
-_MINUTE_BLOCK_ROWS = 1 << 16
+#: Block-parse field types of the minute columns; steps_* read as "f8" and
+#: any other column, which no reader uses, as "U1".
+_MINUTE_FIELD_TYPES = {
+    "subject": "U32", "day": "i8", "minute": "i8", "wear": "U16",
+    "flag": "i8", "mims": "f8", "ac": "f8",
+}
 
 
 def read_minute_file(path: str | os.PathLike) -> MinuteTable:
@@ -360,7 +455,13 @@ def read_minute_file(path: str | os.PathLike) -> MinuteTable:
 
 
 def _minute_blocks(path: Path) -> Iterator[dict[str, object]]:
-    """Parse a minute file in blocks of rows, each a mapping of table fields."""
+    """Parse a minute file in blocks of rows, each a mapping of table fields.
+
+    Each block of ``_BLOCK_ROWS`` rows is parsed with one ``np.loadtxt``
+    call.  From the first block that parse refuses to the end of the file,
+    :func:`_csv_minute_blocks` parses the rows instead, and its errors name
+    the line.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -370,53 +471,115 @@ def _minute_blocks(path: Path) -> Iterator[dict[str, object]]:
         if missing:
             raise ValueError(f"{path}: missing columns {sorted(missing)}")
         step_names = [c for c in header if c.startswith("steps_")]
-        while True:
-            rows, lines = [], []
-            for row in reader:
-                if row:
-                    rows.append(row)
-                    lines.append(reader.line_num)
-                    if len(rows) == _MINUTE_BLOCK_ROWS:
-                        break
-            if not rows:
+        # a repeated name reads its last column, as in _csv_minute_blocks
+        column = {name: f"f{i}" for i, name in enumerate(header)}
+        types = dict.fromkeys((f"f{i}" for i in range(len(header))), "U1")
+        types.update((column[name], "f8") for name in step_names)
+        for name, kind in _MINUTE_FIELD_TYPES.items():
+            if name in column:
+                types[column[name]] = kind
+        dtype = np.dtype(list(types.items()))
+        line_no = reader.line_num
+        for lines, rows in _text_blocks(fh, dtype, ","):
+            block = None if rows is None else _minute_fields(rows, column, step_names)
+            if block is None:
+                rest = csv.reader(itertools.chain(lines, fh))
+                yield from _csv_minute_blocks(path, header, rest, line_no)
                 return
-            for row, line in zip(rows, lines):
-                if len(row) != len(header):
-                    raise ValueError(
-                        f"{path}:{line}: expected {len(header)} fields, got {len(row)}"
-                    )
-            by_name = dict(zip(header, zip(*rows)))
+            line_no += len(lines)
+            yield block
 
-            def numbers(texts, kind) -> np.ndarray:
-                try:
-                    return np.array(list(map(kind, texts)))
-                except ValueError:
-                    parse = _parse_int if kind is int else _parse_float
-                    for text, line in zip(texts, lines):
-                        parse(text, f"{path}:{line}")
-                    raise
 
-            ac = by_name.get("ac", [""] * len(rows))
-            codes = {}
-            for text, line in zip(by_name["wear"], lines):
-                if text not in codes:
-                    label = text.strip().lower()
-                    if label not in _WEAR_LABELS:
-                        raise ValueError(f"{path}:{line}: unknown wear label {text!r}")
-                    codes[text] = _WEAR_LABELS[label]
-            yield {
-                "subject": np.array(by_name["subject"]),
-                "day": numbers(by_name["day"], int),
-                "minute": numbers(by_name["minute"], int),
-                "wear": np.array([codes[text] for text in by_name["wear"]], np.int8),
-                "flag": numbers(by_name["flag"], int) != 0,
-                "mims": numbers(by_name["mims"], float),
-                "ac": numbers([t or "0" for t in ac], float),
-                "steps": np.array(
-                    [numbers(by_name[c], float) for c in step_names]
-                ).reshape(len(step_names), len(rows)).T,
-                "detectors": tuple(c[len("steps_") :] for c in step_names),
-            }
+def _minute_fields(
+    rows: np.ndarray, column: Mapping[str, str], step_names: Sequence[str]
+) -> dict[str, object] | None:
+    """The table fields of a block-parsed minute block, or None to refuse it."""
+    subject, wear = rows[column["subject"]], rows[column["wear"]]
+    width = int(np.char.str_len(subject).max())
+    wear_width = int(np.char.str_len(wear).max())
+    # a text that fills its fixed-width field may have been cut
+    if 4 * width == subject.itemsize or 4 * wear_width == wear.itemsize:
+        return None
+    codes = np.empty(len(rows), dtype=np.int8)
+    for text in dict.fromkeys(wear.tolist()):
+        code = _WEAR_LABELS.get(text.strip().lower())
+        if code is None:
+            return None
+        codes[wear == text] = code
+    # a non-finite value passes: the table rules reject it as they do after csv
+    floats = np.column_stack(
+        [rows[column[c]] for c in ("mims", "ac", *step_names) if c in column]
+    )
+    has_ac = "ac" in column
+    return {
+        "subject": subject.astype(f"U{max(width, 1)}"),
+        "day": rows[column["day"]].copy(),
+        "minute": rows[column["minute"]].copy(),
+        "wear": codes,
+        "flag": rows[column["flag"]] != 0,
+        "mims": floats[:, 0].copy(),
+        "ac": floats[:, 1].copy() if has_ac else np.zeros(len(rows)),
+        "steps": floats[:, 1 + has_ac :].copy(),
+        "detectors": tuple(c[len("steps_") :] for c in step_names),
+    }
+
+
+def _csv_minute_blocks(
+    path: Path, header: Sequence[str], reader, line_offset: int
+) -> Iterator[dict[str, object]]:
+    """Parse minute rows from ``reader`` with ``csv``, ``_BLOCK_ROWS`` at a time.
+
+    The reference that the block parse must match; ``line_offset`` is the
+    number of physical lines before the reader's first.
+    """
+    step_names = [c for c in header if c.startswith("steps_")]
+    while True:
+        rows, lines = [], []
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(line_offset + reader.line_num)
+                if len(rows) == _BLOCK_ROWS:
+                    break
+        if not rows:
+            return
+        for row, line in zip(rows, lines):
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}:{line}: expected {len(header)} fields, got {len(row)}"
+                )
+        by_name = dict(zip(header, zip(*rows)))
+
+        def numbers(texts, kind) -> np.ndarray:
+            try:
+                return np.array(list(map(kind, texts)))
+            except ValueError:
+                parse = _parse_int if kind is int else _parse_float
+                for text, line in zip(texts, lines):
+                    parse(text, f"{path}:{line}")
+                raise
+
+        ac = by_name.get("ac", [""] * len(rows))
+        codes = {}
+        for text, line in zip(by_name["wear"], lines):
+            if text not in codes:
+                label = text.strip().lower()
+                if label not in _WEAR_LABELS:
+                    raise ValueError(f"{path}:{line}: unknown wear label {text!r}")
+                codes[text] = _WEAR_LABELS[label]
+        yield {
+            "subject": np.array(by_name["subject"]),
+            "day": numbers(by_name["day"], int),
+            "minute": numbers(by_name["minute"], int),
+            "wear": np.array([codes[text] for text in by_name["wear"]], np.int8),
+            "flag": numbers(by_name["flag"], int) != 0,
+            "mims": numbers(by_name["mims"], float),
+            "ac": numbers([t or "0" for t in ac], float),
+            "steps": np.array(
+                [numbers(by_name[c], float) for c in step_names]
+            ).reshape(len(step_names), len(rows)).T,
+            "detectors": tuple(c[len("steps_") :] for c in step_names),
+        }
 
 
 def write_minute_file(table: MinuteTable, path: str | os.PathLike) -> None:

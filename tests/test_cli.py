@@ -4,9 +4,11 @@ from dataclasses import fields as dataclass_fields
 
 import pytest
 
+from stepforge import ingest
 from stepforge.cli import FatalCliError, load_config, main, parse_config_file
-from stepforge.ingest import read_minute_file, read_table
+from stepforge.ingest import cache_path, read_minute_file, read_table
 from stepforge.model import AnalysisConfig, make_config
+from stepforge.simulate import GaitSegment, gen_gait
 
 
 class TestParseConfigFile:
@@ -211,6 +213,52 @@ class TestPipeline:
         excluded = [r for r in rows if r["included"] == "0"]
         assert included and all(r["exclusion_reason"] == "" for r in included)
         assert all("valid day" in r["exclusion_reason"] for r in excluded)
+
+    def test_steps_count_every_walk_after_rests(self, tmp_path, monkeypatch):
+        """Walk-rest-walk-rest-walk over more than one parse block (76,800
+        rows), read from text and then from the sidecar: every detector
+        counts each walk within its acceptance-01 tolerance, and no rest."""
+        walks = {(0, 5): 300, (7, 11): 240, (13, 16): 180}  # minutes: seconds
+        recipe = [
+            GaitSegment("walk", 300, cadence_hz=2.0, amplitude_g=0.35, noise_sd_g=0.01),
+            GaitSegment("rest", 120, noise_sd_g=0.01),
+            GaitSegment("walk", 240, cadence_hz=2.0, amplitude_g=0.35, noise_sd_g=0.01),
+            GaitSegment("rest", 120, noise_sd_g=0.01),
+            GaitSegment("walk", 180, cadence_hz=2.0, amplitude_g=0.35, noise_sd_g=0.01),
+        ]
+        rec, truth = gen_gait(recipe, seed=3, subject_id="W1")
+        assert len(rec) > ingest._BLOCK_ROWS and truth.sum() == 1440.0
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        with open(raw / "W1.csv", "w", encoding="utf-8") as fh:
+            fh.write("x,y,z\n")
+            for x, y, z in zip(rec.x.tolist(), rec.y.tolist(), rec.z.tolist()):
+                fh.write(f"{x!r},{y!r},{z!r}\n")
+        assert main(["steps", str(raw), "--out", str(tmp_path / "text")]) == 0
+        assert cache_path(raw / "W1.csv").exists()
+
+        def no_text(*args):
+            raise AssertionError("text parsed although the sidecar is current")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ingest, "_text_blocks", no_text)
+            assert main(["steps", str(raw), "--out", str(tmp_path / "cache")]) == 0
+        name = "W1_minutes.csv"
+        assert filecmp.cmp(tmp_path / "text" / name, tmp_path / "cache" / name,
+                           shallow=False)
+        minutes = read_minute_file(tmp_path / "text" / name)
+        assert len(minutes) == 16
+        tolerance = {"peak_original": 0.10, "peak_revised": 0.10,
+                     "spectral": 0.10, "template": 0.15}
+        assert minutes.detectors == tuple(sorted(tolerance))
+        for j, detector in enumerate(minutes.detectors):
+            for (start, stop), seconds in walks.items():
+                counted = minutes.steps[start:stop, j].sum()
+                true = 2.0 * seconds
+                assert abs(counted - true) <= true * tolerance[detector], (
+                    detector, start, counted, true
+                )
+            assert not minutes.steps[[5, 6, 11, 12], j].any(), detector  # rests
 
 
 class TestExitCodes:

@@ -89,11 +89,12 @@ class TestRawReading:
         first = list(read_raw_recording(path, RawFileSchema()))
         assert cache_path(path).exists()
 
-        # a text parse on the second read would raise, so it uses the cache
+        # every text read goes through the block reader, which would raise
+        # here, so the second read uses the cache
         def no_parse(*args):
             raise AssertionError("text parsed although the cache is current")
 
-        monkeypatch.setattr(ingest, "_parse_raw_rows", no_parse)
+        monkeypatch.setattr(ingest, "_text_blocks", no_parse)
         second = list(read_raw_recording(path, RawFileSchema()))
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a.x, b.x)
