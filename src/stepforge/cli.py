@@ -743,6 +743,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     unknown = [d for d in detector_names if d not in registry]
     if unknown:
         raise FatalCliError(f"unknown detectors: {', '.join(unknown)}")
+    if args.subjects < 1 or args.days < 1:
+        raise FatalCliError("bench needs at least one subject and one day")
     recipe = _bench_day_recipe()
     totals = {name: 0.0 for name in detector_names}
     for subject in range(args.subjects):
@@ -759,6 +761,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 registry[name](vm)
                 totals[name] += time.perf_counter() - start
         _log(f"bench: subject {subject + 1}/{args.subjects} done")
+    subject_weeks = args.subjects * args.days / 7.0
     rows = []
     for name in detector_names:
         seconds = totals[name]
@@ -766,7 +769,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             {
                 "detector": name,
                 "total_seconds": seconds,
-                "minutes_per_10_subjects": (seconds / 60.0) * (10.0 / args.subjects),
+                "minutes_per_10_subjects": (seconds / 60.0) * (10.0 / subject_weeks),
             }
         )
     out = Path(args.out)
@@ -777,7 +780,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for row in rows:
         _log(
             f"bench: {row['detector']}: {row['minutes_per_10_subjects']:.2f} "
-            "min per 10 subjects"
+            "min per 10 subject-weeks"
         )
     return 0
 

@@ -15,6 +15,7 @@ aggregates to minutes.
 
 from __future__ import annotations
 
+import bisect
 import math
 import time
 from dataclasses import dataclass, field
@@ -26,7 +27,6 @@ from scipy import signal as scipy_signal
 from .dsp import (
     UniformSeries,
     compensated_sum,
-    moving_average,
     power_spectrum,
     resample_linear,
     sliding_windows,
@@ -318,25 +318,64 @@ def normalized_template(template: np.ndarray, length: int) -> np.ndarray:
     return t / norm
 
 
-def _correlation_profile(values: np.ndarray, template: np.ndarray) -> np.ndarray:
-    """Normalized cross-correlation of a zero-mean unit template at each offset."""
-    n, L = len(values), len(template)
-    if n < L:
-        return np.empty(0)
-    if n * L > 2e7:
-        # overlap-add convolution keeps multi-day signals tractable
-        num = scipy_signal.oaconvolve(values, template[::-1], mode="valid")
-    else:
-        num = np.correlate(values, template, mode="valid")
-    csum = np.concatenate(([0.0], np.cumsum(values)))
-    csum2 = np.concatenate(([0.0], np.cumsum(values * values)))
+def _window_norms(csum: np.ndarray, csum2: np.ndarray, L: int) -> np.ndarray:
+    """Root centered energy of every length-``L`` window, from prefix sums.
+
+    It does not depend on the template, so one array serves every template
+    of a length.
+    """
     seg_sum = csum[L:] - csum[:-L]
     seg_sum2 = csum2[L:] - csum2[:-L]
-    denom2 = np.maximum(seg_sum2 - seg_sum * seg_sum / L, 0.0)
-    denom = np.sqrt(denom2)
+    seg_sum *= seg_sum
+    seg_sum /= L
+    seg_sum2 -= seg_sum
+    np.maximum(seg_sum2, 0.0, out=seg_sum2)
+    return np.sqrt(seg_sum2, out=seg_sum2)
+
+
+def _normalized_correlations(
+    values: np.ndarray, templates: np.ndarray, denom: np.ndarray
+) -> np.ndarray:
+    """Normalized cross-correlation profiles, one row per zero-mean unit template row."""
+    if len(values) * templates.shape[1] > 2e7:
+        # overlap-add convolution keeps multi-day signals tractable; one call
+        # transforms the signal once for all templates of a length
+        r = scipy_signal.oaconvolve(
+            values[np.newaxis], templates[:, ::-1], mode="valid", axes=1
+        )
+    else:
+        r = np.stack([np.correlate(values, t, mode="valid") for t in templates])
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(denom > 0, num / denom, 0.0)
-    return np.clip(r, -1.0, 1.0)
+        r /= denom
+    r[:, ~(denom > 0)] = 0.0
+    return np.clip(r, -1.0, 1.0, out=r)
+
+
+def _candidate_onsets(r: np.ndarray, threshold: float, half: int) -> np.ndarray:
+    """Offsets where ``r`` clears the threshold at a maximum of its smoothing.
+
+    The smoothing is a centered moving average over ``2*half + 1`` offsets,
+    its windows shrunk at the edges, evaluated only at the offsets above the
+    threshold and their two neighbours.  Maxima follow the rising-edge
+    plateau convention: strict rise in, soft fall out.
+    """
+    m = len(r)
+    onsets = np.flatnonzero(r >= threshold)
+    if half:
+        csum = np.zeros(m + 1)
+        np.cumsum(r, out=csum[1:])
+
+        def smoothed(at: np.ndarray) -> np.ndarray:
+            lo = np.maximum(at - half, 0)
+            hi = np.minimum(at + half + 1, m)
+            return (csum[hi] - csum[lo]) / (hi - lo)
+
+    else:
+        smoothed = r.__getitem__  # a one-offset window leaves r as it is
+    here = smoothed(onsets)
+    rise = (onsets == 0) | (here > smoothed(np.maximum(onsets - 1, 0)))
+    fall = (onsets == m - 1) | (here >= smoothed(np.minimum(onsets + 1, m - 1)))
+    return onsets[rise & fall]
 
 
 def detect_steps_template(
@@ -353,49 +392,61 @@ def detect_steps_template(
     (ties break toward the earlier onset, then the shorter stride) with
     overlapping strides discarded.  Each accepted stride contributes 2
     steps, booked at the second containing the stride midpoint.
+
+    The search is arranged so that its cost stays near one correlation per
+    (template, length): the signal's prefix sums are built once, each
+    length's window norms and overlap-add signal transform once for all
+    templates, the smoothing only where the correlation clears the
+    threshold, and only the candidates of a length outlive it.  The
+    numerator switches from ``np.correlate`` to overlap-add convolution when
+    ``n * L > 2e7``, so its last bits depend on the recording length.
     """
     params = params or TemplateParams()
     rate = vm.sample_rate_hz
-    n = len(vm)
+    values = vm.values
+    n = len(values)
     n_seconds = int(math.ceil(n / rate))
     counts = np.zeros(n_seconds)
     if n == 0:
         return StepSeries(name, counts)
-    # Odd width keeps the smoothed profile's maxima centered on symmetric peaks.
-    width = max(1, int(round(params.smoothing_window_seconds * rate)))
-    if width % 2 == 0:
-        width += 1
+    # An odd window of 2*half + 1 offsets (the nominal width rounded up to
+    # odd) keeps the smoothed profile's maxima centered on symmetric peaks.
+    half = max(1, int(round(params.smoothing_window_seconds * rate))) // 2
 
-    candidates: list[tuple[float, int, int]] = []  # (corr, onset, length)
-    for duration in params.stride_grid_seconds:
-        L = int(round(duration * rate))
+    csum = np.concatenate(([0.0], np.cumsum(values)))
+    csum2 = np.concatenate(([0.0], np.cumsum(values * values)))
+    onsets, lengths, corrs = [], [], []
+    # A length repeated on the grid would only repeat its candidates.
+    for L in dict.fromkeys(int(round(d * rate)) for d in params.stride_grid_seconds):
         if L < 4 or L > n:
             continue
-        for template in params.templates:
-            t = normalized_template(template, L)
-            r = _correlation_profile(vm.values, t)
-            if len(r) == 0:
-                continue
-            r_loc = moving_average(r, width)
-            # Rising-edge plateau convention: strict rise in, soft fall out.
-            is_max = np.ones(len(r), dtype=bool)
-            if len(r) >= 2:
-                is_max[1:] &= r_loc[1:] > r_loc[:-1]
-                is_max[:-1] &= r_loc[:-1] >= r_loc[1:]
-            is_max &= r >= params.correlation_threshold
-            for onset in np.nonzero(is_max)[0]:
-                candidates.append((float(r[onset]), int(onset), L))
+        denom = _window_norms(csum, csum2, L)
+        templates = np.array([normalized_template(t, L) for t in params.templates])
+        for r in _normalized_correlations(values, templates, denom):
+            onset = _candidate_onsets(r, params.correlation_threshold, half)
+            onsets.append(onset)
+            corrs.append(r[onset])
+            lengths.append(np.full(len(onset), L))
+        # free this length's profiles before the next length's are built
+        del r, denom
+    if not onsets:
+        return StepSeries(name, counts)
 
+    onset, length, corr = (np.concatenate(a) for a in (onsets, lengths, corrs))
     # Near-equal correlations count as ties so the earlier onset wins;
     # quantizing at 0.01 keeps phase-ambiguous candidates from shuffling.
-    candidates.sort(key=lambda c: (-round(c[0] / 0.01), c[1], c[2]))
-    covered = np.zeros(n, dtype=bool)
-    for corr, onset, L in candidates:
-        if covered[onset : onset + L].any():
+    order = np.lexsort((length, onset, -np.round(corr / 0.01)))
+    # Accepted strides are disjoint, so sorted starts and ends describe them.
+    starts: list[int] = []
+    ends: list[int] = []
+    for a, L in zip(onset[order].tolist(), length[order].tolist()):
+        i = bisect.bisect_right(starts, a)
+        if (i and ends[i - 1] > a) or (i < len(starts) and starts[i] < a + L):
             continue
-        covered[onset : onset + L] = True
+        starts.insert(i, a)
+        ends.insert(i, a + L)
         # Two steps per stride, bucketed at the second holding its midpoint.
-        midpoint_second = int((onset + L // 2) // rate)
+        midpoint_second = int((a + L // 2) // rate)
         counts[min(midpoint_second, n_seconds - 1)] += 2.0
     return StepSeries(name, counts)
 

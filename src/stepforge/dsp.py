@@ -54,14 +54,20 @@ def vector_magnitude(rec: TriaxialRecording) -> UniformSeries:
     UniformSeries
         Nonnegative magnitude signal at the recording's rate.
     """
-    x = rec.x.astype(np.float64, copy=False)
-    y = rec.y.astype(np.float64, copy=False)
-    z = rec.z.astype(np.float64, copy=False)
+    a, b, c = (np.multiply(v, v, dtype=np.float64) for v in (rec.x, rec.y, rec.z))
     # Summing the squares smallest-first makes the result independent of
-    # which physical axis landed in which column.
-    squares = np.sort(np.stack([x * x, y * y, z * z]), axis=0)
-    vm = np.sqrt(squares[0] + squares[1] + squares[2])
-    return UniformSeries(rec.sample_rate_hz, vm)
+    # which physical axis landed in which column.  The three buffers are
+    # reused: lo = min, b = median = max(min(a, b), min(max(a, b), c)),
+    # a = max.
+    lo = np.minimum(a, b)
+    np.maximum(a, b, out=a)
+    np.minimum(a, c, out=b)
+    np.maximum(lo, b, out=b)
+    np.minimum(lo, c, out=lo)
+    np.maximum(a, c, out=a)
+    lo += b
+    lo += a
+    return UniformSeries(rec.sample_rate_hz, np.sqrt(lo, out=lo))
 
 
 def resample_linear(series: UniformSeries, target_hz: float) -> UniformSeries:
@@ -172,22 +178,6 @@ def window_count(n_samples: int, window: int, hop: int) -> int:
     if n_samples < window:
         return 0
     return (n_samples - window) // hop + 1
-
-
-def moving_average(values: np.ndarray, width: int) -> np.ndarray:
-    """Centered moving average with edge windows shrunk to the available span."""
-    if width < 1:
-        raise ValueError("width must be at least 1")
-    n = len(values)
-    if n == 0 or width == 1:
-        return np.asarray(values, dtype=np.float64).copy()
-    half_left = (width - 1) // 2
-    half_right = width // 2
-    csum = np.concatenate(([0.0], np.cumsum(values, dtype=np.float64)))
-    idx = np.arange(n)
-    lo = np.maximum(idx - half_left, 0)
-    hi = np.minimum(idx + half_right + 1, n)
-    return (csum[hi] - csum[lo]) / (hi - lo)
 
 
 def compensated_sum(values) -> float:

@@ -552,11 +552,20 @@ def _csv_minute_blocks(
 
         def numbers(texts, kind) -> np.ndarray:
             try:
-                return np.array(list(map(kind, texts)))
+                dtype = np.int64 if kind is int else np.float64
+                return np.array(list(map(kind, texts)), dtype=dtype)
             except ValueError:
                 parse = _parse_int if kind is int else _parse_float
                 for text, line in zip(texts, lines):
                     parse(text, f"{path}:{line}")
+                raise
+            except OverflowError:
+                limits = np.iinfo(np.int64)
+                for text, line in zip(texts, lines):
+                    if not limits.min <= int(text) <= limits.max:
+                        raise ValueError(
+                            f"{path}:{line}: integer {text!r} outside the int64 range"
+                        ) from None
                 raise
 
         ac = by_name.get("ac", [""] * len(rows))

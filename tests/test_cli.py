@@ -280,10 +280,28 @@ class TestExitCodes:
                    "--covariates", "x", "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize("column", ["day", "minute", "flag"])
+    def test_minute_integer_outside_int64_is_fatal(self, tmp_path, column, capsys):
+        values = {"day": "1", "minute": "0", "flag": "0", column: "99999999999999999999"}
+        minutes = tmp_path / "minutes.csv"
+        minutes.write_text(
+            "subject,day,minute,wear,flag,mims\n"
+            f"S1,{values['day']},{values['minute']},wake,{values['flag']},1.0\n"
+        )
+        rc = main(["analyze", str(minutes), "--covariates", str(tmp_path / "c.csv"),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "minutes.csv:2: integer" in capsys.readouterr().err
+
     def test_bench_rejects_empty_and_unknown_detectors(self, tmp_path):
         out = str(tmp_path / "bench.csv")
         assert main(["bench", "--detectors", "", "--out", out]) == 2
         assert main(["bench", "--detectors", "sonar", "--out", out]) == 2
+
+    def test_bench_rejects_zero_subjects_or_days(self, tmp_path):
+        out = str(tmp_path / "bench.csv")
+        assert main(["bench", "--subjects", "0", "--out", out]) == 2
+        assert main(["bench", "--days", "0", "--out", out]) == 2
 
 
 class TestBench:
@@ -299,3 +317,14 @@ class TestBench:
         for row in rows:
             assert float(row["total_seconds"]) > 0
             assert float(row["minutes_per_10_subjects"]) > 0
+
+    def test_minutes_scale_to_ten_subject_weeks(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        rc = main([
+            "bench", "--subjects", "2", "--days", "1", "--rate", "20",
+            "--detectors", "spectral", "--out", str(out),
+        ])
+        assert rc == 0
+        (row,) = read_table(out)
+        want = float(row["total_seconds"]) / 60.0 * (10.0 / 2) * (7.0 / 1)
+        assert float(row["minutes_per_10_subjects"]) == pytest.approx(want, rel=1e-12)

@@ -1,13 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stepforge.dsp import (
     UniformSeries,
     butterworth_bandpass,
     compensated_sum,
-    moving_average,
     power_spectrum,
     resample_linear,
     sliding_windows,
@@ -15,6 +17,20 @@ from stepforge.dsp import (
     window_count,
 )
 from stepforge.model import TriaxialRecording
+
+# Zeros, ties, subnormals and magnitudes whose squares round differently
+# in different orders of addition, per input dtype.
+AXIS_VALUES = {
+    np.float64: st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 5e-324, 1e-310, 1e-160, 3.0, 1e150]),
+        st.floats(-8.0, 8.0),
+        st.floats(-1e150, 1e150),
+    ),
+    np.float32: st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 1e-45, 1e-40, 3.0, 3e38]),
+        st.floats(allow_nan=False, allow_infinity=False, width=32),
+    ),
+}
 
 
 def sine(freq_hz, rate_hz, seconds, amplitude=1.0, phase=0.0):
@@ -59,6 +75,20 @@ class TestVectorMagnitude:
         base = vector_magnitude(TriaxialRecording("s", x, y, z)).values
         permuted = vector_magnitude(TriaxialRecording("s", z, -x, y)).values
         np.testing.assert_array_equal(base, permuted)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(AXIS_VALUES, key=str)), st.data())
+    def test_bitwise_equal_to_sorted_sum_in_every_axis_order(self, dtype, data):
+        values = AXIS_VALUES[dtype]
+        rows = data.draw(st.lists(st.tuples(values, values, values), max_size=40))
+        axes = np.array(rows, dtype=dtype).reshape(-1, 3).T
+        for order in itertools.permutations(range(3)):
+            x, y, z = (axes[i] for i in order)
+            got = vector_magnitude(TriaxialRecording("s", x, y, z, 40.0)).values
+            x, y, z = (v.astype(np.float64) for v in (x, y, z))
+            squares = np.sort(np.stack([x * x, y * y, z * z]), axis=0)
+            want = np.sqrt(squares[0] + squares[1] + squares[2])
+            assert got.tobytes() == want.tobytes()
 
 
 class TestResampleLinear:
@@ -172,27 +202,6 @@ class TestSlidingWindows:
         assert windows[0] == (0, 6)
         assert all(b - a == 6 for a, b in windows)
         assert windows[1][0] - windows[0][0] == 4
-
-
-class TestMovingAverage:
-    def test_width_one_copy(self):
-        v = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(moving_average(v, 1), v)
-
-    def test_matches_naive_shrinking_window(self):
-        rng = np.random.default_rng(3)
-        v = rng.normal(size=41)
-        for width in (3, 5, 9):
-            got = moving_average(v, width)
-            hl, hr = (width - 1) // 2, width // 2
-            want = np.array(
-                [v[max(0, i - hl) : min(len(v), i + hr + 1)].mean() for i in range(len(v))]
-            )
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-
-    def test_bad_width(self):
-        with pytest.raises(ValueError, match="width"):
-            moving_average(np.zeros(3), 0)
 
 
 class TestCompensatedSum:

@@ -260,6 +260,22 @@ class TestMinuteFiles:
         with pytest.raises(ValueError, match="unknown wear label"):
             read_minute_file(path)
 
+    @pytest.mark.parametrize(
+        "column, text",
+        [("day", "99999999999999999999"), ("minute", "9223372036854775808"),
+         ("flag", "-9223372036854775809")],
+    )
+    def test_integer_outside_int64_names_the_line(self, tmp_path, column, text):
+        fields = {"subject": "S1", "day": "1", "minute": "0", "wear": "wake",
+                  "flag": "0", "mims": "1.0"}
+        path = tmp_path / "big.csv"
+        path.write_text(
+            ",".join(fields) + "\nS1,1,1,wake,0,1.0\n"
+            + ",".join(dict(fields, **{column: text}).values()) + "\n"
+        )
+        with pytest.raises(ValueError, match=f"big.csv:3: integer '{text}' outside"):
+            read_minute_file(path)
+
     def test_missing_columns(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("subject,day,minute\nS1,1,0\n")
