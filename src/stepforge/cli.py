@@ -17,7 +17,7 @@ import os
 import sys
 import time
 import typing
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -626,23 +626,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         n for n in data.covariate_names if n not in activity_measures
     ]
 
-    def univariate(measure: str) -> tuple[str, float, str]:
+    # the CV is GIL-bound numpy, so analyze runs it in one thread whatever
+    # --jobs says: a thread pool of 2 was slower than none
+    uni_rows = []
+    for measure in sorted(step_measures):
         try:
             value, _ = survival.repeated_cv_concordance(data, [measure], cfg)
-            return measure, value, ""
         except Exception as exc:  # noqa: BLE001 - per-measure isolation
-            return measure, math.nan, f"{type(exc).__name__}: {exc}"
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            uni_results = list(pool.map(univariate, step_measures))
-    else:
-        uni_results = [univariate(m) for m in step_measures]
-    uni_rows = []
-    for measure, value, error in sorted(uni_results):
-        if error:
             partial_failure = True
-            _log(f"analyze: univariate cvC failed for {measure}: {error}")
+            value = math.nan
+            _log(f"analyze: univariate cvC failed for {measure}: "
+                 f"{type(exc).__name__}: {exc}")
         uni_rows.append({"measure": measure, "cv_concordance": value})
     ingest.write_table(
         uni_rows, out_path("univariate_cvc"), fieldnames=["measure", "cv_concordance"]
@@ -681,12 +675,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         try:
             adjusted = survival.cox_fit(data.select(traditional + [measure]))
             hr, lo, hi = survival.hazard_ratio(adjusted, measure, cfg.hr_step_increment)
-            scaled_data = survival.standardize(
-                data.select(traditional + [measure]), measure
-            )
-            scaled_fit = survival.cox_fit(scaled_data)
-            shr, slo, shi = survival.hazard_ratio(scaled_fit, measure, 1.0)
-            _, sd = scaled_data.scaling[measure]
+            # standardizing the column (as survival.standardize does) scales
+            # its beta and se by the sd, so the per-sd HR needs no refit
+            sd = float(data.column(measure).std(ddof=1))
+            shr, slo, shi = survival.hazard_ratio(adjusted, measure, sd)
             hr_rows.append(
                 {
                     "measure": measure,

@@ -733,7 +733,7 @@ def write_covariates(
 
 
 def read_mortality(path: str | os.PathLike) -> list[MortalityRecord]:
-    """Read ``subject,event,followup_months`` rows."""
+    """Read ``subject,event,followup_months`` rows; ``event`` is 0 or 1."""
     path = Path(path)
     out: list[MortalityRecord] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -748,10 +748,13 @@ def read_mortality(path: str | os.PathLike) -> list[MortalityRecord]:
             followup = _parse_float(row["followup_months"], ctx)
             if followup < 0:
                 raise ValueError(f"{ctx}: negative follow-up")
+            event = _parse_int(row["event"], ctx)
+            if event not in (0, 1):
+                raise ValueError(f"{ctx}: event must be 0 or 1, got {event}")
             out.append(
                 MortalityRecord(
                     subject_id=row["subject"],
-                    event=bool(_parse_int(row["event"], ctx)),
+                    event=bool(event),
                     followup_months=followup,
                 )
             )

@@ -139,19 +139,22 @@ class _RiskSets:
 
     Rows are kept in descending time order, so the risk set of an event time
     (every row with time >= t) is a prefix.  Event times are ascending; event
-    time k's prefix ends at ``ends[k]``, and the rows in
-    ``[ends[k + 1], ends[k])`` join the risk set at that time (block k).
-    Blocks of equal length are stacked, so S2 takes one batched Gram
-    product per distinct block length.
+    time k's prefix ends at ``ends[k]``.  S0 and S1 are running sums over
+    that order.  The information needs no per-event-time S2: summed over
+    event times it regroups by row into one weighted Gram of the
+    column-centered design ``xcs``, also in that order (see
+    ``_loglik_score_hess``).
     """
 
     def __init__(self, data: SurvivalDataset, covariates: np.ndarray | None = None):
         t, ev, w = data.followup_months, data.event, data.weights
         x = data.covariates if covariates is None else covariates
         self.x, self.w = x, w
+        self.log_w = np.log(w)
         ascending = np.argsort(t, kind="stable")
         self.desc = ascending[::-1]
         self.xs = x[self.desc]
+        self.xcs = (x - x.mean(axis=0))[self.desc]
         event_times = np.unique(t[ev])
         self.ends = len(t) - np.searchsorted(t, event_times, sorter=ascending)
         # number of event times <= t_i, which index the cumulative hazard sums
@@ -160,16 +163,10 @@ class _RiskSets:
         self.k_of_event = np.searchsorted(event_times, t[self.event_rows])
         ew = w[self.event_rows]
         self.d0 = np.bincount(self.k_of_event, ew, len(event_times))
+        self.log_d0 = np.log(self.d0)
         d1 = np.zeros((len(event_times), x.shape[1]))
         np.add.at(d1, self.k_of_event, ew[:, None] * x[self.event_rows])
         self.d1_total = d1.sum(axis=0)
-        starts = np.append(self.ends[1:], 0)
-        lengths = self.ends - starts
-        self.blocks = []
-        for length in np.unique(lengths):
-            ks = np.flatnonzero(lengths == length)
-            rows = starts[ks, None] + np.arange(length)
-            self.blocks.append((ks, rows, self.xs[rows]))
 
     def risk_sums(
         self, beta: np.ndarray
@@ -183,14 +180,6 @@ class _RiskSets:
         s1 = np.cumsum(rexp[:, None] * self.xs, axis=0)[at]
         return eta, rexp, s0, s1
 
-    def s2(self, rexp: np.ndarray) -> np.ndarray:
-        """S2 per event time: one Gram product per block, then a running sum."""
-        p = self.xs.shape[1]
-        grams = np.empty((len(self.ends), p, p))
-        for ks, rows, xb in self.blocks:
-            grams[ks] = (xb.transpose(0, 2, 1) * rexp[rows][:, None, :]) @ xb
-        return np.cumsum(grams[::-1], axis=0)[::-1]
-
 
 def _loglik_score_hess(
     risk: _RiskSets, beta: np.ndarray, want_derivs: bool = True
@@ -202,15 +191,28 @@ def _loglik_score_hess(
         return -math.inf, None, None
     ev = risk.event_rows
     d_eta = np.bincount(risk.k_of_event, risk.w[ev] * eta[ev], len(s0))
-    ll = compensated_sum(d_eta - risk.d0 * np.log(s0))
+    log_s0 = np.log(s0)
+    ll = compensated_sum(d_eta - risk.d0 * log_s0)
     if not math.isfinite(ll):
         return -math.inf, None, None
     if not want_derivs:
         return ll, None, None
     xbar = s1 / s0[:, None]
-    v = risk.s2(rexp) / s0[:, None, None] - xbar[:, :, None] * xbar[:, None, :]
     score = risk.d1_total - (risk.d0[:, None] * xbar).sum(axis=0)
-    hess = -(risk.d0[:, None, None] * v).sum(axis=0)
+    # sum_k d0_k V_k with V_k = S2_k/S0_k - xbar_k xbar_k^T.  Summed over
+    # event times, d0_k S2_k/S0_k regroups by row into r_i g0_i x_i x_i^T,
+    # where g0_i sums d0_k/S0_k over event times t_k <= t_i.  V_k does not
+    # move when the column means m are removed, which limits cancellation:
+    #   sum_k d0_k V_k = Xc^T diag(r g0) Xc - sum_k d0_k (xbar_k-m)(xbar_k-m)^T
+    # xbar_k - m is summed from Xc, not taken from xbar_k, whose rounding
+    # scales with m.  r_i g0_i <= total event weight, but g0_i alone
+    # overflows where S0 underflows at separation, so r_i g0_i is formed
+    # in logs.
+    log_g0 = np.logaddexp.accumulate(risk.log_d0 - log_s0)
+    log_g0 = np.concatenate(([-np.inf], log_g0))[risk.n_times_upto]
+    weight = np.exp(risk.log_w + eta + log_g0)[risk.desc]
+    dev = np.cumsum(rexp[:, None] * risk.xcs, axis=0)[risk.ends - 1] / s0[:, None]
+    hess = (dev.T * risk.d0) @ dev - (risk.xcs.T * weight) @ risk.xcs
     return ll, score, hess
 
 

@@ -293,6 +293,17 @@ class TestExitCodes:
         assert rc == 2
         assert "minutes.csv:2: integer" in capsys.readouterr().err
 
+    def test_mortality_event_code_2_is_fatal(self, corpus, tmp_path, capsys):
+        lines = (corpus / "mortality.csv").read_text().splitlines()
+        assert lines[0] == "subject,event,followup_months"
+        subject, _, followup = lines[1].split(",")
+        lines[1] = f"{subject},2,{followup}"
+        mortality = tmp_path / "mortality.csv"
+        mortality.write_text("\n".join(lines) + "\n")
+        rc = run_analyze(corpus, tmp_path / "o", ["--mortality", str(mortality)])
+        assert rc == 2
+        assert "mortality.csv:2: event must be 0 or 1, got 2" in capsys.readouterr().err
+
     def test_bench_rejects_empty_and_unknown_detectors(self, tmp_path):
         out = str(tmp_path / "bench.csv")
         assert main(["bench", "--detectors", "", "--out", out]) == 2

@@ -351,6 +351,13 @@ class TestMortalityFiles:
         with pytest.raises(ValueError, match="negative follow-up"):
             read_mortality(path)
 
+    @pytest.mark.parametrize("code", ["2", "-1"])
+    def test_event_code_other_than_0_or_1_names_the_line(self, tmp_path, code):
+        path = tmp_path / "mort.csv"
+        path.write_text(f"subject,event,followup_months\nA,1,3\nB,{code},4\n")
+        with pytest.raises(ValueError, match=f"mort.csv:3: event must be 0 or 1, got {code}"):
+            read_mortality(path)
+
 
 class TestExternalSteps:
     def test_import_and_merge(self, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stepforge.dsp import compensated_sum
 from stepforge.model import make_config
 from stepforge.simulate import gen_survival
 from stepforge.survival import (
@@ -138,12 +139,20 @@ class TestBreslowLoglik:
             )
 
 
-def oracle_derivatives(data, beta):
+def oracle_derivatives(data, beta, center=False):
     """Breslow log-likelihood, score and Hessian with S0/S1/S2 summed over a
-    boolean risk-set mask at each event time, written longhand."""
+    boolean risk-set mask at each event time, written longhand.
+
+    eta is shifted by its maximum, which cancels in all three.  ``center``
+    forms S1/S2 from column-centered values; the score and each V_k do not
+    move, and the oracle's own S2/S0 - xbar xbar^T no longer cancels on
+    columns far from zero."""
     t, ev, w, x = data.followup_months, data.event, data.weights, data.covariates
     eta = x @ beta
+    eta = eta - eta.max()
     r = w * np.exp(eta)
+    if center:
+        x = x - x.mean(axis=0)
     terms, score, hess = [], np.zeros(len(beta)), np.zeros((len(beta), len(beta)))
     for tk in np.unique(t[ev]):
         at_risk = t >= tk
@@ -198,6 +207,113 @@ class TestRiskSetEngine:
         np.testing.assert_allclose(hess, want_hess, rtol=0, atol=1e-10 * scale * xmax)
         resid = _score_residuals(risk, beta)
         np.testing.assert_allclose(resid.sum(axis=0), score, rtol=0, atol=1e-10 * scale)
+
+
+def per_event_time_loglik_score(data, beta):
+    """Log-likelihood and score as the per-event-time S2 engine computed
+    them, copied verbatim from it: the closed-form Hessian must leave both
+    bit for bit as they were."""
+    t, ev, w, x = data.followup_months, data.event, data.weights, data.covariates
+    ascending = np.argsort(t, kind="stable")
+    desc = ascending[::-1]
+    xs = x[desc]
+    event_times = np.unique(t[ev])
+    ends = len(t) - np.searchsorted(t, event_times, sorter=ascending)
+    event_rows = np.flatnonzero(ev)
+    k_of_event = np.searchsorted(event_times, t[event_rows])
+    ew = w[event_rows]
+    d0 = np.bincount(k_of_event, ew, len(event_times))
+    d1 = np.zeros((len(event_times), x.shape[1]))
+    np.add.at(d1, k_of_event, ew[:, None] * x[event_rows])
+    d1_total = d1.sum(axis=0)
+    eta = x @ beta
+    eta = eta - eta.max()
+    rexp = (w * np.exp(eta))[desc]
+    at = ends - 1
+    s0 = np.cumsum(rexp)[at]
+    s1 = np.cumsum(rexp[:, None] * xs, axis=0)[at]
+    d_eta = np.bincount(k_of_event, w[event_rows] * eta[event_rows], len(s0))
+    ll = compensated_sum(d_eta - d0 * np.log(s0))
+    xbar = s1 / s0[:, None]
+    score = d1_total - (d0[:, None] * xbar).sum(axis=0)
+    return ll, score
+
+
+@st.composite
+def offset_design_data(draw):
+    """Weighted designs with tied times whose columns sit up to 1e5 of
+    their sd away from zero.  With ``underflow`` the first coefficient
+    spreads eta over more than 745, so some exp(eta) underflow to 0; the
+    row with the largest eta is then moved to the last time, so it keeps
+    every risk set's S0 positive."""
+    n = draw(st.integers(3, 25))
+    p = draw(st.integers(1, 4))
+    times = draw(st.lists(st.integers(1, 8), min_size=n, max_size=n))
+    event = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    event[draw(st.integers(0, n - 1))] = True
+    late = draw(st.integers(0, 3))
+    times += [9 + k for k in range(late)]
+    event += [False] * late
+    n += late
+
+    def floats(lo, hi, size):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size)))
+
+    def grid(lo, hi, step, size):
+        # on a grid, so that no product of two values is subnormal
+        ints = st.integers(round(lo / step), round(hi / step))
+        return step * np.array(draw(st.lists(ints, min_size=size, max_size=size)))
+
+    sd = floats(1e-2, 1e2, p)
+    offset = grid(-1e5, 1e5, 1e-3, p)  # column mean, in units of its sd
+    z = grid(-2.0, 2.0, 1e-2, n * p).reshape(n, p)
+    w = floats(0.1, 10.0, n)
+    beta = floats(-1.0, 1.0, p)  # per sd
+    underflow = draw(st.booleans())
+    if underflow:
+        z[0, 0], z[1, 0] = -2.0, 2.0
+        beta[0] = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(300.0, 400.0))
+    x = (offset + z) * sd
+    beta = beta / sd
+    if underflow:
+        times[int(np.argmax(x @ beta))] = max(times)
+    return dataset(times, event, x, w=w), beta, underflow
+
+
+class TestClosedFormHessian:
+    @settings(max_examples=200, deadline=None)
+    @given(offset_design_data())
+    def test_matches_risk_set_mask_oracle(self, drawn):
+        data, beta, underflow = drawn
+        risk = _RiskSets(data)
+        ll, score, hess = _loglik_score_hess(risk, beta)
+        want_ll, want_score = per_event_time_loglik_score(data, beta)
+        assert ll == want_ll
+        np.testing.assert_array_equal(score, want_score)
+        eta = data.covariates @ beta
+        if underflow:
+            assert np.any(np.exp(eta - eta.max()) == 0.0)
+        _, _, want_hess, _ = oracle_derivatives(data, beta, center=True)
+        # event weight times the product of the two columns' largest
+        # centered |x|, which is the scale of the information itself.  The
+        # floor covers a (near-)constant column, whose mean and xbar_k carry
+        # rounding errors of a few units in the last place of |x|.
+        x = np.abs(data.covariates)
+        xc = np.abs(data.covariates - data.covariates.mean(axis=0)).max(axis=0)
+        xc = np.maximum(xc, 1e-8 * x.max(axis=0))
+        scale = data.weights[data.event].sum() * np.outer(xc, xc)
+        assert np.all(np.abs(hess - want_hess) <= 1e-13 * scale)
+
+    def test_subnormal_s0_keeps_the_hessian_finite(self):
+        # at the second event time only rows with eta - max = -712 are at
+        # risk: S0 is subnormal and d0/S0 alone overflows, while each row's
+        # weight r_i * g0_i stays below the total event weight
+        data = dataset([1.0, 2.0, 3.0], [True, True, False], [0.0, -1.0, -1.0])
+        beta = np.array([712.0])
+        _, _, hess = _loglik_score_hess(_RiskSets(data), beta)
+        _, _, want, _ = oracle_derivatives(data, beta, center=True)
+        assert np.all(np.isfinite(hess))
+        np.testing.assert_allclose(hess, want, rtol=0, atol=1e-12)
 
 
 class TestCoxFit:
