@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import resource
 import sys
 import time
 import typing
@@ -269,7 +270,17 @@ def cmd_steps(args: argparse.Namespace) -> int:
             )
             _log(f"subject {subject}: ok ({timing_text})")
     _log(f"steps: {len(results) - failures}/{len(results)} subjects processed")
+    rss = f"steps: peak RSS {_peak_rss_mb(resource.RUSAGE_SELF):.1f} MB"
+    if args.jobs > 1:
+        rss += f", workers {_peak_rss_mb(resource.RUSAGE_CHILDREN):.1f} MB"
+    _log(rss)
     return 1 if failures else 0
+
+
+def _peak_rss_mb(who: int) -> float:
+    """Peak resident set size in MiB; ``ru_maxrss`` is KiB on Linux, bytes on macOS."""
+    peak = resource.getrusage(who).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 1024
 
 
 # ---------------------------------------------------------------------------

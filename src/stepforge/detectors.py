@@ -18,11 +18,13 @@ from __future__ import annotations
 import bisect
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+from scipy import fft as scipy_fft
 from scipy import signal as scipy_signal
+from scipy.special import lambertw
 
 from .dsp import (
     UniformSeries,
@@ -333,49 +335,126 @@ def _window_norms(csum: np.ndarray, csum2: np.ndarray, L: int) -> np.ndarray:
     return np.sqrt(seg_sum2, out=seg_sum2)
 
 
-def _normalized_correlations(
-    values: np.ndarray, templates: np.ndarray, denom: np.ndarray
+#: Samples per batch of the overlap-add and of the profile normalization;
+#: only one batch's spectra and window norms are alive at a time.
+OA_BATCH_SAMPLES = 2**15
+
+
+def _oa_block_size(n: int, L: int) -> int | None:
+    """``scipy.signal.oaconvolve``'s FFT block length for a length-``L``
+    kernel over ``n`` samples, or None where it takes a single FFT instead."""
+    if L in (1, n) or 2 * L >= n:
+        return None
+    overlap = L - 1
+    optimal = -overlap * lambertw(-1 / (2 * math.e * overlap), k=-1).real
+    block = scipy_fft.next_fast_len(math.ceil(optimal))
+    return None if block >= n else block
+
+
+def _overlap_add_correlate(
+    values: np.ndarray, templates: np.ndarray, batch_samples: int = OA_BATCH_SAMPLES
 ) -> np.ndarray:
-    """Normalized cross-correlation profiles, one row per zero-mean unit template row."""
-    if len(values) * templates.shape[1] > 2e7:
-        # overlap-add convolution keeps multi-day signals tractable; one call
-        # transforms the signal once for all templates of a length
-        r = scipy_signal.oaconvolve(
+    """Bitwise ``oaconvolve(values[None], templates[:, ::-1], "valid", axes=1)``.
+
+    The block length, the block grid from sample 0, the per-block
+    ``rfftn``/``irfftn`` shapes and each block's head-plus-previous-tail sums
+    are oaconvolve's own, so every output bit is too.  The blocks are
+    transformed a batch of about ``batch_samples`` signal samples at a time
+    and each batch's finished outputs go straight into the profile, so the
+    spectra never span the whole signal.
+    """
+    n = len(values)
+    n_templates, L = templates.shape
+    block = _oa_block_size(n, L)
+    if block is None:
+        return scipy_signal.oaconvolve(
             values[np.newaxis], templates[:, ::-1], mode="valid", axes=1
         )
+    overlap = L - 1
+    step = block - overlap  # signal samples per block
+    kernel = scipy_fft.rfftn(templates[:, np.newaxis, ::-1], [block], axes=[2])
+    out = np.empty((n_templates, n - overlap))
+    n_blocks = -(-n // step)
+    per_batch = max(1, batch_samples // step)
+    tail = None
+    for b0 in range(0, n_blocks, per_batch):
+        b1 = min(b0 + per_batch, n_blocks)
+        chunk = np.zeros((1, b1 - b0, step))
+        seg = values[b0 * step : b1 * step]
+        chunk.reshape(-1)[: len(seg)] = seg
+        full = scipy_fft.irfftn(
+            scipy_fft.rfftn(chunk, [block], axes=[2]) * kernel, [block], axes=[2]
+        )
+        # each block's head plus the tail of the block before it
+        full[:, 1:, :overlap] += full[:, :-1, step:]
+        if tail is not None:
+            full[:, 0, :overlap] += tail
+        tail = full[:, -1, step:].copy()
+        # full-convolution positions b0*step .. b1*step - 1; 'valid' output
+        # i is position i + overlap
+        lo, hi = max(b0 * step, overlap), min(b1 * step, n)
+        heads = full[:, :, :step].reshape(n_templates, -1)
+        out[:, lo - overlap : hi - overlap] = heads[:, lo - b0 * step : hi - b0 * step]
+    return out
+
+
+def _normalized_correlations(
+    values: np.ndarray, templates: np.ndarray, csum: np.ndarray, csum2: np.ndarray
+) -> np.ndarray:
+    """Normalized cross-correlation profiles, one row per zero-mean unit template row.
+
+    ``csum`` and ``csum2`` are the prefix sums of the signal and of its
+    square.  The window norms are formed from them one batch of offsets at
+    a time, so no whole-profile norm array is held.
+    """
+    L = templates.shape[1]
+    if len(values) * L > 2e7:
+        # overlap-add convolution keeps multi-day signals tractable; one pass
+        # transforms the signal once for all templates of a length
+        r = _overlap_add_correlate(values, templates)
     else:
         r = np.stack([np.correlate(values, t, mode="valid") for t in templates])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r /= denom
-    r[:, ~(denom > 0)] = 0.0
-    return np.clip(r, -1.0, 1.0, out=r)
+    for a in range(0, r.shape[1], OA_BATCH_SAMPLES):
+        block = r[:, a : a + OA_BATCH_SAMPLES]
+        stop = a + block.shape[1] + L
+        denom = _window_norms(csum[a:stop], csum2[a:stop], L)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            block /= denom
+        block[:, ~(denom > 0)] = 0.0
+        np.clip(block, -1.0, 1.0, out=block)
+    return r
 
 
-def _candidate_onsets(r: np.ndarray, threshold: float, half: int) -> np.ndarray:
-    """Offsets where ``r`` clears the threshold at a maximum of its smoothing.
+def _candidate_onsets(
+    r: np.ndarray, threshold: float, half: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets where ``r`` clears the threshold at a maximum of its smoothing,
+    and ``r`` at those offsets.
 
     The smoothing is a centered moving average over ``2*half + 1`` offsets,
     its windows shrunk at the edges, evaluated only at the offsets above the
     threshold and their two neighbours.  Maxima follow the rising-edge
-    plateau convention: strict rise in, soft fall out.
+    plateau convention: strict rise in, soft fall out.  The running sum
+    behind the smoothing is taken in place, so ``r`` is consumed.
     """
     m = len(r)
     onsets = np.flatnonzero(r >= threshold)
+    corr = r[onsets]
     if half:
-        csum = np.zeros(m + 1)
-        np.cumsum(r, out=csum[1:])
+        csum = np.cumsum(r, out=r)  # csum[j] sums r[: j + 1]
 
         def smoothed(at: np.ndarray) -> np.ndarray:
             lo = np.maximum(at - half, 0)
             hi = np.minimum(at + half + 1, m)
-            return (csum[hi] - csum[lo]) / (hi - lo)
+            return (csum[hi - 1] - np.where(lo > 0, csum[lo - 1], 0.0)) / (hi - lo)
 
     else:
         smoothed = r.__getitem__  # a one-offset window leaves r as it is
     here = smoothed(onsets)
     rise = (onsets == 0) | (here > smoothed(np.maximum(onsets - 1, 0)))
     fall = (onsets == m - 1) | (here >= smoothed(np.minimum(onsets + 1, m - 1)))
-    return onsets[rise & fall]
+    keep = rise & fall
+    return onsets[keep], corr[keep]
 
 
 def detect_steps_template(
@@ -400,6 +479,18 @@ def detect_steps_template(
     threshold, and only the candidates of a length outlive it.  The
     numerator switches from ``np.correlate`` to overlap-add convolution when
     ``n * L > 2e7``, so its last bits depend on the recording length.
+
+    The overlap-add runs in batches of about ``OA_BATCH_SAMPLES`` signal
+    samples, and each batch's finished outputs are written straight into
+    the profile, so a length holds one profile per template and no
+    whole-signal spectra.  Its bits are those of
+    ``scipy.signal.oaconvolve(values[None], templates[:, ::-1], "valid",
+    axes=1)``: it takes oaconvolve's block length
+    (``next_fast_len(ceil(-K W_{-1}(-1/(2eK))))`` with ``K = L - 1``), its
+    block grid from sample 0, the same per-block ``rfftn``/``irfftn`` and
+    the same head-plus-previous-tail sums, and it hands the cases where
+    oaconvolve takes one FFT to oaconvolve itself.  The window norms are
+    formed per batch of offsets from the signal's prefix sums.
     """
     params = params or TemplateParams()
     rate = vm.sample_rate_hz
@@ -420,15 +511,15 @@ def detect_steps_template(
     for L in dict.fromkeys(int(round(d * rate)) for d in params.stride_grid_seconds):
         if L < 4 or L > n:
             continue
-        denom = _window_norms(csum, csum2, L)
         templates = np.array([normalized_template(t, L) for t in params.templates])
-        for r in _normalized_correlations(values, templates, denom):
-            onset = _candidate_onsets(r, params.correlation_threshold, half)
+        r = _normalized_correlations(values, templates, csum, csum2)
+        for row in r:
+            onset, corr = _candidate_onsets(row, params.correlation_threshold, half)
             onsets.append(onset)
-            corrs.append(r[onset])
+            corrs.append(corr)
             lengths.append(np.full(len(onset), L))
         # free this length's profiles before the next length's are built
-        del r, denom
+        del r, row
     if not onsets:
         return StepSeries(name, counts)
 
@@ -464,17 +555,22 @@ def build_registry(
 
     ``peak_revised`` is a named configuration slot for a revised peak
     preset; until a revision is configured it runs the original parameters.
+    While the two peak presets are equal, both names map to one detector
+    function, which ``run_detectors`` runs once.
     """
     peak_original = peak_original or PeakParams()
     peak_revised = peak_revised or PeakParams()
     spectral_params = spectral or SpectralParams()
     template_params = template or TemplateParams()
-    return {
+    registry = {
         "peak_original": lambda vm: detect_steps_peak(vm, peak_original, "peak_original"),
         "peak_revised": lambda vm: detect_steps_peak(vm, peak_revised, "peak_revised"),
         "spectral": lambda vm: detect_steps_spectral(vm, spectral_params, "spectral"),
         "template": lambda vm: detect_steps_template(vm, template_params, "template"),
     }
+    if peak_revised == peak_original:
+        registry["peak_revised"] = registry["peak_original"]
+    return registry
 
 
 @dataclass(frozen=True)
@@ -502,7 +598,8 @@ def run_detectors(
 
     A detector raising an exception is isolated: its error message is
     recorded and the remaining detectors still run.  Wall-clock time is
-    recorded per detector.
+    recorded per detector.  A function registered under several names runs
+    once; its series (or error) is copied under the later names.
     """
     if not registry:
         raise ValueError("registry must contain at least one detector")
@@ -510,10 +607,20 @@ def run_detectors(
     minutes: dict[str, np.ndarray] = {}
     timings: dict[str, float] = {}
     errors: dict[str, str] = {}
-    for dname in registry:
+    first_name: dict[DetectorFn, str] = {}
+    for dname, detector in registry.items():
         t0 = time.perf_counter()
+        first = first_name.setdefault(detector, dname)
+        if first != dname:
+            if first in errors:
+                errors[dname] = errors[first]
+            else:
+                series[dname] = replace(series[first], detector_name=dname)
+                minutes[dname] = minutes[first]
+            timings[dname] = time.perf_counter() - t0
+            continue
         try:
-            result = registry[dname](vm)
+            result = detector(vm)
         except Exception as exc:  # noqa: BLE001 - detector isolation by contract
             errors[dname] = f"{type(exc).__name__}: {exc}"
             timings[dname] = time.perf_counter() - t0

@@ -42,20 +42,36 @@ class AcParams:
             raise ValueError("axis_combine must be 'euclidean' or 'sum'")
 
 
-def _axis_quanta(
-    axis: np.ndarray, rate_hz: float, p: AcParams
+def _band_passed(
+    axis: np.ndarray, rate_hz: float, target_hz: float, band_hz: tuple[float, float],
+    order: int,
 ) -> np.ndarray:
-    """Per-sample integer quanta for one axis after the AC front end."""
-    series = UniformSeries(rate_hz, axis)
-    if rate_hz != p.resample_hz:
-        series = resample_linear(series, p.resample_hz)
-    filtered = butterworth_bandpass(
-        series, p.band_hz[0], p.band_hz[1], order=p.filter_order, zero_phase=True
-    )
-    rectified = np.abs(filtered.values)
-    deadbanded = np.maximum(rectified - p.deadband_g, 0.0)
-    clipped = np.minimum(deadbanded, p.clip_g)
-    return np.floor(clipped / p.quantum_g).astype(np.int64)
+    """One axis resampled to ``target_hz``, zero-phase band-passed and rectified.
+
+    Each axis runs in its own call, so only one axis's resampled and
+    filtered arrays are alive at a time.
+    """
+    series = UniformSeries(rate_hz, np.asarray(axis, dtype=np.float64))
+    if rate_hz != target_hz:
+        series = resample_linear(series, target_hz)
+    values = butterworth_bandpass(
+        series, band_hz[0], band_hz[1], order=order, zero_phase=True
+    ).values
+    return np.abs(values, out=values)
+
+
+def _axis_epoch_counts(
+    axis: np.ndarray, rate_hz: float, p: AcParams, epoch_len: int
+) -> np.ndarray:
+    """Per-epoch sums of one axis's integer quanta after the AC front end."""
+    values = _band_passed(axis, rate_hz, p.resample_hz, p.band_hz, p.filter_order)
+    values -= p.deadband_g
+    np.maximum(values, 0.0, out=values)
+    np.minimum(values, p.clip_g, out=values)
+    values /= p.quantum_g
+    quanta = np.floor(values, out=values).astype(np.int64)
+    n_epochs = len(quanta) // epoch_len
+    return quanta[: n_epochs * epoch_len].reshape(n_epochs, epoch_len).sum(axis=1)
 
 
 def activity_counts(rec: TriaxialRecording, params: AcParams | None = None) -> np.ndarray:
@@ -73,12 +89,10 @@ def activity_counts(rec: TriaxialRecording, params: AcParams | None = None) -> n
     """
     params = params or AcParams()
     epoch_len = int(round(params.epoch_seconds * params.resample_hz))
-    per_axis = []
-    for axis in (rec.x, rec.y, rec.z):
-        quanta = _axis_quanta(np.asarray(axis, dtype=np.float64), rec.sample_rate_hz, params)
-        n_epochs = len(quanta) // epoch_len
-        sums = quanta[: n_epochs * epoch_len].reshape(n_epochs, epoch_len).sum(axis=1)
-        per_axis.append(sums)
+    per_axis = [
+        _axis_epoch_counts(axis, rec.sample_rate_hz, params, epoch_len)
+        for axis in (rec.x, rec.y, rec.z)
+    ]
     n_epochs = min(len(a) for a in per_axis)
     stacked = np.stack([a[:n_epochs] for a in per_axis])
     if params.axis_combine == "sum":
@@ -121,23 +135,24 @@ def mims_units(rec: TriaxialRecording, params: MimsParams | None = None) -> np.n
     """
     params = params or MimsParams()
     epoch_len = int(round(params.epoch_seconds * params.interp_hz))
-    dt = 1.0 / params.interp_hz
-    per_axis = []
-    for axis in (rec.x, rec.y, rec.z):
-        series = UniformSeries(rec.sample_rate_hz, np.asarray(axis, dtype=np.float64))
-        if rec.sample_rate_hz != params.interp_hz:
-            series = resample_linear(series, params.interp_hz)
-        filtered = butterworth_bandpass(
-            series, params.band_hz[0], params.band_hz[1],
-            order=params.filter_order, zero_phase=True,
-        )
-        rectified = np.abs(filtered.values)
-        n_epochs = len(rectified) // epoch_len
-        areas = np.empty(n_epochs)
-        for e in range(n_epochs):
-            seg = rectified[e * epoch_len : (e + 1) * epoch_len + 1]
-            areas[e] = np.trapezoid(seg, dx=dt)
-        areas[areas < params.truncation_floor] = 0.0
-        per_axis.append(areas)
+    per_axis = [
+        _axis_areas(axis, rec.sample_rate_hz, params, epoch_len)
+        for axis in (rec.x, rec.y, rec.z)
+    ]
     n_epochs = min(len(a) for a in per_axis)
     return np.sum([a[:n_epochs] for a in per_axis], axis=0)
+
+
+def _axis_areas(
+    axis: np.ndarray, rate_hz: float, p: MimsParams, epoch_len: int
+) -> np.ndarray:
+    """Per-epoch truncated trapezoid areas of one rectified MIMS axis."""
+    rectified = _band_passed(axis, rate_hz, p.interp_hz, p.band_hz, p.filter_order)
+    dt = 1.0 / p.interp_hz
+    n_epochs = len(rectified) // epoch_len
+    areas = np.empty(n_epochs)
+    for e in range(n_epochs):
+        seg = rectified[e * epoch_len : (e + 1) * epoch_len + 1]
+        areas[e] = np.trapezoid(seg, dx=dt)
+    areas[areas < p.truncation_floor] = 0.0
+    return areas

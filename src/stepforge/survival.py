@@ -228,13 +228,26 @@ def _score_residuals(risk: _RiskSets, beta: np.ndarray) -> np.ndarray:
     """Per-subject weighted score residuals (rows sum to the total score)."""
     eta, _, s0, s1 = risk.risk_sums(beta)
     x, w, ev = risk.x, risk.w, risk.event_rows
-    rate = risk.d0 / s0
     xbar = np.where(s0[:, None] > 0.0, s1 / s0[:, None], 0.0)
-    # cumulative hazard-increment sums over event times <= t_i
-    g0 = np.concatenate(([0.0], np.cumsum(rate)))[risk.n_times_upto]
-    g1 = np.vstack((np.zeros(x.shape[1]), np.cumsum(rate[:, None] * xbar, axis=0)))
-    rexp = w * np.exp(eta)
-    resid = -rexp[:, None] * (x * g0[:, None] - g1[risk.n_times_upto])
+    # Row i's at-risk part is -r_i sum_k rate_k (x_i - xbar_k) over event
+    # times t_k <= t_i, with rate_k = d0_k/S0_k.  rate_k alone overflows
+    # where S0 underflows at separation, so the sum is taken as
+    # (r_i g0_i)(x_i - m_i): g0_i sums rate_k and m_i is the rate-weighted
+    # mean of xbar_k.  Both factors are formed in logs, r_i g0_i as in
+    # _loglik_score_hess and m_i from xbar_k - min(x), which is nonnegative
+    # because xbar_k is a mean of rows of x.
+    low = x.min(axis=0)
+    with np.errstate(divide="ignore"):
+        log_rate = risk.log_d0 - np.log(s0)
+        log_dev = np.log(np.maximum(xbar - low, 0.0))
+    log_g0 = np.logaddexp.accumulate(log_rate)
+    log_g1 = np.logaddexp.accumulate(log_rate[:, None] + log_dev, axis=0)
+    mean = low + np.exp(log_g1 - log_g0[:, None])
+    # rows before the first event time are at risk at none of them
+    upto = risk.n_times_upto
+    weight = np.exp(risk.log_w + eta + np.concatenate(([-np.inf], log_g0))[upto])
+    mean = np.vstack((low, mean))[upto]
+    resid = -weight[:, None] * (x - mean)
     resid[ev] += w[ev, None] * (x[ev] - xbar[risk.k_of_event])
     return resid
 

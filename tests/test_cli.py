@@ -1,10 +1,12 @@
 import filecmp
 import os
+import re
 from dataclasses import fields as dataclass_fields
 
 import pytest
 
-from stepforge import ingest
+from stepforge import cli, ingest
+from stepforge import detectors as det
 from stepforge.cli import FatalCliError, load_config, main, parse_config_file
 from stepforge.ingest import cache_path, read_minute_file, read_table
 from stepforge.model import AnalysisConfig, make_config
@@ -138,6 +140,20 @@ def corpus(tmp_path_factory):
     return sim
 
 
+@pytest.fixture
+def peak_calls(monkeypatch):
+    """The ``name`` of every ``detect_steps_peak`` call, in order."""
+    calls = []
+    real_peak = det.detect_steps_peak
+
+    def counted(vm, params=None, name="peak"):
+        calls.append(name)
+        return real_peak(vm, params, name)
+
+    monkeypatch.setattr(det, "detect_steps_peak", counted)
+    return calls
+
+
 def run_analyze(corpus, out_dir, extra=()):
     return main([
         "analyze", str(corpus / "minutes.csv"),
@@ -174,6 +190,46 @@ class TestPipeline:
         # the 60 s walk at 2 Hz straddles the two minutes
         for name, total in zip(minutes.detectors, minutes.steps.sum(axis=0)):
             assert 100.0 <= total <= 132.0, (name, total)
+
+    def test_equal_peak_presets_run_once(self, corpus, tmp_path, monkeypatch, peak_calls):
+        """With default parameters peak_revised is peak_original copied, and
+        the minute files are byte-identical to running both."""
+        once, twice = tmp_path / "once", tmp_path / "twice"
+        assert main(["steps", str(corpus / "raw"), "--out", str(once)]) == 0
+        assert peak_calls == ["peak_original"] * 2  # two subjects
+
+        real_build = cli._build_registry
+
+        def separate_revised(params):
+            registry = real_build(params)
+            shared = registry["peak_revised"]
+            registry["peak_revised"] = lambda vm: shared(vm)
+            return registry
+
+        monkeypatch.setattr(cli, "_build_registry", separate_revised)
+        peak_calls.clear()
+        assert main(["steps", str(corpus / "raw"), "--out", str(twice)]) == 0
+        assert len(peak_calls) == 4
+        for name in ("R0001_minutes.csv", "R0002_minutes.csv"):
+            assert filecmp.cmp(once / name, twice / name, shallow=False)
+
+    def test_configured_revised_preset_runs_twice(self, corpus, tmp_path, peak_calls):
+        conf = tmp_path / "revised.conf"
+        conf.write_text("peak_revised.mag_threshold_g = 1.25\n")
+        assert main(["steps", str(corpus / "raw"), "--out", str(tmp_path / "s"),
+                     "--config", str(conf)]) == 0
+        assert peak_calls == ["peak_original", "peak_revised"] * 2
+
+    def test_steps_logs_peak_rss(self, corpus, tmp_path, capsys):
+        assert main(["steps", str(corpus / "raw"), "--out", str(tmp_path / "one")]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[-2] == "steps: 2/2 subjects processed"
+        assert re.fullmatch(r"steps: peak RSS \d+\.\d MB", lines[-1])
+        assert main(["steps", str(corpus / "raw"), "--out", str(tmp_path / "two"),
+                     "--jobs", "2"]) == 0
+        last = capsys.readouterr().err.splitlines()[-1]
+        match = re.fullmatch(r"steps: peak RSS (\d+\.\d) MB, workers (\d+\.\d) MB", last)
+        assert match and all(10.0 < float(mb) < 1e5 for mb in match.groups())
 
     def test_analyze_without_mortality_skips_survival(self, corpus, tmp_path, capsys):
         out = tmp_path / "an"

@@ -29,7 +29,7 @@ GOLDEN = {
     "tables/between_wave_diff.csv": "56611f6d3a9469477f9587c3c1b651fa4220f9bbdd1c9abc2588490a2d7ee058",
     "tables/correlations.csv": "86c66d68223a4b8c159cd7781f30b8a5f1048efdf38d46ada2e1639fb1debedc",
     "tables/day_summaries.csv": "b1d30e99c619641bb6b26c00a74f0d2da20dd65210cab5eac2d23ccbbe84ec44",
-    "tables/hazard_ratios.csv": "5c1202461a1e4529a452ebf819c08d7d604102e22f09cf1feb245f57ad987d2e",
+    "tables/hazard_ratios.csv": "333ed8a73d1e46b1545c9ff985b5c85d3c6af6546aaad839cd018b1190b31745",
     "tables/model_suite.csv": "f1a05fa9d635894de5825d09918e3d51167e86e300e344ed3191cb26d5194d91",
     "tables/subject_summaries.csv": "e3622b3bf6357d99c292f46a7fb511313b606a5033e03fa58ac1982079dd4523",
     "tables/univariate_cvc.csv": "0a7330b8cf49edea038e31f81d1e5b1abc49c987c26dc1664f56122b7e89327d",

@@ -303,6 +303,12 @@ class TestClosedFormHessian:
         xc = np.maximum(xc, 1e-8 * x.max(axis=0))
         scale = data.weights[data.event].sum() * np.outer(xc, xc)
         assert np.all(np.abs(hess - want_hess) <= 1e-13 * scale)
+        # the residuals stay finite where some exp(eta) underflow, and their
+        # rows sum to the score within rounding of the largest |x|
+        resid = _score_residuals(risk, beta)
+        assert np.all(np.isfinite(resid))
+        score_scale = data.weights[data.event].sum() * x.max(axis=0)
+        assert np.all(np.abs(resid.sum(axis=0) - score) <= 1e-12 * score_scale)
 
     def test_subnormal_s0_keeps_the_hessian_finite(self):
         # at the second event time only rows with eta - max = -712 are at
@@ -314,6 +320,17 @@ class TestClosedFormHessian:
         _, _, want, _ = oracle_derivatives(data, beta, center=True)
         assert np.all(np.isfinite(hess))
         np.testing.assert_allclose(hess, want, rtol=0, atol=1e-12)
+
+    def test_subnormal_s0_keeps_the_score_residuals_finite(self):
+        # the same design: rate d0/S0 overflows at the second event time,
+        # while every residual row stays below the total event weight
+        data = dataset([1.0, 2.0, 3.0], [True, True, False], [0.0, -1.0, -1.0])
+        beta = np.array([712.0])
+        risk = _RiskSets(data)
+        resid = _score_residuals(risk, beta)
+        _, score, _ = _loglik_score_hess(risk, beta)
+        assert np.all(np.isfinite(resid))
+        np.testing.assert_allclose(resid.sum(axis=0), score, rtol=0, atol=1e-12)
 
 
 class TestCoxFit:
