@@ -655,7 +655,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     model_rows = []
     try:
-        reports = survival.model_suite(data, cfg, traditional=traditional)
+        # reuse the univariate cvC above; a failed measure is rerun and fails there
+        done = {
+            row["measure"]: row["cv_concordance"]
+            for row in uni_rows
+            if math.isfinite(row["cv_concordance"])
+        }
+        reports = survival.model_suite(data, cfg, traditional=traditional, univariate=done)
         for report in reports:
             model_rows.append(
                 {

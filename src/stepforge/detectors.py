@@ -28,11 +28,11 @@ from scipy.special import lambertw
 
 from .dsp import (
     UniformSeries,
-    compensated_sum,
     power_spectrum,
     resample_linear,
     sliding_windows,
 )
+from .model import compensated_sum
 
 #: Detector names wired into the default registry.
 BUILTIN_DETECTOR_NAMES = ("peak_original", "peak_revised", "spectral", "template")

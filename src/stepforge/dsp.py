@@ -7,7 +7,6 @@ deterministic, vectorized, and validated up front.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -178,8 +177,3 @@ def window_count(n_samples: int, window: int, hop: int) -> int:
     if n_samples < window:
         return 0
     return (n_samples - window) // hop + 1
-
-
-def compensated_sum(values) -> float:
-    """Exactly rounded sum; order-independent by construction."""
-    return math.fsum(values)

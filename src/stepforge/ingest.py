@@ -37,7 +37,7 @@ from .model import (
     SubjectSummary,
     TriaxialRecording,
     WearState,
-    stack_minutes,
+    stack_fields,
 )
 
 CACHE_MAGIC = b"SFG1"
@@ -447,9 +447,9 @@ def read_minute_file(path: str | os.PathLike) -> MinuteTable:
     """
     path = Path(path)
     files = sorted(path.glob("*.csv")) if path.is_dir() else [path]
-    blocks = [block for f in files for block in _minute_blocks(f)]
+    fields = stack_fields(block for f in files for block in _minute_blocks(f))
     try:
-        return stack_minutes(blocks)
+        return MinuteTable(**fields)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -500,26 +500,30 @@ def _minute_fields(
     # a text that fills its fixed-width field may have been cut
     if 4 * width == subject.itemsize or 4 * wear_width == wear.itemsize:
         return None
-    codes = np.empty(len(rows), dtype=np.int8)
-    for text in dict.fromkeys(wear.tolist()):
+    codes = np.zeros(len(rows), dtype=np.int8)
+    labelled = np.zeros(len(rows), dtype=bool)
+    for label, code in _WEAR_LABELS.items():
+        match = wear == label
+        codes[match] = code
+        labelled |= match
+    for text in dict.fromkeys(wear[~labelled].tolist()):
         code = _WEAR_LABELS.get(text.strip().lower())
         if code is None:
             return None
         codes[wear == text] = code
     # a non-finite value passes: the table rules reject it as they do after csv
-    floats = np.column_stack(
-        [rows[column[c]] for c in ("mims", "ac", *step_names) if c in column]
-    )
-    has_ac = "ac" in column
+    steps = np.empty((len(rows), len(step_names)))
+    for j, name in enumerate(step_names):
+        steps[:, j] = rows[column[name]]
     return {
         "subject": subject.astype(f"U{max(width, 1)}"),
         "day": rows[column["day"]].copy(),
         "minute": rows[column["minute"]].copy(),
         "wear": codes,
         "flag": rows[column["flag"]] != 0,
-        "mims": floats[:, 0].copy(),
-        "ac": floats[:, 1].copy() if has_ac else np.zeros(len(rows)),
-        "steps": floats[:, 1 + has_ac :].copy(),
+        "mims": rows[column["mims"]].copy(),
+        "ac": rows[column["ac"]].copy() if "ac" in column else np.zeros(len(rows)),
+        "steps": steps,
         "detectors": tuple(c[len("steps_") :] for c in step_names),
     }
 

@@ -9,11 +9,12 @@ than an object per minute.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime
 from enum import Enum
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -24,6 +25,11 @@ MINUTES_PER_DAY = 1440
 
 #: Ages at or above this value are stored topcoded.
 AGE_TOPCODE = 80.0
+
+
+def compensated_sum(values) -> float:
+    """Exactly rounded sum; order-independent by construction."""
+    return math.fsum(values)
 
 
 class WearState(Enum):
@@ -140,7 +146,10 @@ class MinuteTable:
                 f"detectors {detectors}"
             )
         order = sorted(range(len(detectors)), key=detectors.__getitem__)
-        object.__setattr__(self, "steps", steps[:, order])
+        # a float64 array passed in is copied, so the caller's stays theirs
+        if steps is self.steps or order != sorted(order):
+            steps = steps[:, order]
+        object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "detectors", tuple(detectors[j] for j in order))
 
         def usable(values: np.ndarray) -> np.ndarray:
@@ -171,37 +180,99 @@ class MinuteTable:
         """The (subject, day, minute) key of row ``i``."""
         return (str(self.subject[i]), int(self.day[i]), int(self.minute[i]))
 
+    @functools.cached_property
+    def row_order(self) -> RowOrder:
+        """The rows in (subject, day, minute) order, sorted once per table."""
+        return sort_minute_keys(self.subject, self.day, self.minute)
 
-def stack_minutes(blocks: Sequence[Mapping[str, Any]]) -> MinuteTable:
+
+class RowOrder(NamedTuple):
+    """A stable (subject, day, minute) order of a table's rows.
+
+    ``order`` holds the row indices in key order, rows with equal keys in
+    table order; ``subjects`` the sorted distinct subject names; ``code``
+    each ordered row's index into ``subjects``.
+    """
+
+    order: np.ndarray
+    subjects: np.ndarray
+    code: np.ndarray
+
+
+def sort_minute_keys(
+    subject: np.ndarray, day: np.ndarray, minute: np.ndarray
+) -> RowOrder:
+    """The stable (subject, day, minute) order of aligned key columns.
+
+    Only the first name of each run of equal subjects is sorted as text.
+    The rows are then ordered by one stable argsort of a combined integer
+    key, or by the equivalent ``lexsort`` where that key would overflow
+    int64; both give the order of a ``lexsort`` on the names themselves.
+    """
+    n = len(subject)
+    run_start = np.ones(n, dtype=bool)
+    run_start[1:] = subject[1:] != subject[:-1]
+    starts = np.flatnonzero(run_start)
+    subjects, run_code = np.unique(subject[starts], return_inverse=True)
+    code = np.repeat(run_code, np.diff(starts, append=n))
+    if n == 0:
+        return RowOrder(np.zeros(0, dtype=np.intp), subjects, code)
+    day0, minute0 = day.min(), minute.min()
+    day_span = int(day.max()) - int(day0) + 1
+    minute_span = int(minute.max()) - int(minute0) + 1
+    if len(subjects) * day_span * minute_span < 2**63:
+        key = code * day_span
+        key += day - day0
+        key *= minute_span
+        key += minute - minute0
+        order = np.argsort(key, kind="stable")
+    else:
+        order = np.lexsort((minute, day, code))
+    return RowOrder(order, subjects, code[order])
+
+
+def stack_minutes(blocks: Iterable[Mapping[str, Any]]) -> MinuteTable:
     """Build one table from row blocks, each a mapping of the table's fields.
 
     The detectors are the union over the blocks; a detector that a block
     lacks reads 0 steps there.
     """
-    detectors = tuple(sorted({name for b in blocks for name in b["detectors"]}))
-    index = {name: j for j, name in enumerate(detectors)}
-    steps = []
+    return MinuteTable(**stack_fields(blocks))
+
+
+def stack_fields(blocks: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
+    """The :class:`MinuteTable` fields of the stacked ``blocks``.
+
+    Each column is built on its own, and its parts are let go once it is
+    built, so blocks passed as a generator are never all held beside the
+    stacked columns.  The blocks themselves are left as they are.
+    """
+    parts: dict[str, list] = {name: [] for name in (*MINUTE_COLUMNS, "steps", "detectors")}
     for b in blocks:
-        block = np.zeros((len(b["subject"]), len(detectors)))
-        for j, name in enumerate(b["detectors"]):
-            block[:, index[name]] = np.asarray(b["steps"])[:, j]
-        steps.append(block)
-    columns = {
-        name: np.concatenate([np.asarray(b[name]) for b in blocks]) if blocks else []
+        for name, column in parts.items():
+            column.append(b[name])
+    lengths = [len(subject) for subject in parts["subject"]]
+    fields = {
+        name: np.concatenate(parts.pop(name)) if lengths else []
         for name in MINUTE_COLUMNS
     }
-    return MinuteTable(
-        **columns,
-        steps=np.concatenate(steps) if blocks else np.zeros((0, 0)),
-        detectors=detectors,
-    )
+    names = parts.pop("detectors")
+    detectors = tuple(sorted({name for block in names for name in block}))
+    index = {name: j for j, name in enumerate(detectors)}
+    steps = np.zeros((sum(lengths), len(detectors)))
+    stop = 0
+    for length, block, block_detectors in zip(lengths, parts.pop("steps"), names):
+        start, stop = stop, stop + length
+        for j, name in enumerate(block_detectors):
+            steps[start:stop, index[name]] = np.asarray(block)[:, j]
+    return {**fields, "steps": steps, "detectors": detectors}
 
 
 def check_unique_minutes(table: MinuteTable) -> None:
     """Reject tables carrying duplicate (subject, day, minute) keys."""
-    order = np.lexsort((table.minute, table.day, table.subject))
-    s, d, m = table.subject[order], table.day[order], table.minute[order]
-    dup = (s[1:] == s[:-1]) & (d[1:] == d[:-1]) & (m[1:] == m[:-1])
+    order, _, code = table.row_order
+    d, m = table.day[order], table.minute[order]
+    dup = (code[1:] == code[:-1]) & (d[1:] == d[:-1]) & (m[1:] == m[:-1])
     if dup.any():
         raise ValueError(f"duplicate minute key {table.key(order[np.argmax(dup)])}")
 

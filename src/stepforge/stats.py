@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dsp import compensated_sum
+from .model import compensated_sum
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 

@@ -14,8 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dsp import compensated_sum
-from .model import AnalysisConfig
+from .model import AnalysisConfig, compensated_sum
 
 
 class ConvergenceError(RuntimeError):
@@ -515,6 +514,7 @@ def model_suite(
     mims_variable: str = "mims",
     step_prefix: str = "steps_",
     repeats: int | None = None,
+    univariate: Mapping[str, float] | None = None,
 ) -> list[ModelReport]:
     """Fit the nested model ladder and report concordance and step HRs.
 
@@ -522,6 +522,9 @@ def model_suite(
     with the best univariate cross-validated concordance, (4) + steps and
     MIMS together.  Step hazard ratios are reported per
     ``cfg.hr_step_increment`` steps with robust Wald p-values.
+    ``univariate`` maps step variables to the univariate cvC that
+    :func:`repeated_cv_concordance` gave for this data, config and
+    ``repeats``; a step variable it lacks is cross-validated here.
     """
     step_vars = sorted(n for n in data.covariate_names if n.startswith(step_prefix))
     if not step_vars:
@@ -536,9 +539,13 @@ def model_suite(
         ]
     traditional = list(traditional)
 
+    univariate = univariate or {}
     best_var, best_c = None, -math.inf
     for var in step_vars:
-        c, _ = repeated_cv_concordance(data, [var], cfg, repeats=repeats)
+        if var in univariate:
+            c = univariate[var]
+        else:
+            c, _ = repeated_cv_concordance(data, [var], cfg, repeats=repeats)
         if c > best_c:
             best_var, best_c = var, c
     assert best_var is not None

@@ -3,8 +3,9 @@
 The screening rules operate on a :class:`MinuteTable`: a valid minute is
 unflagged wear (unknown counts as wear), a valid day clears the wear-minute,
 wake-minute, and nonzero-MIMS thresholds, and a subject is included with
-enough valid days.  Rows are grouped into subject-days with one ``lexsort``
-and counted with ``reduceat``; each day total is an exact ``math.fsum``.
+enough valid days.  Rows are grouped into subject-days in the table's
+(subject, day, minute) row order, which each table sorts once, and counted
+with ``reduceat``; each day total is an exact ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .dsp import compensated_sum
 from .model import (
     MIMS_INVALID,
     AnalysisConfig,
@@ -24,6 +24,7 @@ from .model import (
     TRANSITION_STATE_ORDER,
     WEAR_CODE,
     WearState,
+    compensated_sum,
 )
 
 
@@ -36,18 +37,26 @@ def _totals_by_day(
     table: MinuteTable, rows: np.ndarray, bounds: np.ndarray
 ) -> list[dict[str, float]]:
     """Exact totals per day: ``rows`` are the valid minutes, day-sorted, and
-    day ``i`` is ``rows[bounds[i]:bounds[i + 1]]``."""
-    columns = {
-        f"steps_{name}": table.steps[rows, j] for j, name in enumerate(table.detectors)
-    }
-    columns["mims"] = np.where(table.mims == MIMS_INVALID, 0.0, table.mims)[rows]
-    columns["ac"] = table.ac[rows]
+    day ``i`` is ``rows[bounds[i]:bounds[i + 1]]``.  Each day's values are
+    gathered on their own, so the working set is one day."""
     out = []
     for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        day = {key: column[lo:hi].tolist() for key, column in columns.items()}
-        day["log10_mims"] = [math.log10(1.0 + v) for v in day["mims"]]
-        day["log10_ac"] = [math.log10(1.0 + v) for v in day["ac"]]
-        out.append({key: compensated_sum(values) for key, values in day.items()})
+        day_rows = rows[lo:hi]
+        steps = table.steps[day_rows]
+        mims = table.mims[day_rows]
+        mims[mims == MIMS_INVALID] = 0.0
+        ac = table.ac[day_rows]
+        # a memoryview yields Python floats without building a list
+        day = {
+            f"steps_{name}": compensated_sum(steps[:, j].data)
+            for j, name in enumerate(table.detectors)
+        }
+        day["mims"] = compensated_sum(mims.data)
+        day["ac"] = compensated_sum(ac.data)
+        # numpy's 1 + v rounds as Python's does; math.log10 is kept for its bits
+        day["log10_mims"] = compensated_sum(map(math.log10, (1.0 + mims).data))
+        day["log10_ac"] = compensated_sum(map(math.log10, (1.0 + ac).data))
+        out.append(day)
     return out
 
 
@@ -79,14 +88,6 @@ def summarize_subject(
     )
 
 
-def _sort_rows(table: MinuteTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row order by (subject, day, minute), the sorted subject names, and each
-    ordered row's index into them."""
-    subjects, code = np.unique(table.subject, return_inverse=True)
-    order = np.lexsort((table.minute, table.day, code))
-    return order, subjects, code[order]
-
-
 def screen_cohort(
     table: MinuteTable, cfg: AnalysisConfig
 ) -> tuple[dict[str, list[DaySummary]], dict[str, SubjectSummary]]:
@@ -101,7 +102,7 @@ def screen_cohort(
     """
     if len(table) == 0:
         return {}, {}
-    order, subjects, code = _sort_rows(table)
+    order, subjects, code = table.row_order
     day = table.day[order]
     new_day = np.ones(len(order), dtype=bool)
     new_day[1:] = (code[1:] != code[:-1]) | (day[1:] != day[:-1])
@@ -172,7 +173,7 @@ def unknown_bout_transition_matrix(
         order_index[WEAR_CODE[state]] = i
     counts = np.zeros((4, 4))
     if len(table):
-        order, _, code = _sort_rows(table)
+        order, _, code = table.row_order
         abs_minute = 1440 * (table.day[order] - 1) + table.minute[order]
         # joined[i]: row i follows row i - 1 on the same subject's timeline
         joined = np.zeros(len(order), dtype=bool)

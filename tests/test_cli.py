@@ -5,7 +5,7 @@ from dataclasses import fields as dataclass_fields
 
 import pytest
 
-from stepforge import cli, ingest
+from stepforge import cli, ingest, survival
 from stepforge import detectors as det
 from stepforge.cli import FatalCliError, load_config, main, parse_config_file
 from stepforge.ingest import cache_path, read_minute_file, read_table
@@ -269,6 +269,32 @@ class TestPipeline:
         excluded = [r for r in rows if r["included"] == "0"]
         assert included and all(r["exclusion_reason"] == "" for r in included)
         assert all("valid day" in r["exclusion_reason"] for r in excluded)
+
+    def test_model_suite_reuses_the_univariate_cvc(self, corpus, tmp_path, monkeypatch):
+        conf = tmp_path / "cv.conf"
+        conf.write_text("cv_repeats = 2\ncv_folds = 3\n")
+        extra = ("--mortality", str(corpus / "mortality.csv"), "--config", str(conf))
+        runs = []
+        real_cv, real_suite = survival.repeated_cv_concordance, survival.model_suite
+
+        def counted(data, covariates, *args, **kwargs):
+            runs.append(tuple(covariates))
+            return real_cv(data, covariates, *args, **kwargs)
+
+        monkeypatch.setattr(survival, "repeated_cv_concordance", counted)
+        code = run_analyze(corpus, tmp_path / "reuse", extra)
+        assert len(runs) == len(set(runs)) > 4
+        reused = len(runs)
+
+        def without_reuse(*args, univariate=None, **kwargs):
+            return real_suite(*args, **kwargs)
+
+        monkeypatch.setattr(survival, "model_suite", without_reuse)
+        assert run_analyze(corpus, tmp_path / "rerun", extra) == code
+        step_measures = [c for c in runs[:reused] if len(c) == 1 and c[0].startswith("steps_")]
+        assert len(runs) - reused == reused + len(step_measures)
+        assert filecmp.cmp(tmp_path / "reuse" / "model_suite.csv",
+                           tmp_path / "rerun" / "model_suite.csv", shallow=False)
 
     def test_steps_count_every_walk_after_rests(self, tmp_path, monkeypatch):
         """Walk-rest-walk-rest-walk over more than one parse block (76,800

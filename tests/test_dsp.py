@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 from stepforge.dsp import (
     UniformSeries,
     butterworth_bandpass,
-    compensated_sum,
     power_spectrum,
     resample_linear,
     sliding_windows,
     vector_magnitude,
     window_count,
 )
-from stepforge.model import TriaxialRecording
+from stepforge.model import TriaxialRecording, compensated_sum
 
 # Zeros, ties, subnormals and magnitudes whose squares round differently
 # in different orders of addition, per input dtype.

@@ -1,22 +1,28 @@
-"""Working-set bounds of the per-recording stages of ``steps``.
+"""Working-set bounds of the per-recording stages of ``steps`` and of the
+minute-file read.
 
 Each bound is the traced allocation peak of one stage, per input sample,
 on a fixed 1 h 80 Hz recording: the value measured when the bound was set
 plus a margin.  Holding a whole-signal overlap-add transform, a whole-profile
 norm array, or a second axis's filtered arrays again breaks its bound
 (measured then: template 48, MIMS 44 and AC 22 bytes per sample, against
-86, 64 and 25 with those arrays held).
+86, 64 and 25 with those arrays held).  The minute-file bound is per row,
+with small parse blocks so that one block's text counts for little: holding
+every parsed block beside the stacked table breaks it (measured then: 157
+bytes per row, against 287 with the blocks held).
 """
 
 from __future__ import annotations
 
 import tracemalloc
+from unittest import mock
 
 import pytest
 
+from stepforge import ingest
 from stepforge.detectors import detect_steps_template
 from stepforge.dsp import vector_magnitude
-from stepforge.simulate import GaitSegment, gen_gait
+from stepforge.simulate import GaitSegment, gen_cohort, gen_gait
 from stepforge.summaries import activity_counts, mims_units
 
 
@@ -59,3 +65,18 @@ def test_mims(hour_recording):
 def test_activity_counts(hour_recording):
     per_sample = traced_bytes_per_sample(activity_counts, hour_recording, len(hour_recording))
     assert per_sample <= 23.5
+
+
+@pytest.fixture(scope="module")
+def minute_file(tmp_path_factory):
+    """48 subject-days of minutes with four detectors: 69,120 rows."""
+    path = tmp_path_factory.mktemp("minutes") / "minutes.csv"
+    ingest.write_minute_file(gen_cohort(16, 3, seed=4), path)
+    return path
+
+
+def test_minute_file_read(minute_file):
+    with mock.patch.object(ingest, "_BLOCK_ROWS", 1 << 12):
+        ingest.read_minute_file(minute_file)
+        per_row = traced_bytes_per_sample(ingest.read_minute_file, minute_file, 69_120)
+    assert per_row <= 180.0

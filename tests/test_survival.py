@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stepforge.dsp import compensated_sum
+from stepforge.model import compensated_sum
 from stepforge.model import make_config
 from stepforge.simulate import gen_survival
 from stepforge.survival import (
