@@ -32,7 +32,6 @@ from .dsp import (
     resample_linear,
     sliding_windows,
 )
-from .model import compensated_sum
 
 #: Detector names wired into the default registry.
 BUILTIN_DETECTOR_NAMES = ("peak_original", "peak_revised", "spectral", "template")
@@ -59,7 +58,7 @@ class StepSeries:
 
     @property
     def total(self) -> float:
-        return compensated_sum(self.steps_per_second)
+        return math.fsum(self.steps_per_second)
 
 
 def per_second_to_minutes(values: np.ndarray, n_minutes: int | None = None) -> np.ndarray:
@@ -71,7 +70,7 @@ def per_second_to_minutes(values: np.ndarray, n_minutes: int | None = None) -> n
     for m in range(n_minutes):
         chunk = values[60 * m : 60 * (m + 1)]
         if len(chunk):
-            out[m] = compensated_sum(chunk)
+            out[m] = math.fsum(chunk)
     return out
 
 

@@ -27,11 +27,6 @@ MINUTES_PER_DAY = 1440
 AGE_TOPCODE = 80.0
 
 
-def compensated_sum(values) -> float:
-    """Exactly rounded sum; order-independent by construction."""
-    return math.fsum(values)
-
-
 class WearState(Enum):
     """Per-minute wear classification."""
 
@@ -146,10 +141,7 @@ class MinuteTable:
                 f"detectors {detectors}"
             )
         order = sorted(range(len(detectors)), key=detectors.__getitem__)
-        # a float64 array passed in is copied, so the caller's stays theirs
-        if steps is self.steps or order != sorted(order):
-            steps = steps[:, order]
-        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "steps", steps[:, order])
         object.__setattr__(self, "detectors", tuple(detectors[j] for j in order))
 
         def usable(values: np.ndarray) -> np.ndarray:
@@ -204,10 +196,9 @@ def sort_minute_keys(
 ) -> RowOrder:
     """The stable (subject, day, minute) order of aligned key columns.
 
-    Only the first name of each run of equal subjects is sorted as text.
-    The rows are then ordered by one stable argsort of a combined integer
-    key, or by the equivalent ``lexsort`` where that key would overflow
-    int64; both give the order of a ``lexsort`` on the names themselves.
+    Only the first name of each run of equal subjects is sorted as text;
+    the rows are then ordered by a ``lexsort`` on the subject codes, which
+    gives the order of a ``lexsort`` on the names themselves.
     """
     n = len(subject)
     run_start = np.ones(n, dtype=bool)
@@ -215,19 +206,7 @@ def sort_minute_keys(
     starts = np.flatnonzero(run_start)
     subjects, run_code = np.unique(subject[starts], return_inverse=True)
     code = np.repeat(run_code, np.diff(starts, append=n))
-    if n == 0:
-        return RowOrder(np.zeros(0, dtype=np.intp), subjects, code)
-    day0, minute0 = day.min(), minute.min()
-    day_span = int(day.max()) - int(day0) + 1
-    minute_span = int(minute.max()) - int(minute0) + 1
-    if len(subjects) * day_span * minute_span < 2**63:
-        key = code * day_span
-        key += day - day0
-        key *= minute_span
-        key += minute - minute0
-        order = np.argsort(key, kind="stable")
-    else:
-        order = np.lexsort((minute, day, code))
+    order = np.lexsort((minute, day, code))
     return RowOrder(order, subjects, code[order])
 
 

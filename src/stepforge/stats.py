@@ -14,7 +14,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import compensated_sum
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -138,17 +137,17 @@ def weighted_mean_se(
         raise ValueError("weights must be nonnegative")
     if (strata is None) != (psus is None):
         raise ValueError("strata and psus must be supplied together")
-    total_w = compensated_sum(w)
+    total_w = math.fsum(w)
     if total_w <= 0.0:
         raise ValueError("weights must not all be zero")
-    mean = compensated_sum(w * x) / total_w
+    mean = math.fsum(w * x) / total_w
     z = w * (x - mean) / total_w
 
     if strata is None:
         n = len(x)
         if n < 2:
             return mean, 0.0
-        var = n / (n - 1) * compensated_sum(z * z)
+        var = n / (n - 1) * math.fsum(z * z)
         return mean, math.sqrt(max(var, 0.0))
 
     strata_arr = list(strata)
@@ -165,8 +164,8 @@ def weighted_mean_se(
         n_h = len(totals)
         if n_h < 2:
             continue
-        zbar = compensated_sum(totals) / n_h
-        var += n_h / (n_h - 1) * compensated_sum((t - zbar) ** 2 for t in totals)
+        zbar = math.fsum(totals) / n_h
+        var += n_h / (n_h - 1) * math.fsum((t - zbar) ** 2 for t in totals)
     return mean, math.sqrt(max(var, 0.0))
 
 

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import AnalysisConfig, compensated_sum
+from .model import AnalysisConfig
 
 
 class ConvergenceError(RuntimeError):
@@ -191,7 +191,7 @@ def _loglik_score_hess(
     ev = risk.event_rows
     d_eta = np.bincount(risk.k_of_event, risk.w[ev] * eta[ev], len(s0))
     log_s0 = np.log(s0)
-    ll = compensated_sum(d_eta - risk.d0 * log_s0)
+    ll = math.fsum(d_eta - risk.d0 * log_s0)
     if not math.isfinite(ll):
         return -math.inf, None, None
     if not want_derivs:
@@ -400,10 +400,10 @@ def concordance(predictors: Sequence[float], data: SurvivalDataset) -> float:
         comparable.append(pw)
         concordant.append(pw[pred[i] > others])
         concordant.append(0.5 * pw[pred[i] == others])
-    total = compensated_sum(np.concatenate(comparable).tolist())
+    total = math.fsum(np.concatenate(comparable).tolist())
     if total == 0.0:
         raise ValueError("no comparable pairs")
-    return compensated_sum(np.concatenate(concordant).tolist()) / total
+    return math.fsum(np.concatenate(concordant).tolist()) / total
 
 
 @dataclass(frozen=True)
@@ -490,8 +490,8 @@ def repeated_cv_concordance(
             fit = cox_fit(train)
             pred = test.covariates @ fit.beta
             fold_cs.append(concordance(pred, test))
-        per_repeat.append(compensated_sum(fold_cs) / len(fold_cs))
-    return compensated_sum(per_repeat) / len(per_repeat), per_repeat
+        per_repeat.append(math.fsum(fold_cs) / len(fold_cs))
+    return math.fsum(per_repeat) / len(per_repeat), per_repeat
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from .model import (
     TRANSITION_STATE_ORDER,
     WEAR_CODE,
     WearState,
-    compensated_sum,
 )
 
 
@@ -48,14 +47,14 @@ def _totals_by_day(
         ac = table.ac[day_rows]
         # a memoryview yields Python floats without building a list
         day = {
-            f"steps_{name}": compensated_sum(steps[:, j].data)
+            f"steps_{name}": math.fsum(steps[:, j].data)
             for j, name in enumerate(table.detectors)
         }
-        day["mims"] = compensated_sum(mims.data)
-        day["ac"] = compensated_sum(ac.data)
+        day["mims"] = math.fsum(mims.data)
+        day["ac"] = math.fsum(ac.data)
         # numpy's 1 + v rounds as Python's does; math.log10 is kept for its bits
-        day["log10_mims"] = compensated_sum(map(math.log10, (1.0 + mims).data))
-        day["log10_ac"] = compensated_sum(map(math.log10, (1.0 + ac).data))
+        day["log10_mims"] = math.fsum(map(math.log10, (1.0 + mims).data))
+        day["log10_ac"] = math.fsum(map(math.log10, (1.0 + ac).data))
         out.append(day)
     return out
 
@@ -77,7 +76,7 @@ def summarize_subject(
             if sorted(d.totals) != keys:
                 raise ValueError("day summaries carry inconsistent total keys")
         for key in keys:
-            means[key] = compensated_sum(d.totals[key] for d in valid_days) / len(
+            means[key] = math.fsum(d.totals[key] for d in valid_days) / len(
                 valid_days
             )
     return SubjectSummary(

@@ -6,9 +6,8 @@ oracles below are the code it replaced, kept verbatim: a ``lexsort`` on the
 subject strings for the key check, and ``np.unique`` plus a ``lexsort`` in
 every screening call.  Random tables with shuffled rows, gaps, duplicate
 keys, subjects that share prefixes or differ in length, non-ASCII names,
-days far enough apart to overflow the combined integer key, and several
-files read in small blocks must give bitwise-equal results and the same
-duplicate-key error text.
+days near the int64 limit, and several files read in small blocks must
+give bitwise-equal results and the same duplicate-key error text.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from tests.conftest import assert_tables_equal, make_minute, minute_table
 SETTINGS = settings(max_examples=60, deadline=None)
 
 SUBJECTS = ("S1", "S10", "S2", "S", "S100", "s1", "Ω7", "Ωa", "é", "S1é")
-#: Small days, and one far enough off that the combined key overflows int64.
+#: Small days, and one near the int64 limit.
 DAYS = (1, 2, 3, 9, 2**62)
 #: Early, midday and late minutes, so timelines have gaps and midnights.
 MINUTES = (0, 1, 2, 3, 700, 701, 1437, 1438, 1439)
