@@ -422,8 +422,8 @@ def _check_config(cfg: AnalysisConfig) -> None:
         raise ValueError("cv_folds must be at least 2")
     if cfg.cv_repeats < 1:
         raise ValueError("cv_repeats must be at least 1")
-    if not -(2**63) <= cfg.rng_seed < 2**63:
-        raise ValueError("rng_seed must fit in 64 bits")
+    if not 0 <= cfg.rng_seed < 2**63:
+        raise ValueError("rng_seed must lie in [0, 2**63)")
     lo, hi = cfg.age_range
     if not lo < hi:
         raise ValueError("age_range must be an increasing (low, high) pair")

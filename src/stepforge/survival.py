@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -138,11 +139,11 @@ class _RiskSets:
 
     Rows are kept in descending time order, so the risk set of an event time
     (every row with time >= t) is a prefix.  Event times are ascending; event
-    time k's prefix ends at ``ends[k]``.  S0 and S1 are running sums over
+    time k's prefix ends at row ``at[k]``.  S0 and S1 are running sums over
     that order.  The information needs no per-event-time S2: summed over
     event times it regroups by row into one weighted Gram of the
     column-centered design ``xcs``, also in that order (see
-    ``_loglik_score_hess``).
+    ``_score_hess``).
     """
 
     def __init__(self, data: SurvivalDataset, covariates: np.ndarray | None = None):
@@ -155,7 +156,7 @@ class _RiskSets:
         self.xs = x[self.desc]
         self.xcs = (x - x.mean(axis=0))[self.desc]
         event_times = np.unique(t[ev])
-        self.ends = len(t) - np.searchsorted(t, event_times, sorter=ascending)
+        self.at = len(t) - 1 - np.searchsorted(t, event_times, sorter=ascending)
         # number of event times <= t_i, which index the cumulative hazard sums
         self.n_times_upto = np.searchsorted(event_times, t, side="right")
         self.event_rows = np.flatnonzero(ev)
@@ -167,36 +168,45 @@ class _RiskSets:
         np.add.at(d1, self.k_of_event, ew[:, None] * x[self.event_rows])
         self.d1_total = d1.sum(axis=0)
 
-    def risk_sums(
-        self, beta: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """eta, w*exp(eta) in descending time order, and S0/S1 per event time."""
+    def risk_sums(self, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """eta, w*exp(eta) in descending time order, and S0 per event time."""
         eta = self.x @ beta
         eta = eta - eta.max()  # global shift cancels in the partial likelihood
         rexp = (self.w * np.exp(eta))[self.desc]
-        at = self.ends - 1
-        s0 = np.cumsum(rexp)[at]
-        s1 = np.cumsum(rexp[:, None] * self.xs, axis=0)[at]
-        return eta, rexp, s0, s1
+        return eta, rexp, np.cumsum(rexp)[self.at]
+
+    def s1(self, rexp: np.ndarray) -> np.ndarray:
+        """S1 per event time from ``rexp`` of :meth:`risk_sums`."""
+        return np.cumsum(rexp[:, None] * self.xs, axis=0)[self.at]
 
 
-def _loglik_score_hess(
-    risk: _RiskSets, beta: np.ndarray, want_derivs: bool = True
-) -> tuple[float, np.ndarray | None, np.ndarray | None]:
-    eta, rexp, s0, s1 = risk.risk_sums(beta)
-    # an overshooting trial step can underflow every at-risk exp(eta) to 0;
-    # report -inf so the caller rejects the step instead of chasing log(0)
+def _loglik(
+    risk: _RiskSets, beta: np.ndarray
+) -> tuple[float, tuple[np.ndarray, ...] | None]:
+    """Log-likelihood at ``beta`` and the risk sums its derivatives reuse.
+
+    An overshooting trial step can underflow every at-risk exp(eta) to 0; it
+    reports (-inf, None), so the caller rejects the step instead of chasing
+    log(0).
+    """
+    eta, rexp, s0 = risk.risk_sums(beta)
     if not np.all(s0 > 0.0):
-        return -math.inf, None, None
+        return -math.inf, None
     ev = risk.event_rows
     d_eta = np.bincount(risk.k_of_event, risk.w[ev] * eta[ev], len(s0))
     log_s0 = np.log(s0)
     ll = math.fsum(d_eta - risk.d0 * log_s0)
     if not math.isfinite(ll):
-        return -math.inf, None, None
-    if not want_derivs:
-        return ll, None, None
-    xbar = s1 / s0[:, None]
+        return -math.inf, None
+    return ll, (eta, rexp, s0, log_s0)
+
+
+def _score_hess(
+    risk: _RiskSets, sums: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score and Hessian at the point whose risk sums :func:`_loglik` gave."""
+    eta, rexp, s0, log_s0 = sums
+    xbar = risk.s1(rexp) / s0[:, None]
     score = risk.d1_total - (risk.d0[:, None] * xbar).sum(axis=0)
     # sum_k d0_k V_k with V_k = S2_k/S0_k - xbar_k xbar_k^T.  Summed over
     # event times, d0_k S2_k/S0_k regroups by row into r_i g0_i x_i x_i^T,
@@ -210,30 +220,28 @@ def _loglik_score_hess(
     log_g0 = np.logaddexp.accumulate(risk.log_d0 - log_s0)
     log_g0 = np.concatenate(([-np.inf], log_g0))[risk.n_times_upto]
     weight = np.exp(risk.log_w + eta + log_g0)[risk.desc]
-    dev = np.cumsum(rexp[:, None] * risk.xcs, axis=0)[risk.ends - 1] / s0[:, None]
+    dev = np.cumsum(rexp[:, None] * risk.xcs, axis=0)[risk.at] / s0[:, None]
     hess = (dev.T * risk.d0) @ dev - (risk.xcs.T * weight) @ risk.xcs
-    return ll, score, hess
+    return score, hess
 
 
 def breslow_partial_loglik(data: SurvivalDataset, beta: Sequence[float]) -> float:
     """Weighted Breslow partial log-likelihood at a given coefficient vector."""
-    ll, _, _ = _loglik_score_hess(
-        _RiskSets(data), np.asarray(beta, dtype=np.float64), False
-    )
+    ll, _ = _loglik(_RiskSets(data), np.asarray(beta, dtype=np.float64))
     return ll
 
 
 def _score_residuals(risk: _RiskSets, beta: np.ndarray) -> np.ndarray:
     """Per-subject weighted score residuals (rows sum to the total score)."""
-    eta, _, s0, s1 = risk.risk_sums(beta)
+    eta, rexp, s0 = risk.risk_sums(beta)
     x, w, ev = risk.x, risk.w, risk.event_rows
-    xbar = np.where(s0[:, None] > 0.0, s1 / s0[:, None], 0.0)
+    xbar = np.where(s0[:, None] > 0.0, risk.s1(rexp) / s0[:, None], 0.0)
     # Row i's at-risk part is -r_i sum_k rate_k (x_i - xbar_k) over event
     # times t_k <= t_i, with rate_k = d0_k/S0_k.  rate_k alone overflows
     # where S0 underflows at separation, so the sum is taken as
     # (r_i g0_i)(x_i - m_i): g0_i sums rate_k and m_i is the rate-weighted
     # mean of xbar_k.  Both factors are formed in logs, r_i g0_i as in
-    # _loglik_score_hess and m_i from xbar_k - min(x), which is nonnegative
+    # _score_hess and m_i from xbar_k - min(x), which is nonnegative
     # because xbar_k is a mean of rows of x.
     low = x.min(axis=0)
     with np.errstate(divide="ignore"):
@@ -251,21 +259,32 @@ def _score_residuals(risk: _RiskSets, beta: np.ndarray) -> np.ndarray:
     return resid
 
 
-def cox_fit(
-    data: SurvivalDataset, max_iter: int = 50, tol: float = 1e-9
-) -> CoxFit:
-    """Maximize the weighted Breslow partial likelihood by Newton-Raphson.
+@dataclass
+class _Newton:
+    """Where Newton-Raphson stopped, in the internally scaled units."""
 
-    Steps that fail to improve the objective are halved (up to 30 times);
-    convergence is a relative log-likelihood change below ``tol``, or, when
-    every halving is refused, a Newton step whose predicted gain
-    ``score . delta / 2`` is below that same tolerance.  Columns
-    are scaled to unit dispersion internally and the fit mapped back, so raw
-    step counts may be entered without conditioning trouble.  The covariance
-    is the robust sandwich built from weighted score residuals.
+    risk: _RiskSets
+    col_scale: np.ndarray
+    beta: np.ndarray
+    sums: tuple[np.ndarray, ...]  # of ``beta``, from _loglik
+    loglik_seq: list[float]
+    converged: bool
+    failure: str
+
+    @property
+    def raw_beta(self) -> np.ndarray:
+        return self.beta * (1.0 / self.col_scale)
+
+
+def _newton(data: SurvivalDataset, max_iter: int = 50, tol: float = 1e-9) -> _Newton:
+    """The coefficient search of :func:`cox_fit`, without its covariance.
+
+    The log-likelihood comes first at every trial point; the score and
+    Hessian are formed only at a point the search steps on from.
+    Cross-validation folds, which read only the coefficients, stop here.
     """
     x = data.covariates
-    n, p = x.shape
+    p = x.shape[1]
     if p == 0:
         raise ValueError("no covariates to fit")
     centered = x - x.mean(axis=0)
@@ -279,24 +298,25 @@ def cox_fit(
     risk = _RiskSets(data, x / col_scale)
 
     beta = np.zeros(p)
-    ll, score, hess = _loglik_score_hess(risk, beta)
+    ll, sums = _loglik(risk, beta)
     loglik_seq = [ll]
     converged = False
     failure = f"did not converge in {max_iter} iterations"
     for _ in range(max_iter):
+        score, hess = _score_hess(risk, sums)
         try:
             delta = np.linalg.solve(-hess, score)
         except np.linalg.LinAlgError as exc:
             raise ValueError("singular information matrix") from exc
         step = 1.0
         new_beta = beta + delta
-        new_ll, new_score, new_hess = _loglik_score_hess(risk, new_beta)
+        new_ll, new_sums = _loglik(risk, new_beta)
         halvings = 0
         while new_ll < ll and halvings < 30:
             step *= 0.5
             halvings += 1
             new_beta = beta + step * delta
-            new_ll, new_score, new_hess = _loglik_score_hess(risk, new_beta)
+            new_ll, new_sums = _loglik(risk, new_beta)
         if new_ll < ll:
             # No halving improved the objective.  At the optimum the Newton
             # step's predicted gain can lie below the last bit of ll, so the
@@ -304,12 +324,19 @@ def cox_fit(
             converged = score @ delta / 2.0 < tol * (abs(ll) + tol)
             failure = f"step search failed after {len(loglik_seq) - 1} steps"
             break
-        beta, ll, score, hess = new_beta, new_ll, new_score, new_hess
+        beta, ll, sums = new_beta, new_ll, new_sums
         loglik_seq.append(ll)
         if abs(loglik_seq[-1] - loglik_seq[-2]) < tol * (abs(loglik_seq[-2]) + tol):
             converged = True
             break
+    return _Newton(risk, col_scale, beta, sums, loglik_seq, converged, failure)
 
+
+def _with_covariance(data: SurvivalDataset, newton: _Newton) -> CoxFit:
+    """The fit with its robust sandwich covariance; raises unless converged."""
+    risk, beta = newton.risk, newton.beta
+    p = len(beta)
+    _, hess = _score_hess(risk, newton.sums)
     with np.errstate(all="ignore"):
         resid = _score_residuals(risk, beta)
         try:
@@ -319,23 +346,50 @@ def cox_fit(
         meat = resid.T @ resid
         cov_scaled = bread @ meat @ bread
         cov_scaled = 0.5 * (cov_scaled + cov_scaled.T)
-    if converged and not np.all(np.isfinite(cov_scaled)):
+    if newton.converged and not np.all(np.isfinite(cov_scaled)):
         raise ValueError("sandwich covariance is not finite at the optimum")
     # map back to raw covariate units
-    inv_scale = 1.0 / col_scale
-    beta_raw = beta * inv_scale
-    cov_raw = cov_scaled * np.outer(inv_scale, inv_scale)
+    inv_scale = 1.0 / newton.col_scale
     fit = CoxFit(
-        beta=beta_raw,
-        covariance=cov_raw,
-        loglik_seq=tuple(loglik_seq),
-        converged=converged,
+        beta=newton.raw_beta,
+        covariance=cov_scaled * np.outer(inv_scale, inv_scale),
+        loglik_seq=tuple(newton.loglik_seq),
+        converged=newton.converged,
         n_events=data.n_events,
         covariate_names=data.covariate_names,
     )
-    if not converged:
-        raise ConvergenceError(f"Newton-Raphson {failure}", fit)
+    if not newton.converged:
+        raise ConvergenceError(f"Newton-Raphson {newton.failure}", fit)
     return fit
+
+
+def _fold_beta(train: SurvivalDataset) -> np.ndarray:
+    """``cox_fit(train).beta``, bit for bit, without the covariance.
+
+    A fit that does not converge raises the same ConvergenceError as
+    :func:`cox_fit`.  Only β is returned, so the fit's risk sets are freed
+    before the next fold's are built.
+    """
+    newton = _newton(train)
+    if not newton.converged:
+        _with_covariance(train, newton)  # raises ConvergenceError
+    return newton.raw_beta
+
+
+def cox_fit(
+    data: SurvivalDataset, max_iter: int = 50, tol: float = 1e-9
+) -> CoxFit:
+    """Maximize the weighted Breslow partial likelihood by Newton-Raphson.
+
+    Steps that fail to improve the objective are halved (up to 30 times);
+    convergence is a relative log-likelihood change below ``tol``, or, when
+    every halving is refused, a Newton step whose predicted gain
+    ``score . delta / 2`` is below that same tolerance.  Columns
+    are scaled to unit dispersion internally and the fit mapped back, so raw
+    step counts may be entered without conditioning trouble.  The covariance
+    is the robust sandwich built from weighted score residuals.
+    """
+    return _with_covariance(data, _newton(data, max_iter, tol))
 
 
 def _safe_exp(v: float) -> float:
@@ -389,21 +443,17 @@ def concordance(predictors: Sequence[float], data: SurvivalDataset) -> float:
     pred = np.asarray(predictors, dtype=np.float64)
     if pred.shape != data.followup_months.shape:
         raise ValueError("predictors must align with data rows")
-    t = data.followup_months
-    w = data.weights
-    comparable: list[np.ndarray] = []
-    concordant: list[np.ndarray] = []
-    for i in np.flatnonzero(data.event):
-        later = t[i] < t
-        pw = w[i] * w[later]
-        others = pred[later]
-        comparable.append(pw)
-        concordant.append(pw[pred[i] > others])
-        concordant.append(0.5 * pw[pred[i] == others])
-    total = math.fsum(np.concatenate(comparable).tolist())
+    t, w, ev = data.followup_months, data.weights, data.event
+    # one row per event i, one column per subject j: the pairs with t_i < t_j
+    later = t[ev, None] < t
+    pw = w[ev, None] * w
+    higher = pred[ev, None] > pred
+    tied = pred[ev, None] == pred
+    total = math.fsum(pw[later].tolist())
     if total == 0.0:
         raise ValueError("no comparable pairs")
-    return math.fsum(np.concatenate(concordant).tolist()) / total
+    concordant = pw[later & higher].tolist() + (0.5 * pw[later & tied]).tolist()
+    return math.fsum(concordant) / total
 
 
 @dataclass(frozen=True)
@@ -415,11 +465,15 @@ class FoldPlan:
     repeat_index: int
     assignment: tuple[int, ...]  # fold id per row
 
+    @cached_property
+    def _fold_of_row(self) -> np.ndarray:
+        return np.asarray(self.assignment)
+
     def fold_rows(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(np.asarray(self.assignment) == fold)
+        return np.flatnonzero(self._fold_of_row == fold)
 
     def train_rows(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(np.asarray(self.assignment) != fold)
+        return np.flatnonzero(self._fold_of_row != fold)
 
 
 def make_fold_plan(
@@ -439,10 +493,9 @@ def make_fold_plan(
     events = rng.permutation(np.flatnonzero(ev))
     censored = rng.permutation(np.flatnonzero(~ev))
     assignment = np.empty(len(ev), dtype=np.int64)
-    for m, row in enumerate(np.concatenate([events, censored])):
-        assignment[row] = m % k
+    assignment[np.concatenate([events, censored])] = np.arange(len(ev)) % k
     return FoldPlan(seed=seed, k=k, repeat_index=repeat_index,
-                    assignment=tuple(int(a) for a in assignment))
+                    assignment=tuple(assignment.tolist()))
 
 
 def _plan_with_events_everywhere(
@@ -450,11 +503,8 @@ def _plan_with_events_everywhere(
 ) -> FoldPlan:
     for attempt_seed in (seed, seed + 1_000_003):
         plan = make_fold_plan(data.event, k, attempt_seed, repeat_index)
-        ok = all(
-            data.event[plan.fold_rows(f)].any() and data.event[plan.train_rows(f)].any()
-            for f in range(k)
-        )
-        if ok:
+        fold_events = np.bincount(plan._fold_of_row[data.event], minlength=k)
+        if np.all(fold_events > 0) and np.all(fold_events < data.n_events):
             return plan
     raise ValueError(
         "could not build folds with events in every fold; too few events"
@@ -470,9 +520,11 @@ def repeated_cv_concordance(
     """Mean cross-validated concordance over seeded repeats.
 
     Each repeat r builds an event-stratified fold plan from (rng_seed + r),
-    fits on the training rows, scores the held-out rows, and averages fold
-    concordances; the return value averages the repeats.  Deterministic for
-    a fixed config.
+    fits the coefficients on the training rows, scores the held-out rows,
+    and averages fold concordances; the return value averages the repeats.
+    Deterministic for a fixed config.  A fold fit stops at the coefficients
+    :func:`cox_fit` would return, bit for bit, without the covariance that
+    scoring never reads.
     """
     reps = cfg.cv_repeats if repeats is None else repeats
     if cfg.cv_folds < 2:
@@ -487,8 +539,7 @@ def repeated_cv_concordance(
         for f in range(cfg.cv_folds):
             train = subset.take(plan.train_rows(f))
             test = subset.take(plan.fold_rows(f))
-            fit = cox_fit(train)
-            pred = test.covariates @ fit.beta
+            pred = test.covariates @ _fold_beta(train)
             fold_cs.append(concordance(pred, test))
         per_repeat.append(math.fsum(fold_cs) / len(fold_cs))
     return math.fsum(per_repeat) / len(per_repeat), per_repeat

@@ -386,6 +386,18 @@ class TestExitCodes:
         assert rc == 2
         assert "mortality.csv:2: event must be 0 or 1, got 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    def test_negative_seed_is_fatal_before_any_work(self, corpus, tmp_path, command, capsys):
+        out = tmp_path / "o"
+        if command == "simulate":
+            rc = main(["simulate", "--out", str(out), "--subjects", "2", "--seed", "-1"])
+        else:
+            rc = run_analyze(corpus, out, ["--mortality", str(corpus / "mortality.csv"),
+                                           "--seed", "-1"])
+        assert rc == 2
+        assert "rng_seed must lie in [0, 2**63)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bench_rejects_empty_and_unknown_detectors(self, tmp_path):
         out = str(tmp_path / "bench.csv")
         assert main(["bench", "--detectors", "", "--out", out]) == 2

@@ -220,3 +220,13 @@ class TestMakeConfig:
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(ValueError):
             make_config(bad)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**63), 2**63])
+    def test_rng_seed_outside_the_generator_range_rejected(self, seed):
+        # numpy.random.default_rng refuses negative seeds
+        with pytest.raises(ValueError, match="rng_seed"):
+            make_config({"rng_seed": seed})
+
+    @pytest.mark.parametrize("seed", [0, 2**63 - 1])
+    def test_rng_seed_bounds_accepted(self, seed):
+        assert make_config({"rng_seed": seed}).rng_seed == seed

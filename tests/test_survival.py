@@ -10,8 +10,10 @@ from stepforge.model import make_config
 from stepforge.simulate import gen_survival
 from stepforge.survival import (
     ConvergenceError,
-    _loglik_score_hess,
+    _loglik,
+    _newton,
     _RiskSets,
+    _score_hess,
     _score_residuals,
     CoxFit,
     SurvivalDataset,
@@ -38,6 +40,12 @@ def dataset(t, ev, x, w=None, names=None):
         weights=np.ones(len(t)) if w is None else np.asarray(w, dtype=np.float64),
         covariate_names=tuple(names or [f"x{i}" for i in range(x.shape[1])]),
     )
+
+
+def loglik_score_hess(risk, beta):
+    """Log-likelihood, score and Hessian of the engine at one point."""
+    ll, sums = _loglik(risk, beta)
+    return (ll, *_score_hess(risk, sums))
 
 
 def oracle_loglik(data, beta):
@@ -196,7 +204,7 @@ class TestRiskSetEngine:
     def test_matches_risk_set_mask_oracle(self, drawn):
         data, beta = drawn
         risk = _RiskSets(data)
-        ll, score, hess = _loglik_score_hess(risk, beta)
+        ll, score, hess = loglik_score_hess(risk, beta)
         want_ll, want_score, want_hess, ll_scale = oracle_derivatives(data, beta)
         assert ll == pytest.approx(want_ll, rel=1e-12, abs=1e-12 * ll_scale)
         # event weight times the largest |x| (score) or x^2 (Hessian)
@@ -285,7 +293,7 @@ class TestClosedFormHessian:
     def test_matches_risk_set_mask_oracle(self, drawn):
         data, beta, underflow = drawn
         risk = _RiskSets(data)
-        ll, score, hess = _loglik_score_hess(risk, beta)
+        ll, score, hess = loglik_score_hess(risk, beta)
         want_ll, want_score = per_event_time_loglik_score(data, beta)
         assert ll == want_ll
         np.testing.assert_array_equal(score, want_score)
@@ -315,7 +323,7 @@ class TestClosedFormHessian:
         # weight r_i * g0_i stays below the total event weight
         data = dataset([1.0, 2.0, 3.0], [True, True, False], [0.0, -1.0, -1.0])
         beta = np.array([712.0])
-        _, _, hess = _loglik_score_hess(_RiskSets(data), beta)
+        _, _, hess = loglik_score_hess(_RiskSets(data), beta)
         _, _, want, _ = oracle_derivatives(data, beta, center=True)
         assert np.all(np.isfinite(hess))
         np.testing.assert_allclose(hess, want, rtol=0, atol=1e-12)
@@ -327,7 +335,7 @@ class TestClosedFormHessian:
         beta = np.array([712.0])
         risk = _RiskSets(data)
         resid = _score_residuals(risk, beta)
-        _, score, _ = _loglik_score_hess(risk, beta)
+        _, score, _ = loglik_score_hess(risk, beta)
         assert np.all(np.isfinite(resid))
         np.testing.assert_allclose(resid.sum(axis=0), score, rtol=0, atol=1e-12)
 
@@ -437,47 +445,81 @@ class TestCoxFitStopping:
                 moved[j] += sign * 0.01 / sd[j]
                 assert breslow_partial_loglik(data, moved) <= best
 
-    def test_refused_step_at_the_optimum_converges(self, monkeypatch):
+    @staticmethod
+    def report_ulp_loss_at_the_optimum(monkeypatch):
         # Once the real gain of a trial falls below the relative tolerance,
         # report it as a loss of one unit in the last place of the current
         # log-likelihood, as rounding did on this fold: every halving is then
         # refused, and the predicted gain decides convergence.
         import stepforge.survival as survival
 
-        real = survival._loglik_score_hess
+        real = survival._loglik
         reported = []  # (log-likelihood reported, whether it was made a loss)
 
-        def ulp_loss_at_the_optimum(risk, beta, want_derivs=True):
-            ll, score, hess = real(risk, beta, want_derivs)
+        def ulp_loss_at_the_optimum(risk, beta):
+            ll, sums = real(risk, beta)
             current = max((r for r, _ in reported), default=-math.inf)
             loss = ll - current < 1e-9 * abs(current)
             if loss:
                 ll = np.nextafter(current, -math.inf)
             reported.append((ll, loss))
-            return ll, score, hess
+            return ll, sums
 
-        monkeypatch.setattr(survival, "_loglik_score_hess", ulp_loss_at_the_optimum)
+        monkeypatch.setattr(survival, "_loglik", ulp_loss_at_the_optimum)
+        return reported
+
+    def test_refused_step_at_the_optimum_converges(self, monkeypatch):
+        reported = self.report_ulp_loss_at_the_optimum(monkeypatch)
         fit = cox_fit(cox_probe_fold())
         assert fit.converged
         losses = [loss for _, loss in reported]
         assert losses[-31:] == [True] * 31  # the Newton step and 30 halvings
         assert not any(losses[:-31])
 
-    def test_failed_step_search_names_its_step_count(self, monkeypatch):
+    def test_refused_step_at_the_optimum_converges_without_covariance(
+        self, monkeypatch
+    ):
+        # the coefficient search that cross-validation folds run alone
+        reported = self.report_ulp_loss_at_the_optimum(monkeypatch)
+        newton = _newton(cox_probe_fold())
+        assert newton.converged
+        losses = [loss for _, loss in reported]
+        assert losses[-31:] == [True] * 31
+        assert not any(losses[:-31])
+        reported.clear()
+        np.testing.assert_array_equal(newton.raw_beta, cox_fit(cox_probe_fold()).beta)
+
+    @staticmethod
+    def refuse_every_move(monkeypatch):
         import stepforge.survival as survival
 
-        real = survival._loglik_score_hess
+        real = survival._loglik
         calls = []
 
-        def refuse_every_move(data, beta, want_derivs=True):
+        def refuse(risk, beta):
             calls.append(1)
-            ll, score, hess = real(data, beta, want_derivs)
-            return (ll if len(calls) == 1 else -math.inf), score, hess
+            ll, sums = real(risk, beta)
+            return (ll if len(calls) == 1 else -math.inf), sums
 
-        monkeypatch.setattr(survival, "_loglik_score_hess", refuse_every_move)
+        monkeypatch.setattr(survival, "_loglik", refuse)
+
+    def test_failed_step_search_names_its_step_count(self, monkeypatch):
+        self.refuse_every_move(monkeypatch)
         d = gen_survival(80, -0.4 / 3000, 0.03, censor_rate=0.3, seed=11)
         with pytest.raises(ConvergenceError, match="step search failed after 0 steps"):
             cox_fit(d)
+
+    def test_failed_step_search_in_a_cv_fold_raises_as_cox_fit(self, monkeypatch):
+        self.refuse_every_move(monkeypatch)
+        d = gen_survival(80, -0.4 / 3000, 0.03, censor_rate=0.3, seed=11)
+        cfg = make_config({"cv_folds": 4})
+        with pytest.raises(ConvergenceError, match="step search failed after 0 steps") as exc:
+            repeated_cv_concordance(d, ["steps"], cfg, repeats=1)
+        # the error carries the last fit, covariance included, as cox_fit's does
+        last = exc.value.last_fit
+        assert not last.converged
+        assert last.loglik_seq == (last.loglik_seq[0],)
+        assert np.all(np.isfinite(last.covariance))
 
 
 class TestEffectReporting:
@@ -554,7 +596,56 @@ def concordance_oracle(pred, data):
     return math.fsum(conc) / math.fsum(comp)
 
 
+def per_event_concordance(predictors, data):
+    """The per-event loop that the events x rows mask replaced, verbatim:
+    the mask must sum the same multiset of pair terms."""
+    pred = np.asarray(predictors, dtype=np.float64)
+    if pred.shape != data.followup_months.shape:
+        raise ValueError("predictors must align with data rows")
+    t = data.followup_months
+    w = data.weights
+    comparable: list[np.ndarray] = []
+    concordant: list[np.ndarray] = []
+    for i in np.flatnonzero(data.event):
+        later = t[i] < t
+        pw = w[i] * w[later]
+        others = pred[later]
+        comparable.append(pw)
+        concordant.append(pw[pred[i] > others])
+        concordant.append(0.5 * pw[pred[i] == others])
+    total = math.fsum(np.concatenate(comparable).tolist())
+    if total == 0.0:
+        raise ValueError("no comparable pairs")
+    return math.fsum(np.concatenate(concordant).tolist()) / total
+
+
 class TestConcordance:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_bitwise_equal_to_per_event_loop(self, drawn):
+        n = drawn.draw(st.integers(1, 40))
+
+        def column(values):
+            return np.array(drawn.draw(st.lists(values, min_size=n, max_size=n)), dtype=float)
+
+        # tied times and tied predictors on a coarse grid, or free floats
+        coarse = drawn.draw(st.booleans())
+        t = column(st.integers(0, 6) if coarse else st.floats(0.0, 1e3))
+        pred = column(st.integers(-2, 2) if coarse else st.floats(-1e6, 1e6))
+        w = column(st.floats(1e-3, 1e3))
+        ev = np.zeros(n, dtype=bool)
+        events = drawn.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+        ev[events] = True  # a single event when one index is drawn
+        d = dataset(t, ev, pred[:, None], w=w)
+        try:
+            want = per_event_concordance(pred, d)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                concordance(pred, d)
+        else:
+            got = concordance(pred, d)
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_bitwise_equal_to_brute_force(self, seed):
         rng = np.random.default_rng(seed)
@@ -617,7 +708,40 @@ class TestConcordance:
             concordance([1.0], d)
 
 
+def per_row_fold_plan(event, k, seed, repeat_index):
+    """The per-row dealing loop that the vectorised plan replaced."""
+    ev = np.asarray(event, dtype=bool)
+    rng = np.random.default_rng(seed + repeat_index)
+    events = rng.permutation(np.flatnonzero(ev))
+    censored = rng.permutation(np.flatnonzero(~ev))
+    assignment = np.empty(len(ev), dtype=np.int64)
+    for m, row in enumerate(np.concatenate([events, censored])):
+        assignment[row] = m % k
+    return tuple(int(a) for a in assignment)
+
+
 class TestFoldPlans:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.booleans(), min_size=2, max_size=60),
+        st.integers(2, 10),
+        st.integers(0, 2**63 - 1),
+        st.integers(0, 99),
+    )
+    def test_same_assignment_as_per_row_dealing(self, event, k, seed, repeat_index):
+        if len(event) < k:
+            return
+        plan = make_fold_plan(np.array(event), k, seed, repeat_index)
+        assert plan.assignment == per_row_fold_plan(event, k, seed, repeat_index)
+        assert all(type(a) is int for a in plan.assignment)
+        for f in range(k):
+            np.testing.assert_array_equal(
+                plan.fold_rows(f), [i for i, a in enumerate(plan.assignment) if a == f]
+            )
+            np.testing.assert_array_equal(
+                plan.train_rows(f), [i for i, a in enumerate(plan.assignment) if a != f]
+            )
+
     def test_partition_and_balance(self):
         rng = np.random.default_rng(4)
         ev = rng.random(103) < 0.3
@@ -675,6 +799,56 @@ class TestRepeatedCv:
         a = repeated_cv_concordance(data, ["steps"], cfg, repeats=3)
         b = repeated_cv_concordance(data, ["steps"], cfg, repeats=3)
         assert a == b
+
+    @staticmethod
+    def record_fold_fits(monkeypatch):
+        import stepforge.survival as survival
+
+        real = survival._newton
+        fits = []  # (training fold, its coefficient search)
+
+        def record(data, *args):
+            newton = real(data, *args)
+            fits.append((data, newton))
+            return newton
+
+        monkeypatch.setattr(survival, "_newton", record)
+        return fits
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(3, 6))
+    def test_fold_coefficients_equal_cox_fit_bitwise(self, seed, p, k):
+        rng = np.random.default_rng(seed)
+        n = 60
+        x = rng.normal(size=(n, p)) * rng.uniform(0.1, 1e3, size=p)
+        t = np.round(rng.exponential(np.exp(-0.5 * x[:, 0] / x[:, 0].std())), 1)
+        ev = rng.random(n) < 0.6
+        ev[:k] = True
+        d = dataset(t, ev, x, w=rng.uniform(0.5, 3.0, size=n))
+        cfg = make_config({"cv_folds": k, "rng_seed": seed})
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            fits = self.record_fold_fits(monkeypatch)
+            try:
+                repeated_cv_concordance(d, d.covariate_names, cfg, repeats=2)
+            except (ValueError, ConvergenceError):
+                pass  # a failed fold stops the run; the fits before it still count
+        assert fits
+        for train, newton in fits:
+            if newton.converged:
+                beta = cox_fit(train).beta
+            else:
+                with pytest.raises(ConvergenceError) as exc:
+                    cox_fit(train)
+                beta = exc.value.last_fit.beta
+            np.testing.assert_array_equal(newton.raw_beta, beta)
+
+    def test_probe_fold_coefficients_equal_cox_fit_bitwise(self):
+        data = cox_probe_fold()
+        newton = _newton(data)
+        fit = cox_fit(data)
+        assert newton.converged
+        np.testing.assert_array_equal(newton.raw_beta, fit.beta)
+        assert tuple(newton.loglik_seq) == fit.loglik_seq
 
     def test_too_few_events_for_folds(self):
         t = np.arange(1.0, 21.0)
