@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stepforge.model import make_config
@@ -729,8 +729,7 @@ class TestFoldPlans:
         st.integers(0, 99),
     )
     def test_same_assignment_as_per_row_dealing(self, event, k, seed, repeat_index):
-        if len(event) < k:
-            return
+        assume(len(event) >= k)
         plan = make_fold_plan(np.array(event), k, seed, repeat_index)
         assert plan.assignment == per_row_fold_plan(event, k, seed, repeat_index)
         assert all(type(a) is int for a in plan.assignment)
