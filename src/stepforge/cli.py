@@ -21,7 +21,7 @@ import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .model import (
     MortalityRecord,
     SubjectCovariates,
     SubjectSummary,
+    TriaxialRecording,
     WearState,
     make_config,
 )
@@ -181,29 +182,31 @@ def _build_registry(detector_params: Mapping[str, Mapping[str, float]]):
 # ---------------------------------------------------------------------------
 
 
-def _raw_inputs(raw_dir: Path) -> list[Path]:
-    names = [
-        p
-        for p in sorted(raw_dir.iterdir())
-        if p.is_file() and (p.name.endswith(".csv") or p.name.endswith(".csv.gz"))
-    ]
-    return names
+def _raw_inputs(raw_dir: Path) -> dict[str, Path]:
+    """Raw .csv/.csv.gz files by subject ID, the file name up to its first dot."""
+    inputs: dict[str, Path] = {}
+    for path in sorted(raw_dir.iterdir()):
+        if path.is_file() and path.name.endswith((".csv", ".csv.gz")):
+            subject = path.name.split(".")[0]
+            if subject in inputs:
+                raise FatalCliError(
+                    f"raw files {inputs[subject].name} and {path.name} in {raw_dir} "
+                    f"both map to subject {subject!r}"
+                )
+            inputs[subject] = path
+    return inputs
 
 
 def _steps_worker(args: tuple) -> tuple[str, dict[str, float], str]:
     """Process one raw file into a minute-level output; returns timings."""
-    path_text, out_dir_text, schema, detector_params = args
-    path = Path(path_text)
-    subject = path.name.split(".")[0]
+    subject, path_text, out_dir_text, schema, detector_params = args
     try:
         registry = _build_registry(detector_params)
-        chunks = list(ingest.read_raw_recording(path, schema))
+        chunks = list(ingest.read_raw_recording(Path(path_text), schema))
         x = np.concatenate([c.x for c in chunks])
         y = np.concatenate([c.y for c in chunks])
         z = np.concatenate([c.z for c in chunks])
         del chunks  # the detectors then hold one copy of the recording, not two
-        from .model import TriaxialRecording
-
         rec = TriaxialRecording(subject, x, y, z, schema.sample_rate_hz)
         vm = vector_magnitude(rec)
         n_seconds = int(len(vm) // vm.sample_rate_hz)
@@ -253,7 +256,10 @@ def cmd_steps(args: argparse.Namespace) -> int:
         has_header=not args.no_header,
         has_timestamp=args.has_timestamp,
     )
-    work = [(str(p), str(out_dir), schema, detector_params) for p in inputs]
+    work = [
+        (subject, str(path), str(out_dir), schema, detector_params)
+        for subject, path in inputs.items()
+    ]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_steps_worker, work))
@@ -385,6 +391,204 @@ def build_survival_dataset(
     return data, join_failures, dropped
 
 
+def _validity_stage(
+    minutes: MinuteTable, cfg: AnalysisConfig, out_path: Callable[[str], Path]
+) -> list[SubjectSummary]:
+    """Screen every day and subject; write the four validity tables."""
+    days_by_subject, by_subject = validity.screen_cohort(minutes, cfg)
+    summaries = [by_subject[s] for s in sorted(by_subject)]
+    rows = [
+        [s.subject_id, s.n_valid_days, int(s.included), validity.exclusion_reason(s, cfg)]
+        for s in summaries
+    ]
+    header = ["subject", "n_valid_days", "included", "exclusion_reason"]
+    ingest.write_table(out_path("validity_report"), header, rows)
+    rows = [
+        [d.subject_id, d.day_index, d.n_valid_minutes, d.n_wake_minutes,
+         d.n_nonzero_mims_minutes, int(d.valid)]
+        for subject in sorted(days_by_subject)
+        for d in days_by_subject[subject]
+    ]
+    header = ["subject", "day", "n_valid_minutes", "n_wake_minutes",
+              "n_nonzero_mims_minutes", "valid"]
+    ingest.write_table(out_path("day_summaries"), header, rows)
+    ingest.write_subject_summaries(summaries, out_path("subject_summaries"))
+    matrix, labels = validity.unknown_bout_transition_matrix(minutes)
+    rows = [
+        [a, b, float(matrix[i, j])]
+        for i, a in enumerate(labels)
+        for j, b in enumerate(labels)
+    ]
+    header = ["preceding", "following", "proportion"]
+    ingest.write_table(out_path("unknown_transitions"), header, rows)
+    return summaries
+
+
+def _descriptive_stage(
+    summaries: Sequence[SubjectSummary],
+    covariates: Sequence[SubjectCovariates],
+    cfg: AnalysisConfig,
+    out_path: Callable[[str], Path],
+) -> list[str]:
+    """Write the weighted means, between-wave difference, age curves and
+    correlations; return the activity measures, steps first, then AC and MIMS."""
+    cov_by_id = {c.subject_id: c for c in covariates}
+    included = [s for s in summaries if s.included]
+    with_cov = [(s, cov_by_id[s.subject_id]) for s in included if s.subject_id in cov_by_id]
+    missing_cov = sorted(s.subject_id for s in included if s.subject_id not in cov_by_id)
+    if missing_cov:
+        _log(f"analyze: {len(missing_cov)} subject(s) missing covariates: "
+             + ", ".join(missing_cov))
+    names = sorted({k for s, _ in with_cov for k in s.means})
+    measures = [m for m in names if m.startswith("steps_")] + [
+        m for m in ("ac", "mims") if m in names
+    ]
+
+    # survey-weighted means by wave, over all ages and by age group; these
+    # test the exact age against age_range
+    lo_age, hi_age = cfg.age_range
+    groups: dict[tuple[str, str], list[tuple[SubjectSummary, SubjectCovariates]]] = {}
+    for s, cov in with_cov:
+        if cov.age_years is not None and lo_age <= cov.age_years <= hi_age:
+            for group in ("all", _age_group(cov.age_years, cfg)):
+                groups.setdefault((cov.wave, group), []).append((s, cov))
+    mean_rows = []
+    for (wave, group), members in sorted(groups.items()):
+        weights = [c.survey_weight for _, c in members]
+        strata = [c.stratum_id for _, c in members]
+        psus = [(c.stratum_id, c.psu_id) for _, c in members]
+        for measure in measures:
+            values = [s.means.get(measure, 0.0) for s, _ in members]
+            mean, se = stats.weighted_mean_se(values, weights, strata, psus)
+            mean_rows.append([wave, group, measure, len(members), mean, se])
+    header = ["wave", "age_group", "measure", "n", "mean", "se"]
+    ingest.write_table(out_path("weighted_means"), header, mean_rows)
+
+    waves = sorted({cov.wave for _, cov in with_cov})
+    wave_means = {(w, m): mean for w, g, m, _, mean, _ in mean_rows if g == "all"}
+    rows = []
+    if len(waves) == 2:
+        for measure in measures:
+            a = wave_means.get((waves[0], measure))
+            b = wave_means.get((waves[1], measure))
+            if a is not None and b is not None and a > 0 and b > 0:
+                rows.append([measure, *waves, a, b, stats.between_wave_percent_diff(a, b)])
+    header = ["measure", "wave_a", "wave_b", "estimate_a", "estimate_b", "percent_diff"]
+    ingest.write_table(out_path("between_wave_diff"), header, rows)
+
+    # age curves: weighted mean per integer age, then tricube local-linear
+    # smooth; these test floor(age) against age_range
+    by_age: dict[int, list[tuple[SubjectSummary, SubjectCovariates]]] = {}
+    for s, cov in with_cov:
+        if cov.age_years is None:
+            continue
+        age = int(math.floor(cov.age_years))
+        if lo_age <= age <= hi_age:
+            by_age.setdefault(age, []).append((s, cov))
+    ages = sorted(by_age)
+    age_weights = [[c.survey_weight for _, c in by_age[age]] for age in ages]
+    curve_rows, pct_rows = [], []
+    for measure in measures:
+        points = [
+            stats.weighted_mean_se([s.means.get(measure, 0.0) for s, _ in by_age[age]], w)
+            for age, w in zip(ages, age_weights)
+        ]
+        if len(ages) < 5:
+            _log(f"analyze: too few distinct ages for {measure} curve; skipped")
+            continue
+        curve = stats.local_weighted_smooth(
+            [float(age) for age in ages], [m for m, _ in points], [se for _, se in points]
+        )
+        columns = (curve.ages, curve.estimate, curve.se, curve.ci_lower, curve.ci_upper)
+        curve_rows.extend(
+            [measure, int(age), *(float(v) for v in values)]
+            for age, *values in zip(*columns)
+        )
+        if np.all(curve.estimate[:-1] != 0.0):
+            pct_rows.extend(
+                [measure, int(age), float(value)]
+                for age, value in zip(*stats.percent_change_by_age(curve))
+            )
+    header = ["measure", "age", "mean", "se", "ci_lower", "ci_upper"]
+    ingest.write_table(out_path("age_curves"), header, curve_rows)
+    header = ["measure", "age", "percent_change"]
+    ingest.write_table(out_path("age_percent_change"), header, pct_rows)
+
+    # unweighted pairwise correlations between activity measures
+    rows = []
+    rows_for_corr = [s.means for s, _ in with_cov]
+    for method in ("pearson", "spearman"):
+        matrix = stats.correlation_matrix(rows_for_corr, measures, method)
+        rows.extend(
+            [method, a, b, float(matrix[i, j])]
+            for i, a in enumerate(measures)
+            for j, b in enumerate(measures)
+        )
+    header = ["method", "var_a", "var_b", "correlation"]
+    ingest.write_table(out_path("correlations"), header, rows)
+    return measures
+
+
+def _survival_stage(
+    data: survival.SurvivalDataset,
+    measures: Sequence[str],
+    cfg: AnalysisConfig,
+    out_path: Callable[[str], Path],
+) -> int:
+    """Write the univariate cvC, model suite and hazard ratios; return 1 if
+    a measure or the model suite failed, else 0."""
+    partial_failure = False
+    step_measures = [m for m in measures if m in data.covariate_names]
+    traditional = [n for n in data.covariate_names if n not in measures]
+
+    # the CV is GIL-bound numpy, so analyze runs it in one thread whatever
+    # --jobs says: a thread pool of 2 was slower than none
+    cvc: dict[str, float] = {}
+    for measure in sorted(step_measures):
+        try:
+            cvc[measure], _ = survival.repeated_cv_concordance(data, [measure], cfg)
+        except Exception as exc:  # noqa: BLE001 - per-measure isolation
+            partial_failure = True
+            cvc[measure] = math.nan
+            _log(f"analyze: univariate cvC failed for {measure}: "
+                 f"{type(exc).__name__}: {exc}")
+    header = ["measure", "cv_concordance"]
+    ingest.write_table(out_path("univariate_cvc"), header, list(cvc.items()))
+
+    rows = []
+    try:
+        # reuse the univariate cvC above; a failed measure is rerun and fails there
+        done = {m: value for m, value in cvc.items() if math.isfinite(value)}
+        for r in survival.model_suite(data, cfg, traditional=traditional, univariate=done):
+            rows.append([r.name, r.concordance, r.steps_variable or "", r.steps_hr_per_500,
+                         *(r.steps_hr_ci or (None, None)), r.steps_p])
+    except Exception as exc:  # noqa: BLE001 - keep the remaining tables
+        partial_failure = True
+        _log(f"analyze: model suite failed: {type(exc).__name__}: {exc}")
+    header = ["model", "concordance", "steps_variable", "steps_hr",
+              "steps_hr_lower", "steps_hr_upper", "steps_p"]
+    ingest.write_table(out_path("model_suite"), header, rows)
+
+    rows = []
+    for measure in [m for m in step_measures if m.startswith("steps_")]:
+        try:
+            adjusted = survival.cox_fit(data.select(traditional + [measure]))
+            per_increment = survival.hazard_ratio(adjusted, measure, cfg.hr_step_increment)
+            # standardizing the column (as survival.standardize does) scales
+            # its beta and se by the sd, so the per-sd HR needs no refit
+            sd = float(data.column(measure).std(ddof=1))
+            per_sd = survival.hazard_ratio(adjusted, measure, sd)
+            rows.append([measure, *per_increment, *per_sd, sd / 1000.0])
+        except Exception as exc:  # noqa: BLE001 - per-measure isolation
+            partial_failure = True
+            _log(f"analyze: hazard-ratio fit failed for {measure}: "
+                 f"{type(exc).__name__}: {exc}")
+    header = ["measure", "hr_per_increment", "hr_lower", "hr_upper",
+              "scaled_hr", "scaled_hr_lower", "scaled_hr_upper", "sd_thousands"]
+    ingest.write_table(out_path("hazard_ratios"), header, rows)
+    return 1 if partial_failure else 0
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     cfg, _detector_params = load_config(args.config, args.seed)
     out_dir = Path(args.out)
@@ -395,231 +599,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return out_dir / f"{stem}{suffix}.csv"
 
     minutes = _load_minutes(Path(args.minutes))
-    days_by_subject, subject_summaries = validity.screen_cohort(minutes, cfg)
-
-    validity_rows = []
-    for subject in sorted(subject_summaries):
-        summary = subject_summaries[subject]
-        validity_rows.append(
-            {
-                "subject": subject,
-                "n_valid_days": summary.n_valid_days,
-                "included": int(summary.included),
-                "exclusion_reason": validity.exclusion_reason(summary, cfg),
-            }
-        )
-    ingest.write_table(
-        validity_rows,
-        out_path("validity_report"),
-        fieldnames=["subject", "n_valid_days", "included", "exclusion_reason"],
-    )
-
-    day_rows = []
-    for subject in sorted(days_by_subject):
-        for day in days_by_subject[subject]:
-            day_rows.append(
-                {
-                    "subject": day.subject_id,
-                    "day": day.day_index,
-                    "n_valid_minutes": day.n_valid_minutes,
-                    "n_wake_minutes": day.n_wake_minutes,
-                    "n_nonzero_mims_minutes": day.n_nonzero_mims_minutes,
-                    "valid": int(day.valid),
-                }
-            )
-    ingest.write_table(
-        day_rows,
-        out_path("day_summaries"),
-        fieldnames=[
-            "subject", "day", "n_valid_minutes", "n_wake_minutes",
-            "n_nonzero_mims_minutes", "valid",
-        ],
-    )
-
-    summaries = [subject_summaries[s] for s in sorted(subject_summaries)]
-    ingest.write_subject_summaries(summaries, out_path("subject_summaries"))
-
-    matrix, labels = validity.unknown_bout_transition_matrix(minutes)
-    transition_rows = [
-        {"preceding": labels[i], "following": labels[j], "proportion": float(matrix[i, j])}
-        for i in range(len(labels))
-        for j in range(len(labels))
-    ]
-    ingest.write_table(
-        transition_rows,
-        out_path("unknown_transitions"),
-        fieldnames=["preceding", "following", "proportion"],
-    )
-
+    summaries = _validity_stage(minutes, cfg, out_path)
     covariates = ingest.read_covariates(args.covariates)
-    cov_by_id = {c.subject_id: c for c in covariates}
-    included = [s for s in summaries if s.included]
-    with_cov = [s for s in included if s.subject_id in cov_by_id]
-    missing_cov = sorted(s.subject_id for s in included if s.subject_id not in cov_by_id)
-    if missing_cov:
-        _log(f"analyze: {len(missing_cov)} subject(s) missing covariates: "
-             + ", ".join(missing_cov))
-    measures = sorted({k for s in with_cov for k in s.means})
-    activity_measures = [m for m in measures if m.startswith("steps_")] + [
-        m for m in ("ac", "mims") if m in measures
-    ]
+    measures = _descriptive_stage(summaries, covariates, cfg, out_path)
 
-    # survey-weighted means by wave and age group
-    mean_rows = []
-    waves = sorted({cov_by_id[s.subject_id].wave for s in with_cov})
-    wave_all_means: dict[tuple[str, str], float] = {}
-    for wave in waves:
-        in_wave = [
-            s
-            for s in with_cov
-            if cov_by_id[s.subject_id].wave == wave
-            and cov_by_id[s.subject_id].age_years is not None
-            and cfg.age_range[0]
-            <= cov_by_id[s.subject_id].age_years
-            <= cfg.age_range[1]
-        ]
-        groups: dict[str, list[SubjectSummary]] = {"all": in_wave}
-        for s in in_wave:
-            groups.setdefault(
-                _age_group(cov_by_id[s.subject_id].age_years, cfg), []
-            ).append(s)
-        for group in sorted(groups):
-            members = groups[group]
-            for measure in activity_measures:
-                values = [m.means.get(measure, 0.0) for m in members]
-                if not values:
-                    continue
-                covs = [cov_by_id[m.subject_id] for m in members]
-                weights = [c.survey_weight for c in covs]
-                strata = [c.stratum_id for c in covs]
-                psus = [(c.stratum_id, c.psu_id) for c in covs]
-                mean, se = stats.weighted_mean_se(values, weights, strata, psus)
-                mean_rows.append(
-                    {
-                        "wave": wave,
-                        "age_group": group,
-                        "measure": measure,
-                        "n": len(members),
-                        "mean": mean,
-                        "se": se,
-                    }
-                )
-                if group == "all":
-                    wave_all_means[(wave, measure)] = mean
-    ingest.write_table(
-        mean_rows,
-        out_path("weighted_means"),
-        fieldnames=["wave", "age_group", "measure", "n", "mean", "se"],
-    )
-
-    diff_rows = []
-    if len(waves) == 2:
-        for measure in activity_measures:
-            a = wave_all_means.get((waves[0], measure))
-            b = wave_all_means.get((waves[1], measure))
-            if a is None or b is None or a <= 0 or b <= 0:
-                continue
-            diff_rows.append(
-                {
-                    "measure": measure,
-                    "wave_a": waves[0],
-                    "wave_b": waves[1],
-                    "estimate_a": a,
-                    "estimate_b": b,
-                    "percent_diff": stats.between_wave_percent_diff(a, b),
-                }
-            )
-    ingest.write_table(
-        diff_rows,
-        out_path("between_wave_diff"),
-        fieldnames=[
-            "measure", "wave_a", "wave_b", "estimate_a", "estimate_b", "percent_diff",
-        ],
-    )
-
-    # age curves: weighted mean per integer age, then tricube local-linear smooth
-    curve_rows = []
-    pct_rows = []
-    for measure in activity_measures:
-        by_age: dict[int, list[SubjectSummary]] = {}
-        for s in with_cov:
-            cov = cov_by_id[s.subject_id]
-            if cov.age_years is None:
-                continue
-            age = int(math.floor(cov.age_years))
-            if cfg.age_range[0] <= age <= cfg.age_range[1]:
-                by_age.setdefault(age, []).append(s)
-        ages, means, ses = [], [], []
-        for age in sorted(by_age):
-            members = by_age[age]
-            values = [m.means.get(measure, 0.0) for m in members]
-            weights = [cov_by_id[m.subject_id].survey_weight for m in members]
-            mean, se = stats.weighted_mean_se(values, weights)
-            ages.append(float(age))
-            means.append(mean)
-            ses.append(se)
-        if len(set(ages)) < 5:
-            _log(f"analyze: too few distinct ages for {measure} curve; skipped")
-            continue
-        curve = stats.local_weighted_smooth(ages, means, ses)
-        for i in range(len(curve.ages)):
-            curve_rows.append(
-                {
-                    "measure": measure,
-                    "age": int(curve.ages[i]),
-                    "mean": float(curve.estimate[i]),
-                    "se": float(curve.se[i]),
-                    "ci_lower": float(curve.ci_lower[i]),
-                    "ci_upper": float(curve.ci_upper[i]),
-                }
-            )
-        if np.all(curve.estimate[:-1] != 0.0):
-            pct_ages, pct = stats.percent_change_by_age(curve)
-            for age, value in zip(pct_ages, pct):
-                pct_rows.append(
-                    {"measure": measure, "age": int(age), "percent_change": float(value)}
-                )
-    ingest.write_table(
-        curve_rows,
-        out_path("age_curves"),
-        fieldnames=["measure", "age", "mean", "se", "ci_lower", "ci_upper"],
-    )
-    ingest.write_table(
-        pct_rows,
-        out_path("age_percent_change"),
-        fieldnames=["measure", "age", "percent_change"],
-    )
-
-    # unweighted pairwise correlations between activity measures
-    corr_rows = []
-    rows_for_corr = [s.means for s in with_cov]
-    for method in ("pearson", "spearman"):
-        matrix = stats.correlation_matrix(rows_for_corr, activity_measures, method)
-        for i, a in enumerate(activity_measures):
-            for j, b in enumerate(activity_measures):
-                corr_rows.append(
-                    {
-                        "method": method,
-                        "var_a": a,
-                        "var_b": b,
-                        "correlation": float(matrix[i, j]),
-                    }
-                )
-    ingest.write_table(
-        corr_rows,
-        out_path("correlations"),
-        fieldnames=["method", "var_a", "var_b", "correlation"],
-    )
-
-    # survival analyses
-    partial_failure = False
     mortality_path = Path(args.mortality) if args.mortality else None
     if mortality_path is None or not mortality_path.exists():
         _log("analyze: mortality file missing; survival tables skipped")
         return 0
     mortality = ingest.read_mortality(mortality_path)
     data, join_failures, dropped = build_survival_dataset(
-        summaries, covariates, mortality, cfg, activity_measures
+        summaries, covariates, mortality, cfg, measures
     )
     if join_failures:
         _log(
@@ -631,97 +621,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if data is None:
         _log("analyze: no usable survival sample; survival tables skipped")
         return 0
-
-    step_measures = [m for m in activity_measures if m in data.covariate_names]
-    traditional = [
-        n for n in data.covariate_names if n not in activity_measures
-    ]
-
-    # the CV is GIL-bound numpy, so analyze runs it in one thread whatever
-    # --jobs says: a thread pool of 2 was slower than none
-    uni_rows = []
-    for measure in sorted(step_measures):
-        try:
-            value, _ = survival.repeated_cv_concordance(data, [measure], cfg)
-        except Exception as exc:  # noqa: BLE001 - per-measure isolation
-            partial_failure = True
-            value = math.nan
-            _log(f"analyze: univariate cvC failed for {measure}: "
-                 f"{type(exc).__name__}: {exc}")
-        uni_rows.append({"measure": measure, "cv_concordance": value})
-    ingest.write_table(
-        uni_rows, out_path("univariate_cvc"), fieldnames=["measure", "cv_concordance"]
-    )
-
-    model_rows = []
-    try:
-        # reuse the univariate cvC above; a failed measure is rerun and fails there
-        done = {
-            row["measure"]: row["cv_concordance"]
-            for row in uni_rows
-            if math.isfinite(row["cv_concordance"])
-        }
-        reports = survival.model_suite(data, cfg, traditional=traditional, univariate=done)
-        for report in reports:
-            model_rows.append(
-                {
-                    "model": report.name,
-                    "concordance": report.concordance,
-                    "steps_variable": report.steps_variable or "",
-                    "steps_hr": report.steps_hr_per_500,
-                    "steps_hr_lower": report.steps_hr_ci[0] if report.steps_hr_ci else None,
-                    "steps_hr_upper": report.steps_hr_ci[1] if report.steps_hr_ci else None,
-                    "steps_p": report.steps_p,
-                }
-            )
-    except Exception as exc:  # noqa: BLE001 - keep the remaining tables
-        partial_failure = True
-        _log(f"analyze: model suite failed: {type(exc).__name__}: {exc}")
-    ingest.write_table(
-        model_rows,
-        out_path("model_suite"),
-        fieldnames=[
-            "model", "concordance", "steps_variable", "steps_hr",
-            "steps_hr_lower", "steps_hr_upper", "steps_p",
-        ],
-    )
-
-    hr_rows = []
-    steps_only = [m for m in step_measures if m.startswith("steps_")]
-    for measure in steps_only:
-        try:
-            adjusted = survival.cox_fit(data.select(traditional + [measure]))
-            hr, lo, hi = survival.hazard_ratio(adjusted, measure, cfg.hr_step_increment)
-            # standardizing the column (as survival.standardize does) scales
-            # its beta and se by the sd, so the per-sd HR needs no refit
-            sd = float(data.column(measure).std(ddof=1))
-            shr, slo, shi = survival.hazard_ratio(adjusted, measure, sd)
-            hr_rows.append(
-                {
-                    "measure": measure,
-                    "hr_per_increment": hr,
-                    "hr_lower": lo,
-                    "hr_upper": hi,
-                    "scaled_hr": shr,
-                    "scaled_hr_lower": slo,
-                    "scaled_hr_upper": shi,
-                    "sd_thousands": sd / 1000.0,
-                }
-            )
-        except Exception as exc:  # noqa: BLE001 - per-measure isolation
-            partial_failure = True
-            _log(f"analyze: hazard-ratio fit failed for {measure}: "
-                 f"{type(exc).__name__}: {exc}")
-    ingest.write_table(
-        hr_rows,
-        out_path("hazard_ratios"),
-        fieldnames=[
-            "measure", "hr_per_increment", "hr_lower", "hr_upper",
-            "scaled_hr", "scaled_hr_lower", "scaled_hr_upper", "sd_thousands",
-        ],
-    )
-
-    return 1 if partial_failure else 0
+    return _survival_stage(data, measures, cfg, out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -771,26 +671,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 totals[name] += time.perf_counter() - start
         _log(f"bench: subject {subject + 1}/{args.subjects} done")
     subject_weeks = args.subjects * args.days / 7.0
-    rows = []
-    for name in detector_names:
-        seconds = totals[name]
-        rows.append(
-            {
-                "detector": name,
-                "total_seconds": seconds,
-                "minutes_per_10_subjects": (seconds / 60.0) * (10.0 / subject_weeks),
-            }
-        )
+    rows = [
+        [name, totals[name], (totals[name] / 60.0) * (10.0 / subject_weeks)]
+        for name in detector_names
+    ]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    ingest.write_table(
-        rows, out, fieldnames=["detector", "total_seconds", "minutes_per_10_subjects"]
-    )
-    for row in rows:
-        _log(
-            f"bench: {row['detector']}: {row['minutes_per_10_subjects']:.2f} "
-            "min per 10 subject-weeks"
-        )
+    ingest.write_table(out, ["detector", "total_seconds", "minutes_per_10_subjects"], rows)
+    for name, _, minutes in rows:
+        _log(f"bench: {name}: {minutes:.2f} min per 10 subject-weeks")
     return 0
 
 
@@ -866,7 +755,11 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--seed", type=int, default=None, help="override rng_seed")
-        p.add_argument("--jobs", type=int, default=1, help="worker count")
+        p.add_argument(
+            "--jobs", type=int, default=1,
+            help="worker processes for steps; analyze, bench and simulate "
+            "accept and ignore it",
+        )
 
     p_steps = sub.add_parser("steps", help="raw recordings -> minute-level files")
     common(p_steps)

@@ -170,10 +170,3 @@ def sliding_windows(
     while start + w <= n:
         yield (start, start + w)
         start += h
-
-
-def window_count(n_samples: int, window: int, hop: int) -> int:
-    """Closed form for the number of full sliding windows."""
-    if n_samples < window:
-        return 0
-    return (n_samples - window) // hop + 1

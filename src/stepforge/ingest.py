@@ -81,23 +81,6 @@ def cache_path(path: str | os.PathLike) -> Path:
     return Path(path).with_name(Path(path).name + CACHE_SUFFIX)
 
 
-def write_binary_cache(
-    path: str | os.PathLike, x: np.ndarray, y: np.ndarray, z: np.ndarray
-) -> None:
-    """Write the SFG1 cache: magic, u32 sample count, f32 x/y/z blocks."""
-    xs = np.asarray(x, dtype="<f4")
-    ys = np.asarray(y, dtype="<f4")
-    zs = np.asarray(z, dtype="<f4")
-    if not len(xs) == len(ys) == len(zs):
-        raise ValueError("axes must have equal lengths")
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<I", len(xs)))
-        fh.write(xs.tobytes())
-        fh.write(ys.tobytes())
-        fh.write(zs.tobytes())
-
-
 def read_binary_cache(
     path: str | os.PathLike,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -381,26 +364,24 @@ def _fmt(value) -> str:
 
 
 def write_table(
-    rows: Sequence[Mapping[str, object]],
     path: str | os.PathLike,
-    fieldnames: Sequence[str] | None = None,
+    header: Sequence[str],
+    rows: Iterable[Sequence[object]],
 ) -> None:
-    """Write dict rows as UTF-8 CSV with a deterministic column order.
+    """Write ``rows``, each a sequence in ``header`` order, as UTF-8 CSV.
 
-    Columns follow ``fieldnames`` when given, else the first row's key
-    order; floats use ``repr`` so a re-read reproduces them exactly.
+    Floats use ``repr`` so a re-read reproduces them exactly; ``None`` is
+    written as an empty field and booleans as ``1``/``0``.
     """
-    if fieldnames is None:
-        if not rows:
-            raise ValueError("fieldnames required when rows is empty")
-        fieldnames = list(rows[0].keys())
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(fieldnames)
+        writer.writerow(header)
         for row in rows:
-            if set(row.keys()) != set(fieldnames):
-                raise ValueError("row keys do not match fieldnames")
-            writer.writerow([_fmt(row[k]) for k in fieldnames])
+            if len(row) != len(header):
+                raise ValueError(
+                    f"row has {len(row)} values for {len(header)} columns"
+                )
+            writer.writerow([_fmt(value) for value in row])
 
 
 def read_table(path: str | os.PathLike) -> list[dict[str, str]]:
@@ -618,21 +599,24 @@ def write_minute_file(table: MinuteTable, path: str | os.PathLike) -> None:
 # Covariates and mortality
 # ---------------------------------------------------------------------------
 
-_COVARIATE_COLUMNS = (
-    ("subject", True),
-    ("wave", True),
-    ("age", False),
-    ("sex", False),
-    ("race_ethnicity", False),
-    ("education", False),
-    ("bmi_category", False),
-    ("alcohol", False),
-    ("smoking", False),
-    ("self_reported_health", False),
-    ("weight", True),
-    ("stratum", True),
-    ("psu", True),
-)
+#: Covariate table columns in file order, each with the record field it holds.
+_COVARIATE_FIELDS = {
+    "subject": "subject_id",
+    "wave": "wave",
+    "age": "age_years",
+    "sex": "sex",
+    "race_ethnicity": "race_ethnicity",
+    "education": "education",
+    "bmi_category": "bmi_category",
+    "alcohol": "alcohol",
+    "smoking": "smoking",
+    "self_reported_health": "self_reported_health",
+    **{name: name for name in BOOLEAN_COVARIATES},
+    "weight": "survey_weight",
+    "stratum": "stratum_id",
+    "psu": "psu_id",
+}
+_REQUIRED_COVARIATE_COLUMNS = ("subject", "wave", "weight", "stratum", "psu")
 
 
 def read_covariates(path: str | os.PathLike) -> list[SubjectCovariates]:
@@ -648,8 +632,7 @@ def read_covariates(path: str | os.PathLike) -> list[SubjectCovariates]:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             return []
-        required = [c for c, req in _COVARIATE_COLUMNS if req]
-        missing = set(required) - set(reader.fieldnames)
+        missing = set(_REQUIRED_COVARIATE_COLUMNS) - set(reader.fieldnames)
         if missing:
             raise ValueError(f"{path}: missing columns {sorted(missing)}")
         for idx, row in enumerate(reader, start=2):
@@ -707,33 +690,11 @@ def read_covariates(path: str | os.PathLike) -> list[SubjectCovariates]:
 def write_covariates(
     records: Sequence[SubjectCovariates], path: str | os.PathLike
 ) -> None:
-    fieldnames = (
-        ["subject", "wave", "age", "sex", "race_ethnicity", "education",
-         "bmi_category", "alcohol", "smoking", "self_reported_health"]
-        + list(BOOLEAN_COVARIATES)
-        + ["weight", "stratum", "psu"]
-    )
-    rows = []
-    for r in records:
-        row: dict[str, object] = {
-            "subject": r.subject_id,
-            "wave": r.wave,
-            "age": r.age_years,
-            "sex": r.sex,
-            "race_ethnicity": r.race_ethnicity,
-            "education": r.education,
-            "bmi_category": r.bmi_category,
-            "alcohol": r.alcohol,
-            "smoking": r.smoking,
-            "self_reported_health": r.self_reported_health,
-            "weight": r.survey_weight,
-            "stratum": r.stratum_id,
-            "psu": r.psu_id,
-        }
-        for b in BOOLEAN_COVARIATES:
-            row[b] = getattr(r, b)
-        rows.append(row)
-    write_table(rows, path, fieldnames=fieldnames)
+    rows = [[getattr(r, f) for f in _COVARIATE_FIELDS.values()] for r in records]
+    write_table(path, list(_COVARIATE_FIELDS), rows)
+
+
+_MORTALITY_COLUMNS = ("subject", "event", "followup_months")
 
 
 def read_mortality(path: str | os.PathLike) -> list[MortalityRecord]:
@@ -744,7 +705,7 @@ def read_mortality(path: str | os.PathLike) -> list[MortalityRecord]:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             return []
-        missing = {"subject", "event", "followup_months"} - set(reader.fieldnames)
+        missing = set(_MORTALITY_COLUMNS) - set(reader.fieldnames)
         if missing:
             raise ValueError(f"{path}: missing columns {sorted(missing)}")
         for idx, row in enumerate(reader, start=2):
@@ -768,15 +729,8 @@ def read_mortality(path: str | os.PathLike) -> list[MortalityRecord]:
 def write_mortality(
     records: Sequence[MortalityRecord], path: str | os.PathLike
 ) -> None:
-    rows = [
-        {
-            "subject": r.subject_id,
-            "event": int(r.event),
-            "followup_months": float(r.followup_months),
-        }
-        for r in records
-    ]
-    write_table(rows, path, fieldnames=["subject", "event", "followup_months"])
+    rows = [[r.subject_id, int(r.event), float(r.followup_months)] for r in records]
+    write_table(path, _MORTALITY_COLUMNS, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -868,18 +822,13 @@ def write_subject_summaries(
     summaries: Sequence[SubjectSummary], path: str | os.PathLike
 ) -> None:
     keys = sorted({k for s in summaries for k in s.means})
-    fieldnames = ["subject", "n_valid_days", "included"] + [f"mean_{k}" for k in keys]
-    rows = []
-    for s in summaries:
-        row: dict[str, object] = {
-            "subject": s.subject_id,
-            "n_valid_days": s.n_valid_days,
-            "included": int(s.included),
-        }
-        for k in keys:
-            row[f"mean_{k}"] = float(s.means[k]) if k in s.means else None
-        rows.append(row)
-    write_table(rows, path, fieldnames=fieldnames)
+    header = ["subject", "n_valid_days", "included", *(f"mean_{k}" for k in keys)]
+    rows = [
+        [s.subject_id, s.n_valid_days, int(s.included),
+         *(float(s.means[k]) if k in s.means else None for k in keys)]
+        for s in summaries
+    ]
+    write_table(path, header, rows)
 
 
 def read_subject_summaries(path: str | os.PathLike) -> list[SubjectSummary]:

@@ -225,12 +225,6 @@ def _score_hess(
     return score, hess
 
 
-def breslow_partial_loglik(data: SurvivalDataset, beta: Sequence[float]) -> float:
-    """Weighted Breslow partial log-likelihood at a given coefficient vector."""
-    ll, _ = _loglik(_RiskSets(data), np.asarray(beta, dtype=np.float64))
-    return ll
-
-
 def _score_residuals(risk: _RiskSets, beta: np.ndarray) -> np.ndarray:
     """Per-subject weighted score residuals (rows sum to the total score)."""
     eta, rexp, s0 = risk.risk_sums(beta)

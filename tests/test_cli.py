@@ -1,4 +1,5 @@
 import filecmp
+import gzip
 import os
 import re
 from dataclasses import fields as dataclass_fields
@@ -349,6 +350,18 @@ class TestExitCodes:
         empty.mkdir()
         assert main(["steps", str(empty), "--out", str(tmp_path / "o")]) == 2
 
+    def test_steps_two_files_of_one_subject_are_fatal(self, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        (raw / "P1.csv").write_text("x,y,z\n0,0,1\n")
+        with gzip.open(raw / "P1.csv.gz", "wt") as fh:
+            fh.write("x,y,z\n0,0,1\n")
+        assert main(["steps", str(raw), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "P1.csv and P1.csv.gz" in err and "subject 'P1'" in err
+        assert not list(raw.glob("*.sfg1"))  # refused before any parse
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_config_key_is_fatal(self, tmp_path):
         conf = tmp_path / "bad.conf"
         conf.write_text("not_a_key = 1\n")
@@ -385,6 +398,11 @@ class TestExitCodes:
         rc = run_analyze(corpus, tmp_path / "o", ["--mortality", str(mortality)])
         assert rc == 2
         assert "mortality.csv:2: event must be 0 or 1, got 2" in capsys.readouterr().err
+        assert sorted(p.stem for p in (tmp_path / "o").iterdir()) == [
+            "age_curves", "age_percent_change", "between_wave_diff", "correlations",
+            "day_summaries", "subject_summaries", "unknown_transitions",
+            "validity_report", "weighted_means",
+        ]
 
     @pytest.mark.parametrize("command", ["simulate", "analyze"])
     def test_negative_seed_is_fatal_before_any_work(self, corpus, tmp_path, command, capsys):

@@ -13,7 +13,6 @@ from stepforge.dsp import (
     resample_linear,
     sliding_windows,
     vector_magnitude,
-    window_count,
 )
 from stepforge.model import TriaxialRecording
 
@@ -193,7 +192,6 @@ class TestSlidingWindows:
         s = UniformSeries(1.0, np.zeros(n))
         windows = list(sliding_windows(s, w, h))
         assert len(windows) == expect
-        assert window_count(n, w, h) == expect
 
     def test_ranges_contiguous(self):
         s = UniformSeries(2.0, np.zeros(20))

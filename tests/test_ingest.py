@@ -20,7 +20,6 @@ from stepforge.ingest import (
     read_raw_recording,
     read_subject_summaries,
     read_table,
-    write_binary_cache,
     write_covariates,
     write_minute_file,
     write_mortality,
@@ -172,15 +171,13 @@ class TestRawReading:
 
 class TestBinaryCache:
     def test_round_trip(self, tmp_path):
-        path = tmp_path / "r.sfg1"
-        x = np.array([0.1, 0.2], dtype=np.float32)
-        y = np.array([1.5, -2.5], dtype=np.float32)
-        z = np.array([0.0, 9.75], dtype=np.float32)
-        write_binary_cache(path, x, y, z)
-        rx, ry, rz = read_binary_cache(path)
-        np.testing.assert_array_equal(rx, x)
-        np.testing.assert_array_equal(ry, y)
-        np.testing.assert_array_equal(rz, z)
+        path = tmp_path / "r.csv"
+        write_raw(path, [(0.1, 1.5, 0.0), (0.2, -2.5, 9.75)])
+        list(read_raw_recording(path, RawFileSchema()))
+        rx, ry, rz = read_binary_cache(cache_path(path))
+        np.testing.assert_array_equal(rx, np.array([0.1, 0.2], dtype=np.float32))
+        np.testing.assert_array_equal(ry, np.array([1.5, -2.5], dtype=np.float32))
+        np.testing.assert_array_equal(rz, np.array([0.0, 9.75], dtype=np.float32))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.sfg1"
@@ -196,32 +193,28 @@ class TestBinaryCache:
         with pytest.raises(ValueError, match="truncated"):
             read_binary_cache(path)
 
-    def test_unequal_axes_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="equal lengths"):
-            write_binary_cache(tmp_path / "x.sfg1", np.zeros(2), np.zeros(2), np.zeros(3))
-
 
 class TestWriteTable:
     def test_header_only_when_empty(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_table([], path, fieldnames=["a", "b"])
+        write_table(path, ["a", "b"], [])
         assert path.read_text() == "a,b\n"
-        with pytest.raises(ValueError, match="fieldnames required"):
-            write_table([], tmp_path / "u.csv")
 
     def test_repr_floats_round_trip(self, tmp_path):
         path = tmp_path / "f.csv"
         value = 0.1 + 0.2  # not exactly 0.3
-        write_table([{"v": value}], path)
+        write_table(path, ["v"], [[value]])
         assert float(read_table(path)[0]["v"]) == value
 
-    def test_key_mismatch_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="row keys"):
-            write_table([{"a": 1, "c": 2}], tmp_path / "k.csv", fieldnames=["a", "b"])
+    def test_row_length_mismatch_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="3 values for 2 columns"):
+            write_table(tmp_path / "k.csv", ["a", "b"], [[1, 2, 3]])
+        with pytest.raises(ValueError, match="1 values for 2 columns"):
+            write_table(tmp_path / "k.csv", ["a", "b"], [[1]])
 
     def test_unix_newlines(self, tmp_path):
         path = tmp_path / "n.csv"
-        write_table([{"a": 1}, {"a": 2}], path)
+        write_table(path, ["a"], [[1], [2]])
         assert path.read_bytes() == b"a\n1\n2\n"
 
 

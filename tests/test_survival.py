@@ -17,7 +17,6 @@ from stepforge.survival import (
     _score_residuals,
     CoxFit,
     SurvivalDataset,
-    breslow_partial_loglik,
     concordance,
     cox_fit,
     hazard_ratio,
@@ -40,6 +39,12 @@ def dataset(t, ev, x, w=None, names=None):
         weights=np.ones(len(t)) if w is None else np.asarray(w, dtype=np.float64),
         covariate_names=tuple(names or [f"x{i}" for i in range(x.shape[1])]),
     )
+
+
+def breslow_partial_loglik(data, beta):
+    """The engine's weighted Breslow partial log-likelihood at ``beta``."""
+    ll, _ = _loglik(_RiskSets(data), np.asarray(beta, dtype=np.float64))
+    return ll
 
 
 def loglik_score_hess(risk, beta):
