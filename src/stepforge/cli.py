@@ -19,7 +19,6 @@ import sys
 import time
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields as dataclass_fields
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -41,7 +40,7 @@ from .model import (
     WearState,
     make_config,
 )
-from .summaries import AcParams, MimsParams, activity_counts, mims_units
+from .summaries import activity_counts, mims_units
 
 ENV_PREFIX = "STEPFORGE_"
 
@@ -100,6 +99,8 @@ def _coerce(name: str, text: str, target_type) -> object:
         if typing.get_origin(target_type) is tuple:
             parts = [part.strip() for part in text.split(",")]
             kinds = typing.get_args(target_type)
+            if Ellipsis in kinds:
+                raise FatalCliError(f"config key {name!r}: cannot be set from config")
             if len(parts) != len(kinds):
                 raise ValueError(text)
             return tuple(kind(part) for kind, part in zip(kinds, parts))
@@ -116,11 +117,13 @@ def load_config(
     config_path: str | None,
     seed: int | None = None,
     env: Mapping[str, str] | None = None,
-) -> tuple[AnalysisConfig, dict[str, Mapping[str, float]]]:
+) -> tuple[AnalysisConfig, dict[str, dict[str, object]]]:
     """Resolve config precedence: defaults < file < environment < --seed.
 
     Returns the analysis config plus per-detector parameter overrides
-    gathered from dotted keys like ``spectral.min_std_g = 0.03``.
+    gathered from dotted keys like ``spectral.activity_std_min_g = 0.03``,
+    each typed like its parameter field.  Every detector's parameters are
+    built once here, so a refused value is fatal before any input is read.
     """
     env = os.environ if env is None else env
     raw: dict[str, str] = {}
@@ -132,23 +135,17 @@ def load_config(
             raw[key] = env[env_key]
 
     overrides: dict[str, object] = {}
-    detector_params: dict[str, dict[str, float]] = {}
+    detector_params: dict[str, dict[str, object]] = {}
     for key, text in raw.items():
         if "." in key:
             prefix, _, param = key.partition(".")
             if prefix not in _PARAM_TYPES:
                 raise FatalCliError(f"unknown detector prefix in config key {key!r}")
-            param_fields = {
-                f.name: f.type for f in dataclass_fields(_PARAM_TYPES[prefix])
-            }
-            if param not in param_fields:
+            param_types = typing.get_type_hints(_PARAM_TYPES[prefix])
+            if param not in param_types:
                 raise FatalCliError(f"unknown detector parameter {key!r}")
-            try:
-                detector_params.setdefault(prefix, {})[param] = float(text)
-            except ValueError:
-                raise FatalCliError(
-                    f"config key {key!r}: cannot parse {text!r}"
-                ) from None
+            value = _coerce(key, text, param_types[param])
+            detector_params.setdefault(prefix, {})[param] = value
             continue
         if key not in _CONFIG_TYPES:
             raise FatalCliError(f"unknown config key {key!r}")
@@ -159,22 +156,18 @@ def load_config(
         cfg = make_config(overrides)
     except ValueError as exc:
         raise FatalCliError(str(exc)) from None
+    for prefix, params in detector_params.items():
+        try:
+            _PARAM_TYPES[prefix](**params)
+        except ValueError as exc:
+            raise FatalCliError(f"config keys {prefix}.*: {exc}") from None
     return cfg, detector_params
 
 
-def _build_registry(detector_params: Mapping[str, Mapping[str, float]]):
-    kwargs = {}
-    for name, params in detector_params.items():
-        cls = _PARAM_TYPES[name]
-        typed = {}
-        for field in dataclass_fields(cls):
-            if field.name in params:
-                value = params[field.name]
-                typed[field.name] = (
-                    int(value) if field.type in ("int", int) else value
-                )
-        kwargs[name] = cls(**typed)
-    return det.build_registry(**kwargs)
+def _build_registry(detector_params: Mapping[str, Mapping[str, object]]):
+    return det.build_registry(
+        **{name: _PARAM_TYPES[name](**params) for name, params in detector_params.items()}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +209,8 @@ def _steps_worker(args: tuple) -> tuple[str, dict[str, float], str]:
             raise RuntimeError(
                 "; ".join(f"{k}: {v}" for k, v in sorted(run.errors.items()))
             )
-        ac = activity_counts(rec, AcParams())
-        mims = mims_units(rec, MimsParams())
+        ac = activity_counts(rec)
+        mims = mims_units(rec)
         minute = np.arange(n_minutes)
         names = tuple(sorted(run.minutes))
         table = MinuteTable(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import bisect
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -256,15 +256,15 @@ def detect_steps_spectral(
     return StepSeries(name, counts)
 
 
-def _default_templates(n_points: int = 64) -> tuple[np.ndarray, ...]:
-    """Two synthetic stride shapes, zero-mean with unit energy.
+def _default_templates() -> tuple[np.ndarray, ...]:
+    """Two synthetic 64-point stride shapes, zero-mean with unit energy.
 
     A stride spans two steps, so both defaults carry one magnitude
     oscillation per step: a uniform two-step sinusoid and a tapered variant
     whose envelope fades at the stride boundaries.  Empirical templates can
     be loaded via :class:`TemplateParams`.
     """
-    u = np.linspace(0.0, 1.0, n_points, endpoint=False)
+    u = np.linspace(0.0, 1.0, 64, endpoint=False)
     uniform = np.sin(4.0 * np.pi * u)
     tapered = np.sin(4.0 * np.pi * u) * np.sin(np.pi * u)
     out = []
@@ -350,15 +350,13 @@ def _oa_block_size(n: int, L: int) -> int | None:
     return None if block >= n else block
 
 
-def _overlap_add_correlate(
-    values: np.ndarray, templates: np.ndarray, batch_samples: int = OA_BATCH_SAMPLES
-) -> np.ndarray:
+def _overlap_add_correlate(values: np.ndarray, templates: np.ndarray) -> np.ndarray:
     """Bitwise ``oaconvolve(values[None], templates[:, ::-1], "valid", axes=1)``.
 
     The block length, the block grid from sample 0, the per-block
     ``rfftn``/``irfftn`` shapes and each block's head-plus-previous-tail sums
     are oaconvolve's own, so every output bit is too.  The blocks are
-    transformed a batch of about ``batch_samples`` signal samples at a time
+    transformed a batch of about ``OA_BATCH_SAMPLES`` signal samples at a time
     and each batch's finished outputs go straight into the profile, so the
     spectra never span the whole signal.
     """
@@ -374,7 +372,7 @@ def _overlap_add_correlate(
     kernel = scipy_fft.rfftn(templates[:, np.newaxis, ::-1], [block], axes=[2])
     out = np.empty((n_templates, n - overlap))
     n_blocks = -(-n // step)
-    per_batch = max(1, batch_samples // step)
+    per_batch = max(1, OA_BATCH_SAMPLES // step)
     tail = None
     for b0 in range(0, n_blocks, per_batch):
         b1 = min(b0 + per_batch, n_blocks)
@@ -574,15 +572,13 @@ def build_registry(
 
 @dataclass(frozen=True)
 class DetectorRun:
-    """Fan-out result: one StepSeries per detector plus timing and errors."""
+    """Fan-out result: per-minute steps per detector plus timing and errors."""
 
-    series: Mapping[str, StepSeries]
     minutes: Mapping[str, np.ndarray]
     timings_s: Mapping[str, float]
     errors: Mapping[str, str]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "series", dict(self.series))
         object.__setattr__(self, "minutes", dict(self.minutes))
         object.__setattr__(self, "timings_s", dict(self.timings_s))
         object.__setattr__(self, "errors", dict(self.errors))
@@ -598,11 +594,10 @@ def run_detectors(
     A detector raising an exception is isolated: its error message is
     recorded and the remaining detectors still run.  Wall-clock time is
     recorded per detector.  A function registered under several names runs
-    once; its series (or error) is copied under the later names.
+    once; its minutes (or error) are copied under the later names.
     """
     if not registry:
         raise ValueError("registry must contain at least one detector")
-    series: dict[str, StepSeries] = {}
     minutes: dict[str, np.ndarray] = {}
     timings: dict[str, float] = {}
     errors: dict[str, str] = {}
@@ -614,7 +609,6 @@ def run_detectors(
             if first in errors:
                 errors[dname] = errors[first]
             else:
-                series[dname] = replace(series[first], detector_name=dname)
                 minutes[dname] = minutes[first]
             timings[dname] = time.perf_counter() - t0
             continue
@@ -625,6 +619,5 @@ def run_detectors(
             timings[dname] = time.perf_counter() - t0
             continue
         timings[dname] = time.perf_counter() - t0
-        series[dname] = result
         minutes[dname] = per_second_to_minutes(result.steps_per_second, n_minutes)
-    return DetectorRun(series=series, minutes=minutes, timings_s=timings, errors=errors)
+    return DetectorRun(minutes=minutes, timings_s=timings, errors=errors)

@@ -90,13 +90,12 @@ def resample_linear(series: UniformSeries, target_hz: float) -> UniformSeries:
 
 
 def butterworth_bandpass(
-    series: UniformSeries,
-    low_hz: float,
-    high_hz: float,
-    order: int = 4,
-    zero_phase: bool = True,
+    series: UniformSeries, low_hz: float, high_hz: float
 ) -> UniformSeries:
-    """Butterworth band-pass filter as a second-order-section cascade.
+    """Zero-phase 4th-order Butterworth band-pass, as a second-order-section cascade.
+
+    The filter runs forward and backward, so there is no phase distortion
+    and the magnitude response is squared.
 
     Parameters
     ----------
@@ -104,28 +103,16 @@ def butterworth_bandpass(
         Input signal.
     low_hz, high_hz : float
         Pass-band edges; must satisfy 0 < low < high < Nyquist.
-    order : int
-        Prototype filter order (even).  ``order=4`` matches the usual
-        "4th-order Butterworth band-pass" convention.
-    zero_phase : bool
-        Apply the filter forward and backward (no phase distortion, squared
-        magnitude response).  One-directional filtering when False.
     """
     nyquist = series.sample_rate_hz / 2.0
     if not (0.0 < low_hz < high_hz < nyquist):
         raise ValueError(
             f"band edges must satisfy 0 < {low_hz} < {high_hz} < Nyquist ({nyquist})"
         )
-    if order < 2 or order % 2 != 0:
-        raise ValueError("order must be an even integer >= 2")
     sos = signal.butter(
-        order, [low_hz, high_hz], btype="bandpass", output="sos", fs=series.sample_rate_hz
+        4, [low_hz, high_hz], btype="bandpass", output="sos", fs=series.sample_rate_hz
     )
-    if zero_phase:
-        out = signal.sosfiltfilt(sos, series.values)
-    else:
-        out = signal.sosfilt(sos, series.values)
-    return UniformSeries(series.sample_rate_hz, out)
+    return UniformSeries(series.sample_rate_hz, signal.sosfiltfilt(sos, series.values))
 
 
 def power_spectrum(window: UniformSeries) -> tuple[np.ndarray, np.ndarray]:

@@ -366,21 +366,22 @@ def _fmt(value) -> str:
 def write_table(
     path: str | os.PathLike,
     header: Sequence[str],
-    rows: Iterable[Sequence[object]],
+    rows: Sequence[Sequence[object]],
 ) -> None:
     """Write ``rows``, each a sequence in ``header`` order, as UTF-8 CSV.
 
     Floats use ``repr`` so a re-read reproduces them exactly; ``None`` is
-    written as an empty field and booleans as ``1``/``0``.
+    written as an empty field and booleans as ``1``/``0``.  Every row's
+    length is checked before the file is opened, so a bad row leaves any
+    existing file as it was.
     """
+    for row in rows:
+        if len(row) != len(header):
+            raise ValueError(f"row has {len(row)} values for {len(header)} columns")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            if len(row) != len(header):
-                raise ValueError(
-                    f"row has {len(row)} values for {len(header)} columns"
-                )
             writer.writerow([_fmt(value) for value in row])
 
 
@@ -624,10 +625,11 @@ def read_covariates(path: str | os.PathLike) -> list[SubjectCovariates]:
 
     Empty categorical cells become record-level missing values, except
     alcohol, which maps to its explicit "Missing alcohol" level.  Ages above
-    the topcode are clamped and flagged.
+    the topcode are clamped and flagged.  A repeated subject is an error.
     """
     path = Path(path)
     out: list[SubjectCovariates] = []
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
@@ -637,6 +639,9 @@ def read_covariates(path: str | os.PathLike) -> list[SubjectCovariates]:
             raise ValueError(f"{path}: missing columns {sorted(missing)}")
         for idx, row in enumerate(reader, start=2):
             ctx = f"{path}:{idx}"
+            first = first_line.setdefault(row["subject"], idx)
+            if first != idx:
+                raise ValueError(f"{ctx}: subject {row['subject']!r} repeats line {first}")
             weight = _parse_float(row["weight"], ctx)
             if weight <= 0:
                 raise ValueError(f"{ctx}: survey weight must be positive")
@@ -698,9 +703,13 @@ _MORTALITY_COLUMNS = ("subject", "event", "followup_months")
 
 
 def read_mortality(path: str | os.PathLike) -> list[MortalityRecord]:
-    """Read ``subject,event,followup_months`` rows; ``event`` is 0 or 1."""
+    """Read ``subject,event,followup_months`` rows; ``event`` is 0 or 1.
+
+    A repeated subject is an error.
+    """
     path = Path(path)
     out: list[MortalityRecord] = []
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
@@ -710,6 +719,9 @@ def read_mortality(path: str | os.PathLike) -> list[MortalityRecord]:
             raise ValueError(f"{path}: missing columns {sorted(missing)}")
         for idx, row in enumerate(reader, start=2):
             ctx = f"{path}:{idx}"
+            first = first_line.setdefault(row["subject"], idx)
+            if first != idx:
+                raise ValueError(f"{ctx}: subject {row['subject']!r} repeats line {first}")
             followup = _parse_float(row["followup_months"], ctx)
             if followup < 0:
                 raise ValueError(f"{ctx}: negative follow-up")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, fields, replace
-from datetime import datetime
 from enum import Enum
 from typing import Any, Iterable, Mapping, NamedTuple
 
@@ -55,8 +54,7 @@ class TriaxialRecording:
     """A chunk of raw triaxial acceleration, in g, at a fixed sampling rate.
 
     Axes are stored as separate arrays so per-axis pipelines (activity
-    counts, MIMS) never pay for a transpose.  Timestamps are optional; when
-    present they carry timezone-free local semantics.
+    counts, MIMS) never pay for a transpose.
     """
 
     subject_id: str
@@ -64,7 +62,6 @@ class TriaxialRecording:
     y: np.ndarray
     z: np.ndarray
     sample_rate_hz: float = 80.0
-    start_timestamp: datetime | None = None
 
     def __post_init__(self) -> None:
         for name in ("x", "y", "z"):

@@ -8,7 +8,7 @@ and survival datasets (known hazard ratios).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -105,34 +105,17 @@ def gen_gait(
     return rec, np.asarray(truth)
 
 
-@dataclass(frozen=True)
-class CohortProfile:
-    """Marginal rates used when sampling synthetic minute-level days."""
-
-    p_wake: float = 0.62
-    p_sleep: float = 0.33
-    p_nonwear: float = 0.02
-    p_unknown: float = 0.03
-    p_flagged: float = 0.005
-    p_zero_mims: float = 0.08
-    #: Fraction of subjects who barely wear the device (all days invalid).
-    p_low_wear_subject: float = 0.15
-    detector_names: tuple[str, ...] = (
-        "peak_original",
-        "peak_revised",
-        "spectral",
-        "template",
-    )
-    #: Mean per-minute steps during wake, per detector, before subject scaling.
-    detector_scale: Sequence[float] = (6.0, 5.5, 7.0, 1.8)
-    include_boundary_days: bool = True
-
-    def __post_init__(self) -> None:
-        total = self.p_wake + self.p_sleep + self.p_nonwear + self.p_unknown
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError("wear-state probabilities must sum to 1")
-        if len(self.detector_scale) != len(self.detector_names):
-            raise ValueError("detector_scale must match detector_names")
+#: Probabilities of each minute's wear state: wake, sleep, non-wear, unknown.
+WEAR_STATE_P = (0.62, 0.33, 0.02, 0.03)
+#: Wear-state probabilities of a subject who barely wears the device (all
+#: days invalid), and the fraction of such subjects.
+LOW_WEAR_STATE_P = (0.45, 0.20, 0.30, 0.05)
+P_LOW_WEAR_SUBJECT = 0.15
+P_FLAGGED = 0.005
+P_ZERO_MIMS = 0.08
+COHORT_DETECTORS = ("peak_original", "peak_revised", "spectral", "template")
+#: Mean per-minute steps during wake, per detector, before subject scaling.
+DETECTOR_SCALE = (6.0, 5.5, 7.0, 1.8)
 
 
 def make_boundary_day(
@@ -171,26 +154,16 @@ def make_boundary_day(
     )
 
 
-def gen_cohort(
-    n_subjects: int,
-    n_days: int,
-    profile: CohortProfile | None = None,
-    seed: int = 0,
-) -> MinuteTable:
-    """Sample a minute-level cohort with controllable validity rates.
+def gen_cohort(n_subjects: int, n_days: int, seed: int = 0) -> MinuteTable:
+    """Sample a minute-level cohort at the module's fixed validity rates.
 
-    Subjects are named ``S0001`` onward.  When the profile asks for boundary
-    days, the first subject's opening days sit exactly at the validity
-    thresholds (1368 valid / 420 wake / 420 nonzero-MIMS minutes) and one
-    minute below them.
+    Subjects are named ``S0001`` onward.  The first subject's opening days
+    sit exactly at the validity thresholds (1368 valid / 420 wake / 420
+    nonzero-MIMS minutes) and one minute below them.
     """
     if n_subjects < 1 or n_days < 1:
         raise ValueError("need at least one subject and one day")
-    profile = profile or CohortProfile()
     rng = np.random.default_rng(seed)
-    p_states = np.array(
-        [profile.p_wake, profile.p_sleep, profile.p_nonwear, profile.p_unknown]
-    )
     states = (
         WearState.WAKE_WEAR,
         WearState.SLEEP_WEAR,
@@ -198,20 +171,19 @@ def gen_cohort(
         WearState.UNKNOWN,
     )
     state_codes = np.array([WEAR_CODE[state] for state in states], dtype=np.int8)
-    scales = np.asarray(profile.detector_scale, dtype=np.float64)
+    scales = np.asarray(DETECTOR_SCALE, dtype=np.float64)
     k = len(scales)
     days: list[dict[str, object]] = []
-    low_wear_states = np.array([0.45, 0.20, 0.30, 0.05])
     for s in range(n_subjects):
         subject = f"S{s + 1:04d}"
         activity = rng.lognormal(mean=0.0, sigma=0.4)
         # Stable relative bias per subject and measure, so subject-level
         # daily means disagree across measures even after averaging.
         measure_bias = rng.lognormal(mean=0.0, sigma=0.1, size=k + 2)
-        low_wear = rng.random() < profile.p_low_wear_subject
-        p_subject = low_wear_states if low_wear else p_states
+        low_wear = rng.random() < P_LOW_WEAR_SUBJECT
+        p_subject = LOW_WEAR_STATE_P if low_wear else WEAR_STATE_P
         for day in range(1, n_days + 1):
-            if profile.include_boundary_days and s == 0 and day <= 4:
+            if s == 0 and day <= 4:
                 # Days pinned at and just below the validity thresholds.
                 n_valid, n_wake, n_mims = [
                     (1368, 420, 420),
@@ -221,13 +193,13 @@ def gen_cohort(
                 ][day - 1]
                 days.append(
                     vars(make_boundary_day(
-                        subject, day, n_valid, n_wake, n_mims, profile.detector_names
+                        subject, day, n_valid, n_wake, n_mims, COHORT_DETECTORS
                     ))
                 )
                 continue
             wear_idx = rng.choice(len(states), size=1440, p=p_subject)
-            flagged = rng.random(1440) < profile.p_flagged
-            zero_mims = rng.random(1440) < profile.p_zero_mims
+            flagged = rng.random(1440) < P_FLAGGED
+            zero_mims = rng.random(1440) < P_ZERO_MIMS
             base = rng.gamma(shape=2.0, scale=3.0, size=1440) * activity
             # Detectors disagree minute to minute; without this jitter every
             # measure would be an exact rescaling of the same series.
@@ -248,7 +220,7 @@ def gen_cohort(
                     "steps": np.round(
                         level[:, None] * jitter[:, :k] * scales / 3.0, 3
                     ),
-                    "detectors": tuple(profile.detector_names),
+                    "detectors": COHORT_DETECTORS,
                 }
             )
     return stack_minutes(days)
@@ -257,7 +229,6 @@ def gen_cohort(
 def gen_covariates(
     subject_ids: Sequence[str],
     seed: int = 0,
-    waves: tuple[str, str] = ("2011-2012", "2013-2014"),
     p_missing: float = 0.0,
     age_range: tuple[float, float] = (18.0, 84.0),
 ) -> list[SubjectCovariates]:
@@ -270,7 +241,7 @@ def gen_covariates(
         out.append(
             SubjectCovariates(
                 subject_id=subject,
-                wave=waves[i % 2],
+                wave=("2011-2012", "2013-2014")[i % 2],
                 age_years=age,
                 sex=str(rng.choice(SEX_LEVELS)),
                 race_ethnicity=str(rng.choice(RACE_LEVELS)),
@@ -347,25 +318,26 @@ def gen_mortality_from_summary(
     mean_steps: dict[str, float],
     ages: dict[str, float],
     seed: int = 0,
-    beta_per_step: float = -1.0e-4,
-    beta_age: float = 0.07,
     baseline_hazard: float = 5e-5,
-    admin_cutoff_months: float = 150.0,
 ) -> list[MortalityRecord]:
-    """Simulate linked mortality for subjects with known step/age covariates."""
+    """Simulate linked mortality for subjects with known step/age covariates.
+
+    The log hazard falls by 1e-4 per daily step and rises by 0.07 per year
+    of age past 60; follow-up is censored administratively at 150 months.
+    """
     rng = np.random.default_rng(seed)
     out = []
     for subject in sorted(mean_steps):
         steps = mean_steps[subject]
         age = ages.get(subject, 60.0)
-        rate = baseline_hazard * math.exp(beta_per_step * steps + beta_age * (age - 60.0))
+        rate = baseline_hazard * math.exp(-1.0e-4 * steps + 0.07 * (age - 60.0))
         t = rng.exponential(1.0 / rate)
-        event = t <= admin_cutoff_months
+        event = t <= 150.0
         out.append(
             MortalityRecord(
                 subject_id=subject,
                 event=bool(event),
-                followup_months=float(round(min(t, admin_cutoff_months), 2)),
+                followup_months=float(round(min(t, 150.0), 2)),
             )
         )
     return out

@@ -215,11 +215,10 @@ def local_weighted_smooth(
     ages: Sequence[float],
     means: Sequence[float],
     ses: Sequence[float],
-    span: float = 0.75,
 ) -> SmoothedCurve:
     """Tricube local-linear smooth of (age, mean) evaluated at integer ages.
 
-    The span-fraction nearest neighbours define each tricube window; the
+    The nearest 75 % of the points (the span) define each tricube window; the
     per-age standard errors are smoothed with the same kernel and the CI is
     the normal approximation around the smoothed estimate.
     """
@@ -230,11 +229,7 @@ def local_weighted_smooth(
         raise ValueError("ages, means, and ses must be equal-length 1-D sequences")
     if len(np.unique(x)) < 5:
         raise ValueError("need at least 5 distinct ages")
-    if not 0.0 < span <= 1.0:
-        raise ValueError("span must lie in (0, 1]")
-    k = int(math.ceil(span * len(x)))
-    if k < 3:
-        raise ValueError("span too small for local fit: fewer than 3 points per window")
+    k = int(math.ceil(0.75 * len(x)))
     grid = np.arange(math.ceil(x.min()), math.floor(x.max()) + 1, dtype=np.float64)
     if len(grid) == 0:
         raise ValueError("no integer ages inside the data range")

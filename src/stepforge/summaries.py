@@ -9,42 +9,32 @@ as the ``ac`` and ``mims`` columns of a minute table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dsp import UniformSeries, butterworth_bandpass, resample_linear
 from .model import TriaxialRecording
 
+#: Both measures sum whole 60-s epochs.
+EPOCH_SECONDS = 60
 
-@dataclass(frozen=True)
-class AcParams:
-    """ActiGraph-style activity-count parameters."""
+#: ActiGraph-style activity counts: the rate each axis is resampled to, the
+#: pass band, and the deadband, clip and quantum of the rectified signal.
+AC_RESAMPLE_HZ = 30.0
+AC_BAND_HZ = (0.25, 2.5)
+AC_DEADBAND_G = 0.068
+AC_CLIP_G = 2.13
+AC_QUANTUM_G = 1.0 / 128.0
 
-    resample_hz: float = 30.0
-    band_hz: tuple[float, float] = (0.25, 2.5)
-    filter_order: int = 4
-    deadband_g: float = 0.068
-    clip_g: float = 2.13
-    quantum_g: float = 1.0 / 128.0
-    epoch_seconds: int = 60
-    axis_combine: str = "euclidean"  # or "sum"
-
-    def __post_init__(self) -> None:
-        low, high = self.band_hz
-        if not 0 < low < high < self.resample_hz / 2:
-            raise ValueError("band must lie strictly inside (0, resample Nyquist)")
-        if self.deadband_g < 0 or self.clip_g <= 0 or self.quantum_g <= 0:
-            raise ValueError("deadband, clip, and quantum must be positive")
-        if self.epoch_seconds < 1:
-            raise ValueError("epoch_seconds must be at least 1")
-        if self.axis_combine not in ("euclidean", "sum"):
-            raise ValueError("axis_combine must be 'euclidean' or 'sum'")
+#: MIMS: the rate each axis is interpolated to, the pass band, and the
+#: per-axis epoch area below which the area reads 0.  Saturated samples are
+#: not extrapolated; inputs are assumed within the device dynamic range.
+MIMS_INTERP_HZ = 100.0
+MIMS_BAND_HZ = (0.2, 5.0)
+MIMS_TRUNCATION_FLOOR = 1e-4
 
 
 def _band_passed(
-    axis: np.ndarray, rate_hz: float, target_hz: float, band_hz: tuple[float, float],
-    order: int,
+    axis: np.ndarray, rate_hz: float, target_hz: float, band_hz: tuple[float, float]
 ) -> np.ndarray:
     """One axis resampled to ``target_hz``, zero-phase band-passed and rectified.
 
@@ -54,105 +44,67 @@ def _band_passed(
     series = UniformSeries(rate_hz, np.asarray(axis, dtype=np.float64))
     if rate_hz != target_hz:
         series = resample_linear(series, target_hz)
-    values = butterworth_bandpass(
-        series, band_hz[0], band_hz[1], order=order, zero_phase=True
-    ).values
+    values = butterworth_bandpass(series, band_hz[0], band_hz[1]).values
     return np.abs(values, out=values)
 
 
-def _axis_epoch_counts(
-    axis: np.ndarray, rate_hz: float, p: AcParams, epoch_len: int
-) -> np.ndarray:
+def _axis_epoch_counts(axis: np.ndarray, rate_hz: float) -> np.ndarray:
     """Per-epoch sums of one axis's integer quanta after the AC front end."""
-    values = _band_passed(axis, rate_hz, p.resample_hz, p.band_hz, p.filter_order)
-    values -= p.deadband_g
+    values = _band_passed(axis, rate_hz, AC_RESAMPLE_HZ, AC_BAND_HZ)
+    values -= AC_DEADBAND_G
     np.maximum(values, 0.0, out=values)
-    np.minimum(values, p.clip_g, out=values)
-    values /= p.quantum_g
+    np.minimum(values, AC_CLIP_G, out=values)
+    values /= AC_QUANTUM_G
     quanta = np.floor(values, out=values).astype(np.int64)
+    epoch_len = int(round(EPOCH_SECONDS * AC_RESAMPLE_HZ))
     n_epochs = len(quanta) // epoch_len
     return quanta[: n_epochs * epoch_len].reshape(n_epochs, epoch_len).sum(axis=1)
 
 
-def activity_counts(rec: TriaxialRecording, params: AcParams | None = None) -> np.ndarray:
+def activity_counts(rec: TriaxialRecording) -> np.ndarray:
     """Per-epoch activity counts, combined across axes.
 
     Each axis is resampled, band-pass filtered, rectified, deadbanded,
     clipped, quantized to integer quanta, and summed per epoch; axis totals
-    combine by Euclidean norm (rounded to an integer count) or plain sum.
-    Trailing samples short of a full epoch are dropped.
+    combine by Euclidean norm, rounded to an integer count.  Trailing
+    samples short of a full epoch are dropped.
 
     Returns
     -------
     ndarray of int64
         One nonnegative count per epoch.
     """
-    params = params or AcParams()
-    epoch_len = int(round(params.epoch_seconds * params.resample_hz))
-    per_axis = [
-        _axis_epoch_counts(axis, rec.sample_rate_hz, params, epoch_len)
-        for axis in (rec.x, rec.y, rec.z)
-    ]
+    rate = rec.sample_rate_hz
+    per_axis = [_axis_epoch_counts(axis, rate) for axis in (rec.x, rec.y, rec.z)]
     n_epochs = min(len(a) for a in per_axis)
     stacked = np.stack([a[:n_epochs] for a in per_axis])
-    if params.axis_combine == "sum":
-        return stacked.sum(axis=0)
     combined = np.sqrt((stacked.astype(np.float64) ** 2).sum(axis=0))
     return np.rint(combined).astype(np.int64)
 
 
-@dataclass(frozen=True)
-class MimsParams:
-    """Monitor-independent movement summary parameters.
-
-    Extrapolation of saturated samples is intentionally not implemented
-    (fixed off); inputs are assumed within the device dynamic range.
-    """
-
-    interp_hz: float = 100.0
-    band_hz: tuple[float, float] = (0.2, 5.0)
-    filter_order: int = 4
-    epoch_seconds: int = 60
-    truncation_floor: float = 1e-4
-
-    def __post_init__(self) -> None:
-        low, high = self.band_hz
-        if not 0 < low < high < self.interp_hz / 2:
-            raise ValueError("band must lie strictly inside (0, interp Nyquist)")
-        if self.epoch_seconds < 1:
-            raise ValueError("epoch_seconds must be at least 1")
-        if self.truncation_floor < 0:
-            raise ValueError("truncation_floor must be nonnegative")
-
-
-def mims_units(rec: TriaxialRecording, params: MimsParams | None = None) -> np.ndarray:
+def mims_units(rec: TriaxialRecording) -> np.ndarray:
     """Per-epoch MIMS: rectified band-passed area under the curve.
 
-    Each axis is linearly interpolated to ``interp_hz``, band-pass filtered,
-    rectified, and integrated per epoch by the trapezoid rule (sharing the
-    epoch-boundary sample).  Axis areas below ``truncation_floor`` zero out
-    before the axes are summed.
+    Each axis is linearly interpolated to ``MIMS_INTERP_HZ``, band-pass
+    filtered, rectified, and integrated per epoch by the trapezoid rule
+    (sharing the epoch-boundary sample).  Axis areas below
+    ``MIMS_TRUNCATION_FLOOR`` zero out before the axes are summed.
     """
-    params = params or MimsParams()
-    epoch_len = int(round(params.epoch_seconds * params.interp_hz))
-    per_axis = [
-        _axis_areas(axis, rec.sample_rate_hz, params, epoch_len)
-        for axis in (rec.x, rec.y, rec.z)
-    ]
+    rate = rec.sample_rate_hz
+    per_axis = [_axis_areas(axis, rate) for axis in (rec.x, rec.y, rec.z)]
     n_epochs = min(len(a) for a in per_axis)
     return np.sum([a[:n_epochs] for a in per_axis], axis=0)
 
 
-def _axis_areas(
-    axis: np.ndarray, rate_hz: float, p: MimsParams, epoch_len: int
-) -> np.ndarray:
+def _axis_areas(axis: np.ndarray, rate_hz: float) -> np.ndarray:
     """Per-epoch truncated trapezoid areas of one rectified MIMS axis."""
-    rectified = _band_passed(axis, rate_hz, p.interp_hz, p.band_hz, p.filter_order)
-    dt = 1.0 / p.interp_hz
+    rectified = _band_passed(axis, rate_hz, MIMS_INTERP_HZ, MIMS_BAND_HZ)
+    dt = 1.0 / MIMS_INTERP_HZ
+    epoch_len = int(round(EPOCH_SECONDS * MIMS_INTERP_HZ))
     n_epochs = len(rectified) // epoch_len
     areas = np.empty(n_epochs)
     for e in range(n_epochs):
         seg = rectified[e * epoch_len : (e + 1) * epoch_len + 1]
         areas[e] = np.trapezoid(seg, dx=dt)
-    areas[areas < p.truncation_floor] = 0.0
+    areas[areas < MIMS_TRUNCATION_FLOOR] = 0.0
     return areas

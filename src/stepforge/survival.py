@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -450,33 +449,14 @@ def concordance(predictors: Sequence[float], data: SurvivalDataset) -> float:
     return math.fsum(concordant) / total
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    """Deterministic event-stratified k-fold assignment of rows to folds."""
-
-    seed: int
-    k: int
-    repeat_index: int
-    assignment: tuple[int, ...]  # fold id per row
-
-    @cached_property
-    def _fold_of_row(self) -> np.ndarray:
-        return np.asarray(self.assignment)
-
-    def fold_rows(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self._fold_of_row == fold)
-
-    def train_rows(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self._fold_of_row != fold)
-
-
 def make_fold_plan(
     event: np.ndarray, k: int, seed: int, repeat_index: int
-) -> FoldPlan:
-    """Shuffle events and censored rows separately, then deal one cycle.
+) -> np.ndarray:
+    """Deterministic event-stratified k-fold assignment: the fold of each row.
 
-    Events are dealt round-robin first and censored rows continue the same
-    cycle, so fold sizes and fold event counts each differ by at most one.
+    Events and censored rows are shuffled separately.  Events are dealt
+    round-robin first and censored rows continue the same cycle, so fold
+    sizes and fold event counts each differ by at most one.
     """
     ev = np.asarray(event, dtype=bool)
     if k < 2:
@@ -488,18 +468,17 @@ def make_fold_plan(
     censored = rng.permutation(np.flatnonzero(~ev))
     assignment = np.empty(len(ev), dtype=np.int64)
     assignment[np.concatenate([events, censored])] = np.arange(len(ev)) % k
-    return FoldPlan(seed=seed, k=k, repeat_index=repeat_index,
-                    assignment=tuple(assignment.tolist()))
+    return assignment
 
 
 def _plan_with_events_everywhere(
     data: SurvivalDataset, k: int, seed: int, repeat_index: int
-) -> FoldPlan:
+) -> np.ndarray:
     for attempt_seed in (seed, seed + 1_000_003):
-        plan = make_fold_plan(data.event, k, attempt_seed, repeat_index)
-        fold_events = np.bincount(plan._fold_of_row[data.event], minlength=k)
+        assignment = make_fold_plan(data.event, k, attempt_seed, repeat_index)
+        fold_events = np.bincount(assignment[data.event], minlength=k)
         if np.all(fold_events > 0) and np.all(fold_events < data.n_events):
-            return plan
+            return assignment
     raise ValueError(
         "could not build folds with events in every fold; too few events"
     )
@@ -528,11 +507,13 @@ def repeated_cv_concordance(
     subset = replace(data.select(covariates), subject_ids=None)
     per_repeat: list[float] = []
     for r in range(reps):
-        plan = _plan_with_events_everywhere(subset, cfg.cv_folds, cfg.rng_seed + r, r)
+        fold_of_row = _plan_with_events_everywhere(
+            subset, cfg.cv_folds, cfg.rng_seed + r, r
+        )
         fold_cs: list[float] = []
         for f in range(cfg.cv_folds):
-            train = subset.take(plan.train_rows(f))
-            test = subset.take(plan.fold_rows(f))
+            train = subset.take(np.flatnonzero(fold_of_row != f))
+            test = subset.take(np.flatnonzero(fold_of_row == f))
             pred = test.covariates @ _fold_beta(train)
             fold_cs.append(concordance(pred, test))
         per_repeat.append(math.fsum(fold_cs) / len(fold_cs))
@@ -556,31 +537,27 @@ def model_suite(
     data: SurvivalDataset,
     cfg: AnalysisConfig,
     traditional: Sequence[str] | None = None,
-    mims_variable: str = "mims",
-    step_prefix: str = "steps_",
     repeats: int | None = None,
     univariate: Mapping[str, float] | None = None,
 ) -> list[ModelReport]:
     """Fit the nested model ladder and report concordance and step HRs.
 
-    Models: (1) traditional covariates, (2) + MIMS, (3) + the step variable
-    with the best univariate cross-validated concordance, (4) + steps and
-    MIMS together.  Step hazard ratios are reported per
+    Models: (1) traditional covariates, (2) + ``mims``, (3) + the ``steps_*``
+    variable with the best univariate cross-validated concordance, (4) +
+    steps and MIMS together.  Step hazard ratios are reported per
     ``cfg.hr_step_increment`` steps with robust Wald p-values.
     ``univariate`` maps step variables to the univariate cvC that
     :func:`repeated_cv_concordance` gave for this data, config and
     ``repeats``; a step variable it lacks is cross-validated here.
     """
-    step_vars = sorted(n for n in data.covariate_names if n.startswith(step_prefix))
+    step_vars = sorted(n for n in data.covariate_names if n.startswith("steps_"))
     if not step_vars:
-        raise ValueError(f"no covariates named {step_prefix}*")
-    if mims_variable not in data.covariate_names:
-        raise ValueError(f"missing covariate {mims_variable!r}")
+        raise ValueError("no covariates named steps_*")
+    if "mims" not in data.covariate_names:
+        raise ValueError("missing covariate 'mims'")
     if traditional is None:
         traditional = [
-            n
-            for n in data.covariate_names
-            if n != mims_variable and not n.startswith(step_prefix)
+            n for n in data.covariate_names if n != "mims" and not n.startswith("steps_")
         ]
     traditional = list(traditional)
 
@@ -597,9 +574,9 @@ def model_suite(
 
     ladder = [
         ("traditional", traditional, None),
-        ("traditional+mims", traditional + [mims_variable], None),
+        ("traditional+mims", traditional + ["mims"], None),
         ("traditional+steps", traditional + [best_var], best_var),
-        ("traditional+steps+mims", traditional + [best_var, mims_variable], best_var),
+        ("traditional+steps+mims", traditional + [best_var, "mims"], best_var),
     ]
     reports: list[ModelReport] = []
     for name, covs, steps_var in ladder:

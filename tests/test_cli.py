@@ -121,6 +121,35 @@ class TestLoadConfig:
             assert getattr(cfg, key) != getattr(AnalysisConfig(), key), key
             assert type(getattr(cfg, key)) is type(value), key
 
+    def test_detector_values_take_their_field_types(self, tmp_path):
+        path = tmp_path / "c.conf"
+        path.write_text(
+            "peak_original.k_neighbors = 4\n"
+            "spectral.cadence_band_hz = 1.5, 2.2\n"
+            "spectral.harmonic_check = false\n"
+        )
+        _, params = load_config(str(path), env={})
+        assert params == {
+            "peak_original": {"k_neighbors": 4},
+            "spectral": {"cadence_band_hz": (1.5, 2.2), "harmonic_check": False},
+        }
+        assert type(params["peak_original"]["k_neighbors"]) is int
+        registry = cli._build_registry(params)
+        assert set(registry) == set(det.BUILTIN_DETECTOR_NAMES)
+
+    @pytest.mark.parametrize("text, message", [
+        ("peak_original.k_neighbors = 0", "peak_original.*: k_neighbors must be at least 1"),
+        ("peak_original.k_neighbors = 2.5", "cannot parse '2.5'"),
+        ("spectral.cadence_band_hz = 1.4", "cannot parse '1.4'"),
+        ("spectral.cadence_band_hz = 2.3, 1.4", "cadence band must be an increasing"),
+        ("template.stride_grid_seconds = 1.0", "cannot be set from config"),
+    ])
+    def test_bad_detector_value_fatal(self, tmp_path, text, message):
+        path = tmp_path / "c.conf"
+        path.write_text(text + "\n")
+        with pytest.raises(FatalCliError, match=re.escape(message)):
+            load_config(str(path), env={})
+
     def test_out_of_range_value_fatal(self, tmp_path):
         path = tmp_path / "c.conf"
         path.write_text("min_valid_days = 0\n")
@@ -403,6 +432,35 @@ class TestExitCodes:
             "day_summaries", "subject_summaries", "unknown_transitions",
             "validity_report", "weighted_means",
         ]
+
+    def test_bad_detector_value_is_fatal_before_any_parse(self, corpus, tmp_path, capsys,
+                                                          monkeypatch):
+        conf = tmp_path / "bad.conf"
+        conf.write_text("peak_original.k_neighbors = 0\n")
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("raw file read")
+
+        monkeypatch.setattr(ingest, "read_raw_recording", no_read)
+        out = tmp_path / "o"
+        rc = main(["steps", str(corpus / "raw"), "--out", str(out), "--config", str(conf)])
+        assert rc == 2
+        assert "k_neighbors must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["covariates", "mortality"])
+    def test_repeated_subject_is_fatal(self, corpus, tmp_path, name, capsys):
+        lines = (corpus / f"{name}.csv").read_text().splitlines()
+        repeated = tmp_path / f"{name}.csv"
+        repeated.write_text("\n".join(lines + [lines[1]]) + "\n")
+        paths = {n: str(corpus / f"{n}.csv") for n in ("covariates", "mortality")}
+        paths[name] = str(repeated)
+        rc = main(["analyze", str(corpus / "minutes.csv"), "--covariates", paths["covariates"],
+                   "--mortality", paths["mortality"], "--out", str(tmp_path / "o")])
+        assert rc == 2
+        subject = lines[1].split(",")[0]
+        assert (f"{name}.csv:{len(lines) + 1}: subject {subject!r} repeats line 2"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", ["simulate", "analyze"])
     def test_negative_seed_is_fatal_before_any_work(self, corpus, tmp_path, command, capsys):

@@ -233,16 +233,17 @@ class TestRegistryAndRunner:
 
     def test_four_series_on_gait(self, walk_vm):
         vm, _ = walk_vm
-        run = run_detectors(vm, build_registry())
-        assert set(run.series) == set(BUILTIN_DETECTOR_NAMES)
+        registry = build_registry()
+        run = run_detectors(vm, registry)
+        assert set(run.minutes) == set(BUILTIN_DETECTOR_NAMES)
         assert not run.errors
         assert all(t >= 0 for t in run.timings_s.values())
         for name, minutes in run.minutes.items():
-            assert minutes.sum() == pytest.approx(run.series[name].total)
+            assert minutes.sum() == pytest.approx(registry[name](vm).total)
 
     def test_empty_recording(self):
         run = run_detectors(series([], rate=80.0), build_registry())
-        assert all(len(s.steps_per_second) == 0 for s in run.series.values())
+        assert all(len(m) == 0 for m in run.minutes.values())
 
     def test_failing_detector_isolated(self, walk_vm):
         vm, _ = walk_vm
@@ -250,7 +251,7 @@ class TestRegistryAndRunner:
             raise RuntimeError("synthetic failure")
         registry = dict(build_registry(), broken=boom)
         run = run_detectors(vm, registry)
-        assert set(run.series) == set(BUILTIN_DETECTOR_NAMES)
+        assert set(run.minutes) == set(BUILTIN_DETECTOR_NAMES)
         assert "broken" in run.errors and "synthetic failure" in run.errors["broken"]
 
     def test_empty_registry_rejected(self, walk_vm):
@@ -263,6 +264,4 @@ class TestRegistryAndRunner:
         a = run_detectors(vm, build_registry())
         b = run_detectors(vm, build_registry())
         for name in BUILTIN_DETECTOR_NAMES:
-            np.testing.assert_array_equal(
-                a.series[name].steps_per_second, b.series[name].steps_per_second
-            )
+            np.testing.assert_array_equal(a.minutes[name], b.minutes[name])

@@ -212,6 +212,19 @@ class TestWriteTable:
         with pytest.raises(ValueError, match="1 values for 2 columns"):
             write_table(tmp_path / "k.csv", ["a", "b"], [[1]])
 
+    def test_bad_row_writes_no_file(self, tmp_path):
+        path = tmp_path / "k.csv"
+        with pytest.raises(ValueError, match="3 values for 2 columns"):
+            write_table(path, ["a", "b"], [[1, 2], [1, 2, 3]])
+        assert not path.exists()
+
+    def test_bad_row_leaves_an_existing_file_unchanged(self, tmp_path):
+        path = tmp_path / "k.csv"
+        write_table(path, ["a", "b"], [[1, 2]])
+        with pytest.raises(ValueError, match="3 values for 2 columns"):
+            write_table(path, ["a", "b"], [[3, 4], [1, 2, 3]])
+        assert path.read_bytes() == b"a,b\n1,2\n"
+
     def test_unix_newlines(self, tmp_path):
         path = tmp_path / "n.csv"
         write_table(path, ["a"], [[1], [2]])
@@ -327,6 +340,15 @@ class TestCovariateFiles:
         with pytest.raises(ValueError, match="missing columns"):
             read_covariates(path)
 
+    def test_repeated_subject_names_both_lines(self, tmp_path):
+        path = tmp_path / "cov.csv"
+        path.write_text(
+            "subject,wave,weight,stratum,psu\n"
+            "A,2011-2012,1.0,st1,p1\nB,2011-2012,2.0,st1,p1\nA,2013-2014,3.0,st1,p1\n"
+        )
+        with pytest.raises(ValueError, match="cov.csv:4: subject 'A' repeats line 2"):
+            read_covariates(path)
+
 
 class TestMortalityFiles:
     def test_round_trip(self, tmp_path):
@@ -349,6 +371,12 @@ class TestMortalityFiles:
         path = tmp_path / "mort.csv"
         path.write_text(f"subject,event,followup_months\nA,1,3\nB,{code},4\n")
         with pytest.raises(ValueError, match=f"mort.csv:3: event must be 0 or 1, got {code}"):
+            read_mortality(path)
+
+    def test_repeated_subject_names_both_lines(self, tmp_path):
+        path = tmp_path / "mort.csv"
+        path.write_text("subject,event,followup_months\nA,1,3\nB,0,4\nB,1,5\n")
+        with pytest.raises(ValueError, match="mort.csv:4: subject 'B' repeats line 3"):
             read_mortality(path)
 
 

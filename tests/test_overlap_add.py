@@ -9,15 +9,24 @@ whatever the batch size.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal as scipy_signal
 
+from stepforge import detectors
 from stepforge.detectors import _oa_block_size, _overlap_add_correlate
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def correlate_in_batches(values, templates, batch):
+    """``_overlap_add_correlate`` with ``OA_BATCH_SAMPLES`` set to ``batch``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detectors, "OA_BATCH_SAMPLES", batch)
+        return _overlap_add_correlate(values, templates)
 
 
 @st.composite
@@ -45,7 +54,7 @@ def correlation_cases(draw):
 def test_equals_oaconvolve_bit_for_bit(case):
     values, templates, batch = case
     want = scipy_signal.oaconvolve(values[None], templates[:, ::-1], mode="valid", axes=1)
-    assert same_bits(_overlap_add_correlate(values, templates, batch), want)
+    assert same_bits(correlate_in_batches(values, templates, batch), want)
 
 
 def test_detector_lengths_at_80_hz_and_every_batch_size():
@@ -57,7 +66,7 @@ def test_detector_lengths_at_80_hz_and_every_batch_size():
         templates = rng.standard_normal((2, L))
         want = scipy_signal.oaconvolve(values[None], templates[:, ::-1], mode="valid", axes=1)
         for batch in (1, 37 * L, 256 * L, 2**15, len(values)):
-            assert same_bits(_overlap_add_correlate(values, templates, batch), want), (L, batch)
+            assert same_bits(correlate_in_batches(values, templates, batch), want), (L, batch)
 
 
 def test_single_block_cases_keep_oaconvolve_fallback():

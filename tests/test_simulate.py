@@ -3,7 +3,6 @@ import pytest
 
 from stepforge.model import WearState, check_unique_minutes
 from stepforge.simulate import (
-    CohortProfile,
     GaitSegment,
     gen_cohort,
     gen_covariates,
@@ -101,10 +100,6 @@ class TestGenCohort:
         ]
         assert len(day1_valid) == 1368
         assert len(day2_valid) == 1367
-
-    def test_profile_probabilities_must_sum(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            CohortProfile(p_wake=0.9, p_sleep=0.2, p_nonwear=0.02, p_unknown=0.03)
 
 
 class TestGenCovariates:

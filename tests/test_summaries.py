@@ -5,12 +5,8 @@ import pytest
 
 from stepforge.dsp import UniformSeries, butterworth_bandpass, resample_linear
 from stepforge.model import MinuteTable, TriaxialRecording, make_config
-from stepforge.summaries import (
-    AcParams,
-    MimsParams,
-    activity_counts,
-    mims_units,
-)
+from stepforge import summaries as sm
+from stepforge.summaries import activity_counts, mims_units
 from stepforge.validity import screen_cohort
 from tests.conftest import make_minute, minute_table
 
@@ -34,27 +30,25 @@ def sine_recording(amplitude, freq_hz, seconds, rate):
     )
 
 
-def ac_oracle(rec, p):
+def ac_oracle(rec):
     """Sample-by-sample reimplementation of the count pipeline in plain Python.
 
     Shares only the resample/filter primitives with the production code; the
     rectify/deadband/clip/quantize/sum/combine stages are written out longhand.
     """
-    epoch_len = int(round(p.epoch_seconds * p.resample_hz))
+    epoch_len = int(round(sm.EPOCH_SECONDS * sm.AC_RESAMPLE_HZ))
     per_axis = []
     for axis in (rec.x, rec.y, rec.z):
         series = UniformSeries(rec.sample_rate_hz, np.asarray(axis, dtype=np.float64))
-        if rec.sample_rate_hz != p.resample_hz:
-            series = resample_linear(series, p.resample_hz)
-        filtered = butterworth_bandpass(
-            series, p.band_hz[0], p.band_hz[1], order=p.filter_order, zero_phase=True
-        )
+        if rec.sample_rate_hz != sm.AC_RESAMPLE_HZ:
+            series = resample_linear(series, sm.AC_RESAMPLE_HZ)
+        filtered = butterworth_bandpass(series, *sm.AC_BAND_HZ)
         quanta = []
         for v in filtered.values:
             r = abs(float(v))
-            d = r - p.deadband_g if r > p.deadband_g else 0.0
-            c = d if d < p.clip_g else p.clip_g
-            quanta.append(math.floor(c / p.quantum_g))
+            d = r - sm.AC_DEADBAND_G if r > sm.AC_DEADBAND_G else 0.0
+            c = d if d < sm.AC_CLIP_G else sm.AC_CLIP_G
+            quanta.append(math.floor(c / sm.AC_QUANTUM_G))
         n_epochs = len(quanta) // epoch_len
         per_axis.append(
             [sum(quanta[e * epoch_len : (e + 1) * epoch_len]) for e in range(n_epochs)]
@@ -62,25 +56,20 @@ def ac_oracle(rec, p):
     n_epochs = min(len(a) for a in per_axis)
     out = []
     for e in range(n_epochs):
-        if p.axis_combine == "sum":
-            out.append(sum(a[e] for a in per_axis))
-        else:
-            out.append(int(np.rint(math.sqrt(sum(a[e] ** 2 for a in per_axis)))))
+        out.append(int(np.rint(math.sqrt(sum(a[e] ** 2 for a in per_axis)))))
     return np.asarray(out, dtype=np.int64)
 
 
-def mims_oracle(rec, p):
+def mims_oracle(rec):
     """Trapezoid quadrature written out with fsum, sharing only the front end."""
-    epoch_len = int(round(p.epoch_seconds * p.interp_hz))
-    dt = 1.0 / p.interp_hz
+    epoch_len = int(round(sm.EPOCH_SECONDS * sm.MIMS_INTERP_HZ))
+    dt = 1.0 / sm.MIMS_INTERP_HZ
     per_axis = []
     for axis in (rec.x, rec.y, rec.z):
         series = UniformSeries(rec.sample_rate_hz, np.asarray(axis, dtype=np.float64))
-        if rec.sample_rate_hz != p.interp_hz:
-            series = resample_linear(series, p.interp_hz)
-        filtered = butterworth_bandpass(
-            series, p.band_hz[0], p.band_hz[1], order=p.filter_order, zero_phase=True
-        )
+        if rec.sample_rate_hz != sm.MIMS_INTERP_HZ:
+            series = resample_linear(series, sm.MIMS_INTERP_HZ)
+        filtered = butterworth_bandpass(series, *sm.MIMS_BAND_HZ)
         r = [abs(float(v)) for v in filtered.values]
         n_epochs = len(r) // epoch_len
         areas = []
@@ -89,7 +78,7 @@ def mims_oracle(rec, p):
             area = math.fsum(
                 (seg[i] + seg[i + 1]) * 0.5 * dt for i in range(len(seg) - 1)
             )
-            areas.append(0.0 if area < p.truncation_floor else area)
+            areas.append(0.0 if area < sm.MIMS_TRUNCATION_FLOOR else area)
         per_axis.append(areas)
     n_epochs = min(len(a) for a in per_axis)
     return np.array([math.fsum(a[e] for a in per_axis) for e in range(n_epochs)])
@@ -105,12 +94,10 @@ class TestActivityCounts:
         rec = sine_recording(0.05, 1.0, seconds=120, rate=30.0)
         assert activity_counts(rec).sum() == 0
 
-    @pytest.mark.parametrize("combine", ["euclidean", "sum"])
-    def test_matches_longhand_oracle_native_rate(self, combine):
+    def test_matches_longhand_oracle_native_rate(self):
         rec = sine_recording(0.5, 1.0, seconds=180, rate=30.0)
-        p = AcParams(axis_combine=combine)
-        got = activity_counts(rec, p)
-        np.testing.assert_array_equal(got, ac_oracle(rec, p))
+        got = activity_counts(rec)
+        np.testing.assert_array_equal(got, ac_oracle(rec))
         assert got.min() > 0
 
     def test_matches_longhand_oracle_with_resampling(self):
@@ -119,8 +106,7 @@ class TestActivityCounts:
         x = 0.4 * np.sin(2 * np.pi * 1.3 * t) + 0.02 * rng.normal(size=t.size)
         y = 0.2 * np.sin(2 * np.pi * 0.7 * t + 0.5)
         rec = recording(x, y, np.ones_like(t), rate=80.0)
-        p = AcParams()
-        np.testing.assert_array_equal(activity_counts(rec, p), ac_oracle(rec, p))
+        np.testing.assert_array_equal(activity_counts(rec), ac_oracle(rec))
 
     def test_trailing_rest_under_one_epoch_is_dropped_exactly(self):
         rate = 30.0
@@ -137,14 +123,6 @@ class TestActivityCounts:
     def test_partial_epoch_truncated(self):
         rec = sine_recording(0.5, 1.0, seconds=150, rate=30.0)
         assert len(activity_counts(rec)) == 2
-
-    def test_param_validation(self):
-        with pytest.raises(ValueError, match="band"):
-            AcParams(band_hz=(0.25, 20.0))
-        with pytest.raises(ValueError, match="positive"):
-            AcParams(clip_g=0.0)
-        with pytest.raises(ValueError, match="axis_combine"):
-            AcParams(axis_combine="max")
 
 
 class TestMims:
@@ -168,9 +146,8 @@ class TestMims:
 
     def test_matches_quadrature_oracle(self):
         rec = sine_recording(0.3, 1.0, seconds=120, rate=80.0)
-        p = MimsParams()
-        got = mims_units(rec, p)
-        np.testing.assert_allclose(got, mims_oracle(rec, p), rtol=1e-6)
+        got = mims_units(rec)
+        np.testing.assert_allclose(got, mims_oracle(rec), rtol=1e-6)
         assert got.min() > 1.0
 
     def test_oracle_agreement_on_mixed_motion(self):
@@ -179,18 +156,11 @@ class TestMims:
         x = 0.25 * np.sin(2 * np.pi * 2.0 * t) + 0.05 * rng.normal(size=t.size)
         y = 0.1 * np.sin(2 * np.pi * 0.5 * t)
         rec = recording(x, y, np.ones_like(t), rate=100.0)
-        p = MimsParams()
-        np.testing.assert_allclose(mims_units(rec, p), mims_oracle(rec, p), rtol=1e-6)
+        np.testing.assert_allclose(mims_units(rec), mims_oracle(rec), rtol=1e-6)
 
     def test_tiny_areas_truncate_to_zero(self):
         rec = sine_recording(1e-7, 1.0, seconds=120, rate=100.0)
         np.testing.assert_array_equal(mims_units(rec), [0.0, 0.0])
-
-    def test_param_validation(self):
-        with pytest.raises(ValueError, match="band"):
-            MimsParams(band_hz=(0.2, 60.0))
-        with pytest.raises(ValueError, match="nonnegative"):
-            MimsParams(truncation_floor=-1.0)
 
 
 def day_totals(table):

@@ -722,7 +722,7 @@ def per_row_fold_plan(event, k, seed, repeat_index):
     assignment = np.empty(len(ev), dtype=np.int64)
     for m, row in enumerate(np.concatenate([events, censored])):
         assignment[row] = m % k
-    return tuple(int(a) for a in assignment)
+    return assignment
 
 
 class TestFoldPlans:
@@ -735,44 +735,41 @@ class TestFoldPlans:
     )
     def test_same_assignment_as_per_row_dealing(self, event, k, seed, repeat_index):
         assume(len(event) >= k)
-        plan = make_fold_plan(np.array(event), k, seed, repeat_index)
-        assert plan.assignment == per_row_fold_plan(event, k, seed, repeat_index)
-        assert all(type(a) is int for a in plan.assignment)
-        for f in range(k):
-            np.testing.assert_array_equal(
-                plan.fold_rows(f), [i for i, a in enumerate(plan.assignment) if a == f]
-            )
-            np.testing.assert_array_equal(
-                plan.train_rows(f), [i for i, a in enumerate(plan.assignment) if a != f]
-            )
+        fold_of_row = make_fold_plan(np.array(event), k, seed, repeat_index)
+        assert fold_of_row.dtype == np.int64
+        np.testing.assert_array_equal(
+            fold_of_row, per_row_fold_plan(event, k, seed, repeat_index)
+        )
 
     def test_partition_and_balance(self):
         rng = np.random.default_rng(4)
         ev = rng.random(103) < 0.3
-        plan = make_fold_plan(ev, k=10, seed=7, repeat_index=0)
-        sizes = [len(plan.fold_rows(f)) for f in range(10)]
-        events = [int(ev[plan.fold_rows(f)].sum()) for f in range(10)]
-        assert sum(sizes) == 103
+        fold_of_row = make_fold_plan(ev, k=10, seed=7, repeat_index=0)
+        sizes = np.bincount(fold_of_row, minlength=10)
+        events = np.bincount(fold_of_row[ev], minlength=10)
+        assert sizes.sum() == 103
         assert max(sizes) - min(sizes) <= 1
         assert max(events) - min(events) <= 1
-        all_rows = np.sort(np.concatenate([plan.fold_rows(f) for f in range(10)]))
-        np.testing.assert_array_equal(all_rows, np.arange(103))
+        assert set(fold_of_row.tolist()) == set(range(10))
 
     def test_train_test_complementary(self):
         ev = np.zeros(20, dtype=bool)
         ev[:6] = True
-        plan = make_fold_plan(ev, k=4, seed=0, repeat_index=2)
+        fold_of_row = make_fold_plan(ev, k=4, seed=0, repeat_index=2)
+        assert fold_of_row.shape == (20,)
         for f in range(4):
-            merged = np.sort(np.concatenate([plan.fold_rows(f), plan.train_rows(f)]))
-            np.testing.assert_array_equal(merged, np.arange(20))
+            test = np.flatnonzero(fold_of_row == f)
+            train = np.flatnonzero(fold_of_row != f)
+            assert len(test) == 5 and len(train) == 15
+            assert ev[test].any() and ev[train].any()
 
     def test_deterministic_and_repeat_sensitive(self):
         ev = np.arange(30) % 3 == 0
         a = make_fold_plan(ev, 5, seed=9, repeat_index=0)
         b = make_fold_plan(ev, 5, seed=9, repeat_index=0)
         c = make_fold_plan(ev, 5, seed=9, repeat_index=1)
-        assert a.assignment == b.assignment
-        assert a.assignment != c.assignment
+        np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="at least 2"):
