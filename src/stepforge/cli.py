@@ -196,6 +196,8 @@ def _steps_worker(args: tuple) -> tuple[str, dict[str, float], str]:
     try:
         registry = _build_registry(detector_params)
         chunks = list(ingest.read_raw_recording(Path(path_text), schema))
+        if not chunks:
+            raise ValueError(f"{path_text}: no samples")
         x = np.concatenate([c.x for c in chunks])
         y = np.concatenate([c.y for c in chunks])
         z = np.concatenate([c.z for c in chunks])
@@ -638,10 +640,11 @@ def _bench_day_recipe() -> list[simulate.GaitSegment]:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    _, detector_params = load_config(args.config, args.seed)
     detector_names = [d for d in args.detectors.split(",") if d]
     if not detector_names:
         raise FatalCliError("0 detectors requested")
-    registry = det.build_registry()
+    registry = _build_registry(detector_params)
     unknown = [d for d in detector_names if d not in registry]
     if unknown:
         raise FatalCliError(f"unknown detectors: {', '.join(unknown)}")
@@ -781,7 +784,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(det.BUILTIN_DETECTOR_NAMES),
         help="comma-separated detector names",
     )
-    p_bench.add_argument("--seed-base", type=int, default=0)
+    p_bench.add_argument(
+        "--seed-base", type=int, default=0,
+        help="seed of the first simulated day; bench takes its seeds from "
+        "this, not from --seed",
+    )
     p_bench.add_argument("--out", required=True, help="output csv path")
     p_bench.set_defaults(func=cmd_bench)
 

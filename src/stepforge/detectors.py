@@ -22,9 +22,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as scipy_fft
-from scipy import signal as scipy_signal
-from scipy.special import lambertw
 
 from .dsp import (
     UniformSeries,
@@ -136,14 +135,12 @@ def detect_steps_peak(
     params = params or PeakParams()
     if vm.sample_rate_hz < params.target_hz:
         raise ValueError("vm rate must be at least the detector target rate")
+    if len(vm) == 0:
+        return StepSeries(name, np.zeros(0))
     if vm.sample_rate_hz != params.target_hz:
         vm = resample_linear(vm, params.target_hz)
     values = vm.values
-    n = len(values)
-    n_seconds = int(math.ceil(n / params.target_hz))
-    counts = np.zeros(n_seconds)
-    if n == 0:
-        return StepSeries(name, counts)
+    counts = np.zeros(int(math.ceil(len(values) / params.target_hz)))
 
     locs = _strict_local_maxima(values, params.k_neighbors)
     locs = locs[values[locs] > params.mag_threshold_g]
@@ -334,65 +331,9 @@ def _window_norms(csum: np.ndarray, csum2: np.ndarray, L: int) -> np.ndarray:
     return np.sqrt(seg_sum2, out=seg_sum2)
 
 
-#: Samples per batch of the overlap-add and of the profile normalization;
-#: only one batch's spectra and window norms are alive at a time.
-OA_BATCH_SAMPLES = 2**15
-
-
-def _oa_block_size(n: int, L: int) -> int | None:
-    """``scipy.signal.oaconvolve``'s FFT block length for a length-``L``
-    kernel over ``n`` samples, or None where it takes a single FFT instead."""
-    if L in (1, n) or 2 * L >= n:
-        return None
-    overlap = L - 1
-    optimal = -overlap * lambertw(-1 / (2 * math.e * overlap), k=-1).real
-    block = scipy_fft.next_fast_len(math.ceil(optimal))
-    return None if block >= n else block
-
-
-def _overlap_add_correlate(values: np.ndarray, templates: np.ndarray) -> np.ndarray:
-    """Bitwise ``oaconvolve(values[None], templates[:, ::-1], "valid", axes=1)``.
-
-    The block length, the block grid from sample 0, the per-block
-    ``rfftn``/``irfftn`` shapes and each block's head-plus-previous-tail sums
-    are oaconvolve's own, so every output bit is too.  The blocks are
-    transformed a batch of about ``OA_BATCH_SAMPLES`` signal samples at a time
-    and each batch's finished outputs go straight into the profile, so the
-    spectra never span the whole signal.
-    """
-    n = len(values)
-    n_templates, L = templates.shape
-    block = _oa_block_size(n, L)
-    if block is None:
-        return scipy_signal.oaconvolve(
-            values[np.newaxis], templates[:, ::-1], mode="valid", axes=1
-        )
-    overlap = L - 1
-    step = block - overlap  # signal samples per block
-    kernel = scipy_fft.rfftn(templates[:, np.newaxis, ::-1], [block], axes=[2])
-    out = np.empty((n_templates, n - overlap))
-    n_blocks = -(-n // step)
-    per_batch = max(1, OA_BATCH_SAMPLES // step)
-    tail = None
-    for b0 in range(0, n_blocks, per_batch):
-        b1 = min(b0 + per_batch, n_blocks)
-        chunk = np.zeros((1, b1 - b0, step))
-        seg = values[b0 * step : b1 * step]
-        chunk.reshape(-1)[: len(seg)] = seg
-        full = scipy_fft.irfftn(
-            scipy_fft.rfftn(chunk, [block], axes=[2]) * kernel, [block], axes=[2]
-        )
-        # each block's head plus the tail of the block before it
-        full[:, 1:, :overlap] += full[:, :-1, step:]
-        if tail is not None:
-            full[:, 0, :overlap] += tail
-        tail = full[:, -1, step:].copy()
-        # full-convolution positions b0*step .. b1*step - 1; 'valid' output
-        # i is position i + overlap
-        lo, hi = max(b0 * step, overlap), min(b1 * step, n)
-        heads = full[:, :, :step].reshape(n_templates, -1)
-        out[:, lo - overlap : hi - overlap] = heads[:, lo - b0 * step : hi - b0 * step]
-    return out
+#: Signal samples per batch of the correlation; only one batch's spectra
+#: and window norms are alive at a time.
+CORRELATION_BATCH_SAMPLES = 2**15
 
 
 def _normalized_correlations(
@@ -400,25 +341,35 @@ def _normalized_correlations(
 ) -> np.ndarray:
     """Normalized cross-correlation profiles, one row per zero-mean unit template row.
 
-    ``csum`` and ``csum2`` are the prefix sums of the signal and of its
-    square.  The window norms are formed from them one batch of offsets at
-    a time, so no whole-profile norm array is held.
+    The numerator is an overlap-save correlation: blocks of ``nfft`` samples,
+    ``nfft - L + 1`` apart from sample 0, each transformed once for all
+    templates, keeping the outputs that do not wrap around.  A batch of
+    about ``CORRELATION_BATCH_SAMPLES`` samples is transformed and normalized
+    at a time, with the window norms formed from ``csum`` and ``csum2``, the
+    prefix sums of the signal and of its square.  A batch is a whole number
+    of blocks, so no output depends on where the batches fall.
     """
-    L = templates.shape[1]
-    if len(values) * L > 2e7:
-        # overlap-add convolution keeps multi-day signals tractable; one pass
-        # transforms the signal once for all templates of a length
-        r = _overlap_add_correlate(values, templates)
-    else:
-        r = np.stack([np.correlate(values, t, mode="valid") for t in templates])
-    for a in range(0, r.shape[1], OA_BATCH_SAMPLES):
-        block = r[:, a : a + OA_BATCH_SAMPLES]
-        stop = a + block.shape[1] + L
-        denom = _window_norms(csum[a:stop], csum2[a:stop], L)
+    n_templates, L = templates.shape
+    nfft = scipy_fft.next_fast_len(max(1024, 4 * L), real=True)
+    step = nfft - L + 1
+    kernel = scipy_fft.rfft(templates[:, ::-1], nfft)[:, np.newaxis]
+    m = len(values) - L + 1
+    r = np.empty((n_templates, m))
+    per_batch = max(1, CORRELATION_BATCH_SAMPLES // step) * step
+    for a in range(0, m, per_batch):
+        b = min(a + per_batch, m)
+        # offsets a .. b-1 read samples a .. b+L-2; the last block is zero-padded
+        seg = np.zeros(-(-(b - a) // step) * step + L - 1)
+        seg[: b - a + L - 1] = values[a : b + L - 1]
+        blocks = sliding_window_view(seg, nfft)[::step]
+        full = scipy_fft.irfft(scipy_fft.rfft(blocks) * kernel, nfft)
+        out = r[:, a:b]
+        out[:] = full[:, :, L - 1 :].reshape(n_templates, -1)[:, : b - a]
+        denom = _window_norms(csum[a : b + L], csum2[a : b + L], L)
         with np.errstate(divide="ignore", invalid="ignore"):
-            block /= denom
-        block[:, ~(denom > 0)] = 0.0
-        np.clip(block, -1.0, 1.0, out=block)
+            out /= denom
+        out[:, ~(denom > 0)] = 0.0
+        np.clip(out, -1.0, 1.0, out=out)
     return r
 
 
@@ -471,23 +422,13 @@ def detect_steps_template(
 
     The search is arranged so that its cost stays near one correlation per
     (template, length): the signal's prefix sums are built once, each
-    length's window norms and overlap-add signal transform once for all
-    templates, the smoothing only where the correlation clears the
-    threshold, and only the candidates of a length outlive it.  The
-    numerator switches from ``np.correlate`` to overlap-add convolution when
-    ``n * L > 2e7``, so its last bits depend on the recording length.
-
-    The overlap-add runs in batches of about ``OA_BATCH_SAMPLES`` signal
-    samples, and each batch's finished outputs are written straight into
-    the profile, so a length holds one profile per template and no
-    whole-signal spectra.  Its bits are those of
-    ``scipy.signal.oaconvolve(values[None], templates[:, ::-1], "valid",
-    axes=1)``: it takes oaconvolve's block length
-    (``next_fast_len(ceil(-K W_{-1}(-1/(2eK))))`` with ``K = L - 1``), its
-    block grid from sample 0, the same per-block ``rfftn``/``irfftn`` and
-    the same head-plus-previous-tail sums, and it hands the cases where
-    oaconvolve takes one FFT to oaconvolve itself.  The window norms are
-    formed per batch of offsets from the signal's prefix sums.
+    length's window norms and signal transforms once for all templates, the
+    smoothing only where the correlation clears the threshold, and only the
+    candidates of a length outlive it.  The numerator is one overlap-save
+    correlation for every recording length, with blocks of
+    ``next_fast_len(max(1024, 4 * L), real=True)`` samples, and it runs in
+    batches, so a length holds one profile per template and no whole-signal
+    spectra.
     """
     params = params or TemplateParams()
     rate = vm.sample_rate_hz

@@ -269,7 +269,11 @@ class _Newton:
         return self.beta * (1.0 / self.col_scale)
 
 
-def _newton(data: SurvivalDataset, max_iter: int = 50, tol: float = 1e-9) -> _Newton:
+#: Relative log-likelihood change at which Newton-Raphson stops.
+NEWTON_TOL = 1e-9
+
+
+def _newton(data: SurvivalDataset, max_iter: int = 50) -> _Newton:
     """The coefficient search of :func:`cox_fit`, without its covariance.
 
     The log-likelihood comes first at every trial point; the score and
@@ -314,12 +318,13 @@ def _newton(data: SurvivalDataset, max_iter: int = 50, tol: float = 1e-9) -> _Ne
             # No halving improved the objective.  At the optimum the Newton
             # step's predicted gain can lie below the last bit of ll, so the
             # step computes as a loss; that counts as convergence.
-            converged = score @ delta / 2.0 < tol * (abs(ll) + tol)
+            converged = score @ delta / 2.0 < NEWTON_TOL * (abs(ll) + NEWTON_TOL)
             failure = f"step search failed after {len(loglik_seq) - 1} steps"
             break
         beta, ll, sums = new_beta, new_ll, new_sums
         loglik_seq.append(ll)
-        if abs(loglik_seq[-1] - loglik_seq[-2]) < tol * (abs(loglik_seq[-2]) + tol):
+        change = abs(loglik_seq[-1] - loglik_seq[-2])
+        if change < NEWTON_TOL * (abs(loglik_seq[-2]) + NEWTON_TOL):
             converged = True
             break
     return _Newton(risk, col_scale, beta, sums, loglik_seq, converged, failure)
@@ -369,20 +374,18 @@ def _fold_beta(train: SurvivalDataset) -> np.ndarray:
     return newton.raw_beta
 
 
-def cox_fit(
-    data: SurvivalDataset, max_iter: int = 50, tol: float = 1e-9
-) -> CoxFit:
+def cox_fit(data: SurvivalDataset, max_iter: int = 50) -> CoxFit:
     """Maximize the weighted Breslow partial likelihood by Newton-Raphson.
 
     Steps that fail to improve the objective are halved (up to 30 times);
-    convergence is a relative log-likelihood change below ``tol``, or, when
-    every halving is refused, a Newton step whose predicted gain
+    convergence is a relative log-likelihood change below ``NEWTON_TOL``,
+    or, when every halving is refused, a Newton step whose predicted gain
     ``score . delta / 2`` is below that same tolerance.  Columns
     are scaled to unit dispersion internally and the fit mapped back, so raw
     step counts may be entered without conditioning trouble.  The covariance
     is the robust sandwich built from weighted score residuals.
     """
-    return _with_covariance(data, _newton(data, max_iter, tol))
+    return _with_covariance(data, _newton(data, max_iter))
 
 
 def _safe_exp(v: float) -> float:

@@ -391,6 +391,17 @@ class TestExitCodes:
         assert not list(raw.glob("*.sfg1"))  # refused before any parse
         assert not (tmp_path / "o").exists()
 
+    def test_steps_header_only_file_fails_its_subject(self, corpus, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        (raw / "E1.csv").write_text("x,y,z\n")
+        (raw / "R0001.csv").write_bytes((corpus / "raw" / "R0001.csv").read_bytes())
+        out = tmp_path / "o"
+        assert main(["steps", str(raw), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"subject E1: FAILED (ValueError: {raw / 'E1.csv'}: no samples)" in err
+        assert sorted(p.name for p in out.iterdir()) == ["R0001_minutes.csv"]
+
     def test_unknown_config_key_is_fatal(self, tmp_path):
         conf = tmp_path / "bad.conf"
         conf.write_text("not_a_key = 1\n")
@@ -479,6 +490,15 @@ class TestExitCodes:
         assert main(["bench", "--detectors", "", "--out", out]) == 2
         assert main(["bench", "--detectors", "sonar", "--out", out]) == 2
 
+    def test_bench_unknown_config_key_is_fatal(self, tmp_path):
+        conf = tmp_path / "bad.conf"
+        conf.write_text("no_such_key = 1\n")
+        out = tmp_path / "bench.csv"
+        rc = main(["bench", "--subjects", "1", "--days", "1", "--rate", "20",
+                   "--detectors", "spectral", "--config", str(conf), "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
     def test_bench_rejects_zero_subjects_or_days(self, tmp_path):
         out = str(tmp_path / "bench.csv")
         assert main(["bench", "--subjects", "0", "--out", out]) == 2
@@ -498,6 +518,25 @@ class TestBench:
         for row in rows:
             assert float(row["total_seconds"]) > 0
             assert float(row["minutes_per_10_subjects"]) > 0
+
+    def test_configured_peak_revised_is_timed_as_its_own_preset(self, tmp_path, monkeypatch):
+        seen = []
+        real_peak = det.detect_steps_peak
+
+        def recorded(vm, params=None, name="peak"):
+            seen.append((name, params.k_neighbors))
+            return real_peak(vm, params, name)
+
+        monkeypatch.setattr(det, "detect_steps_peak", recorded)
+        conf = tmp_path / "revised.conf"
+        conf.write_text("peak_revised.k_neighbors = 4\n")
+        rc = main([
+            "bench", "--subjects", "1", "--days", "1", "--rate", "20",
+            "--detectors", "peak_original,peak_revised", "--config", str(conf),
+            "--out", str(tmp_path / "bench.csv"),
+        ])
+        assert rc == 0
+        assert seen == [("peak_original", 3), ("peak_revised", 4)]
 
     def test_minutes_scale_to_ten_subject_weeks(self, tmp_path):
         out = tmp_path / "bench.csv"

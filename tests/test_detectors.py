@@ -243,6 +243,8 @@ class TestRegistryAndRunner:
 
     def test_empty_recording(self):
         run = run_detectors(series([], rate=80.0), build_registry())
+        assert not run.errors
+        assert set(run.minutes) == set(BUILTIN_DETECTOR_NAMES)
         assert all(len(m) == 0 for m in run.minutes.values())
 
     def test_failing_detector_isolated(self, walk_vm):

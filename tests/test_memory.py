@@ -3,7 +3,7 @@ minute-file read.
 
 Each bound is the traced allocation peak of one stage, per input sample,
 on a fixed 1 h 80 Hz recording: the value measured when the bound was set
-plus a margin.  Holding a whole-signal overlap-add transform, a whole-profile
+plus a margin.  Holding a whole-signal correlation transform, a whole-profile
 norm array, or a second axis's filtered arrays again breaks its bound
 (measured then: template 48, MIMS 44 and AC 22 bytes per sample, against
 86, 64 and 25 with those arrays held).  The minute-file bound is per row,
