@@ -8,6 +8,7 @@ averaging, fully determined by the configured seed.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
@@ -95,14 +96,23 @@ class SurvivalDataset:
 
     def take(self, rows: Sequence[int]) -> "SurvivalDataset":
         """New dataset restricted to the given row indices (order preserved)."""
-        rows = np.asarray(rows, dtype=np.intp)
+        return replace(self, **self._row_fields(np.asarray(rows, dtype=np.intp)))
+
+    def _take_validated(self, rows: np.ndarray) -> "SurvivalDataset":
+        """:meth:`take` without validating the subset again, for the CV
+        folds: rows of a validated dataset, cut by a plan that puts events
+        in every fold."""
+        subset = copy.copy(self)
+        subset.__dict__.update(self._row_fields(rows))
+        return subset
+
+    def _row_fields(self, rows: np.ndarray) -> dict:
         ids = (
             tuple(self.subject_ids[i] for i in rows)
             if self.subject_ids is not None
             else None
         )
-        return replace(
-            self,
+        return dict(
             followup_months=self.followup_months[rows],
             event=self.event[rows],
             covariates=self.covariates[rows],
@@ -136,47 +146,51 @@ class CoxFit:
 class _RiskSets:
     """Breslow risk-set bookkeeping of one dataset, built once per fit.
 
-    Rows are kept in descending time order, so the risk set of an event time
-    (every row with time >= t) is a prefix.  Event times are ascending; event
-    time k's prefix ends at row ``at[k]``.  S0 and S1 are running sums over
-    that order.  The information needs no per-event-time S2: summed over
-    event times it regroups by row into one weighted Gram of the
-    column-centered design ``xcs``, also in that order (see
-    ``_score_hess``).
+    The design is held once: column-centered, with its rows in descending
+    time order (``xcs``), and every per-row array follows that order.  The
+    risk set of an event time (every row with time >= t) is then a prefix.
+    Event times are ascending; event time k's prefix ends at row ``at[k]``.
+    S0 and S1 are running sums over that order.  The information needs no
+    per-event-time S2: summed over event times it regroups by row into one
+    weighted Gram of ``xcs`` (see ``_score_hess``).  Centering moves no
+    partial-likelihood quantity: eta shifts by a constant, which cancels.
     """
 
     def __init__(self, data: SurvivalDataset, covariates: np.ndarray | None = None):
         t, ev, w = data.followup_months, data.event, data.weights
         x = data.covariates if covariates is None else covariates
-        self.x, self.w = x, w
-        self.log_w = np.log(w)
         ascending = np.argsort(t, kind="stable")
-        self.desc = ascending[::-1]
-        self.xs = x[self.desc]
-        self.xcs = (x - x.mean(axis=0))[self.desc]
+        desc = ascending[::-1]
+        self.xcs = (x - x.mean(axis=0))[desc]
+        self.w = w[desc]
+        self.log_w = np.log(self.w)
         event_times = np.unique(t[ev])
         self.at = len(t) - 1 - np.searchsorted(t, event_times, sorter=ascending)
         # number of event times <= t_i, which index the cumulative hazard sums
-        self.n_times_upto = np.searchsorted(event_times, t, side="right")
-        self.event_rows = np.flatnonzero(ev)
-        self.k_of_event = np.searchsorted(event_times, t[self.event_rows])
-        ew = w[self.event_rows]
+        self.n_times_upto = np.searchsorted(event_times, t[desc], side="right")
+        # event rows as positions in descending time order, listed in the
+        # data's row order, so the sums over tied events add in that order
+        position = np.empty(len(t), dtype=np.intp)
+        position[desc] = np.arange(len(t))
+        self.event_rows = position[ev]
+        self.k_of_event = np.searchsorted(event_times, t[ev])
+        ew = w[ev]
         self.d0 = np.bincount(self.k_of_event, ew, len(event_times))
         self.log_d0 = np.log(self.d0)
         d1 = np.zeros((len(event_times), x.shape[1]))
-        np.add.at(d1, self.k_of_event, ew[:, None] * x[self.event_rows])
+        np.add.at(d1, self.k_of_event, ew[:, None] * self.xcs[self.event_rows])
         self.d1_total = d1.sum(axis=0)
 
     def risk_sums(self, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """eta, w*exp(eta) in descending time order, and S0 per event time."""
-        eta = self.x @ beta
+        """eta, w*exp(eta) and S0 per event time."""
+        eta = self.xcs @ beta
         eta = eta - eta.max()  # global shift cancels in the partial likelihood
-        rexp = (self.w * np.exp(eta))[self.desc]
+        rexp = self.w * np.exp(eta)
         return eta, rexp, np.cumsum(rexp)[self.at]
 
-    def s1(self, rexp: np.ndarray) -> np.ndarray:
-        """S1 per event time from ``rexp`` of :meth:`risk_sums`."""
-        return np.cumsum(rexp[:, None] * self.xs, axis=0)[self.at]
+    def xbar(self, rexp: np.ndarray, s0: np.ndarray) -> np.ndarray:
+        """S1/S0 per event time of the centered design, from :meth:`risk_sums`."""
+        return np.cumsum(rexp[:, None] * self.xcs, axis=0)[self.at] / s0[:, None]
 
 
 def _loglik(
@@ -194,7 +208,7 @@ def _loglik(
     ev = risk.event_rows
     d_eta = np.bincount(risk.k_of_event, risk.w[ev] * eta[ev], len(s0))
     log_s0 = np.log(s0)
-    ll = math.fsum(d_eta - risk.d0 * log_s0)
+    ll = math.fsum((d_eta - risk.d0 * log_s0).tolist())
     if not math.isfinite(ll):
         return -math.inf, None
     return ll, (eta, rexp, s0, log_s0)
@@ -205,30 +219,28 @@ def _score_hess(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Score and Hessian at the point whose risk sums :func:`_loglik` gave."""
     eta, rexp, s0, log_s0 = sums
-    xbar = risk.s1(rexp) / s0[:, None]
+    xbar = risk.xbar(rexp, s0)
     score = risk.d1_total - (risk.d0[:, None] * xbar).sum(axis=0)
     # sum_k d0_k V_k with V_k = S2_k/S0_k - xbar_k xbar_k^T.  Summed over
     # event times, d0_k S2_k/S0_k regroups by row into r_i g0_i x_i x_i^T,
-    # where g0_i sums d0_k/S0_k over event times t_k <= t_i.  V_k does not
-    # move when the column means m are removed, which limits cancellation:
-    #   sum_k d0_k V_k = Xc^T diag(r g0) Xc - sum_k d0_k (xbar_k-m)(xbar_k-m)^T
-    # xbar_k - m is summed from Xc, not taken from xbar_k, whose rounding
-    # scales with m.  r_i g0_i <= total event weight, but g0_i alone
-    # overflows where S0 underflows at separation, so r_i g0_i is formed
-    # in logs.
+    # where g0_i sums d0_k/S0_k over event times t_k <= t_i:
+    #   sum_k d0_k V_k = Xc^T diag(r g0) Xc - sum_k d0_k xbar_k xbar_k^T
+    # The design is centered, so the two terms do not cancel on columns far
+    # from zero.  r_i g0_i <= total event weight, but g0_i alone overflows
+    # where S0 underflows at separation, so r_i g0_i is formed in logs.
     log_g0 = np.logaddexp.accumulate(risk.log_d0 - log_s0)
     log_g0 = np.concatenate(([-np.inf], log_g0))[risk.n_times_upto]
-    weight = np.exp(risk.log_w + eta + log_g0)[risk.desc]
-    dev = np.cumsum(rexp[:, None] * risk.xcs, axis=0)[risk.at] / s0[:, None]
-    hess = (dev.T * risk.d0) @ dev - (risk.xcs.T * weight) @ risk.xcs
+    weight = np.exp(risk.log_w + eta + log_g0)
+    hess = (xbar.T * risk.d0) @ xbar - (risk.xcs.T * weight) @ risk.xcs
     return score, hess
 
 
 def _score_residuals(risk: _RiskSets, beta: np.ndarray) -> np.ndarray:
-    """Per-subject weighted score residuals (rows sum to the total score)."""
+    """Weighted score residuals, one row per subject in descending time
+    order; the rows sum to the total score."""
     eta, rexp, s0 = risk.risk_sums(beta)
-    x, w, ev = risk.x, risk.w, risk.event_rows
-    xbar = np.where(s0[:, None] > 0.0, risk.s1(rexp) / s0[:, None], 0.0)
+    x, w, ev = risk.xcs, risk.w, risk.event_rows
+    xbar = np.where(s0[:, None] > 0.0, risk.xbar(rexp, s0), 0.0)
     # Row i's at-risk part is -r_i sum_k rate_k (x_i - xbar_k) over event
     # times t_k <= t_i, with rate_k = d0_k/S0_k.  rate_k alone overflows
     # where S0 underflows at separation, so the sum is taken as
@@ -272,35 +284,76 @@ class _Newton:
 #: Relative log-likelihood change at which Newton-Raphson stops.
 NEWTON_TOL = 1e-9
 
+#: A pivot of the information below this share of its largest diagonal
+#: entry marks an aliased column: R ``survival``'s ``toler.chol``.
+ALIAS_TOL = np.finfo(np.float64).eps ** 0.75
+
+
+class _RankDeficient(ValueError):
+    """The design has aliased columns; ``aliased`` marks them."""
+
+    def __init__(self, aliased: np.ndarray):
+        super().__init__(
+            "design matrix is rank deficient after centering; "
+            "drop constant or collinear columns"
+        )
+        self.aliased = aliased
+
+
+def _aliased_columns(info: np.ndarray) -> np.ndarray:
+    """The columns R ``survival``'s ``cholesky2`` marks as aliased.
+
+    An in-order LDL^T of the information: a column whose pivot is not
+    finite or is below ``ALIAS_TOL`` times the largest diagonal entry is
+    aliased and takes no part in eliminating the columns after it.
+    """
+    a = info.copy()
+    diag = np.diag(a)
+    top = diag[diag > 0.0].max(initial=0.0)
+    tol = ALIAS_TOL * top if top > 0.0 else ALIAS_TOL
+    aliased = np.zeros(len(a), dtype=bool)
+    for i in range(len(a)):
+        pivot = a[i, i]
+        if not (math.isfinite(pivot) and pivot >= tol):
+            aliased[i] = True
+            continue
+        v = a[i + 1:, i]
+        a[i + 1:, i + 1:] -= v[:, None] * (v / pivot)
+    return aliased
+
 
 def _newton(data: SurvivalDataset, max_iter: int = 50) -> _Newton:
     """The coefficient search of :func:`cox_fit`, without its covariance.
 
     The log-likelihood comes first at every trial point; the score and
-    Hessian are formed only at a point the search steps on from.
+    Hessian are formed only at a point the search steps on from.  The
+    information at beta = 0, which the first step forms anyway, decides
+    aliased columns; a design with any raises :class:`_RankDeficient`.
     Cross-validation folds, which read only the coefficients, stop here.
     """
     x = data.covariates
     p = x.shape[1]
     if p == 0:
         raise ValueError("no covariates to fit")
-    centered = x - x.mean(axis=0)
-    if np.linalg.matrix_rank(centered) < p:
-        raise ValueError(
-            "design matrix is rank deficient after centering; "
-            "drop constant or collinear columns"
-        )
-    col_scale = centered.std(axis=0, ddof=1)
-    col_scale[col_scale == 0.0] = 1.0
-    risk = _RiskSets(data, x / col_scale)
+    col_scale = (x - x.mean(axis=0)).std(axis=0, ddof=1)
+    # a constant column enters as exact zeros, so its information row is
+    # exactly zero even where its mean rounds
+    constant = np.ptp(x, axis=0) == 0.0
+    col_scale[constant] = 1.0
+    risk = _RiskSets(data, np.where(constant, 0.0, x / col_scale))
 
     beta = np.zeros(p)
     ll, sums = _loglik(risk, beta)
+    score, hess = _score_hess(risk, sums)
+    aliased = _aliased_columns(-hess)
+    if aliased.any():
+        raise _RankDeficient(aliased)
     loglik_seq = [ll]
     converged = False
     failure = f"did not converge in {max_iter} iterations"
-    for _ in range(max_iter):
-        score, hess = _score_hess(risk, sums)
+    for iteration in range(max_iter):
+        if iteration:
+            score, hess = _score_hess(risk, sums)
         try:
             delta = np.linalg.solve(-hess, score)
         except np.linalg.LinAlgError as exc:
@@ -362,13 +415,25 @@ def _with_covariance(data: SurvivalDataset, newton: _Newton) -> CoxFit:
 
 
 def _fold_beta(train: SurvivalDataset) -> np.ndarray:
-    """``cox_fit(train).beta``, bit for bit, without the covariance.
+    """Coefficients of a cross-validation training fold, without the
+    covariance.
 
-    A fit that does not converge raises the same ConvergenceError as
-    :func:`cox_fit`.  Only β is returned, so the fit's risk sets are freed
-    before the next fold's are built.
+    A fold with aliased columns fits the others, as R ``coxph`` does: its
+    β is ``_fold_beta`` of the fold without them, bit for bit, with 0 at
+    the aliased columns.  Otherwise it is ``cox_fit(train).beta``, bit for
+    bit, and a fit that does not converge raises the same ConvergenceError.
+    Only β is returned, so the fit's risk sets are freed before the next
+    fold's are built.
     """
-    newton = _newton(train)
+    try:
+        newton = _newton(train)
+    except _RankDeficient as exc:
+        beta = np.zeros(len(exc.aliased))
+        kept = np.flatnonzero(~exc.aliased)
+        if len(kept):
+            names = [train.covariate_names[i] for i in kept]
+            beta[kept] = _fold_beta(train.select(names))
+        return beta
     if not newton.converged:
         _with_covariance(train, newton)  # raises ConvergenceError
     return newton.raw_beta
@@ -384,6 +449,11 @@ def cox_fit(data: SurvivalDataset, max_iter: int = 50) -> CoxFit:
     are scaled to unit dispersion internally and the fit mapped back, so raw
     step counts may be entered without conditioning trouble.  The covariance
     is the robust sandwich built from weighted score residuals.
+
+    A design with an aliased column raises ValueError ("rank deficient").
+    Aliasing follows R ``survival``'s ``cholesky2``: in an in-order LDL^T
+    of the information of the centered, scaled design at beta = 0, a pivot
+    below ``ALIAS_TOL`` (eps^0.75) times the largest diagonal entry.
     """
     return _with_covariance(data, _newton(data, max_iter))
 
@@ -500,7 +570,10 @@ def repeated_cv_concordance(
     and averages fold concordances; the return value averages the repeats.
     Deterministic for a fixed config.  A fold fit stops at the coefficients
     :func:`cox_fit` would return, bit for bit, without the covariance that
-    scoring never reads.
+    scoring never reads.  A training fold with aliased columns (see
+    :func:`cox_fit`), such as a column constant in that fold, fits the
+    columns that vary, and its held-out fold is scored with β = 0 for the
+    aliased ones.
     """
     reps = cfg.cv_repeats if repeats is None else repeats
     if cfg.cv_folds < 2:
@@ -515,8 +588,8 @@ def repeated_cv_concordance(
         )
         fold_cs: list[float] = []
         for f in range(cfg.cv_folds):
-            train = subset.take(np.flatnonzero(fold_of_row != f))
-            test = subset.take(np.flatnonzero(fold_of_row == f))
+            train = subset._take_validated(np.flatnonzero(fold_of_row != f))
+            test = subset._take_validated(np.flatnonzero(fold_of_row == f))
             pred = test.covariates @ _fold_beta(train)
             fold_cs.append(concordance(pred, test))
         per_repeat.append(math.fsum(fold_cs) / len(fold_cs))

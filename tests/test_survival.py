@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,10 @@ from hypothesis import strategies as st
 from stepforge.model import make_config
 from stepforge.simulate import gen_survival
 from stepforge.survival import (
+    ALIAS_TOL,
     ConvergenceError,
+    _aliased_columns,
+    _fold_beta,
     _loglik,
     _newton,
     _RiskSets,
@@ -115,6 +119,30 @@ class TestSurvivalDataset:
         np.testing.assert_array_equal(sub.followup_months, [2.0, 3.0])
         assert sub.n_events == 1
 
+    def test_validated_take_equals_take(self):
+        d = SurvivalDataset(
+            followup_months=np.array([3.0, 1.0, 2.0, 5.0]),
+            event=np.array([True, True, False, True]),
+            covariates=np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0], [0.1, 0.3]]),
+            weights=np.array([1.0, 0.5, 2.0, 1.5]),
+            covariate_names=("a", "b"),
+            subject_ids=("s1", "s2", "s3", "s4"),
+            scaling={"a": (1.0, 2.0)},
+        )
+        rows = np.array([3, 0, 2])
+        fast, slow = d._take_validated(rows), d.take(rows)
+        for name in ("followup_months", "event", "covariates", "weights"):
+            a, b = getattr(fast, name), getattr(slow, name)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        assert fast.subject_ids == slow.subject_ids == ("s4", "s1", "s3")
+        assert fast.covariate_names == slow.covariate_names
+        assert fast.scaling == slow.scaling
+        # the public take still validates what it cuts
+        d.covariates[0, 0] = math.nan
+        with pytest.raises(ValueError, match="complete"):
+            d.take(rows)
+
     def test_column_lookup(self):
         d = dataset([1.0, 2.0], [True, False], [[5.0], [6.0]], names=["steps"])
         np.testing.assert_array_equal(d.column("steps"), [5.0, 6.0])
@@ -156,15 +184,15 @@ def oracle_derivatives(data, beta, center=False):
     boolean risk-set mask at each event time, written longhand.
 
     eta is shifted by its maximum, which cancels in all three.  ``center``
-    forms S1/S2 from column-centered values; the score and each V_k do not
-    move, and the oracle's own S2/S0 - xbar xbar^T no longer cancels on
-    columns far from zero."""
+    forms eta and S1/S2 from column-centered values, as the engine does; the
+    three do not move, eta does not carry the rounding of columns far from
+    zero, and the oracle's own S2/S0 - xbar xbar^T does not cancel on them."""
     t, ev, w, x = data.followup_months, data.event, data.weights, data.covariates
+    if center:
+        x = x - x.mean(axis=0)
     eta = x @ beta
     eta = eta - eta.max()
     r = w * np.exp(eta)
-    if center:
-        x = x - x.mean(axis=0)
     terms, score, hess = [], np.zeros(len(beta)), np.zeros((len(beta), len(beta)))
     for tk in np.unique(t[ev]):
         at_risk = t >= tk
@@ -223,8 +251,8 @@ class TestRiskSetEngine:
 
 def per_event_time_loglik_score(data, beta):
     """Log-likelihood and score as the per-event-time S2 engine computed
-    them, copied verbatim from it: the closed-form Hessian must leave both
-    bit for bit as they were."""
+    them, copied verbatim from it.  Fed the column-centered design, which
+    the engine now holds, it must give both bit for bit."""
     t, ev, w, x = data.followup_months, data.event, data.weights, data.covariates
     ascending = np.argsort(t, kind="stable")
     desc = ascending[::-1]
@@ -299,7 +327,8 @@ class TestClosedFormHessian:
         data, beta, underflow = drawn
         risk = _RiskSets(data)
         ll, score, hess = loglik_score_hess(risk, beta)
-        want_ll, want_score = per_event_time_loglik_score(data, beta)
+        centered = replace(data, covariates=data.covariates - data.covariates.mean(axis=0))
+        want_ll, want_score = per_event_time_loglik_score(centered, beta)
         assert ll == want_ll
         np.testing.assert_array_equal(score, want_score)
         eta = data.covariates @ beta
@@ -416,6 +445,148 @@ class TestCoxFit:
         # the capped iterate is already descending toward the full solution
         full = cox_fit(d)
         assert abs(last.beta[0] - full.beta[0]) < abs(full.beta[0])
+
+
+def survival_design(seed, n, p):
+    """A weighted design whose first column drives the hazard."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, p)) * rng.uniform(0.1, 1e3, size=p)
+    t = np.round(rng.exponential(np.exp(-0.5 * x[:, 0] / x[:, 0].std())), 1)
+    ev = rng.random(n) < 0.7
+    ev[:3] = True
+    return t, ev, x, rng.uniform(0.5, 3.0, size=n)
+
+
+@st.composite
+def aliased_designs(draw):
+    """A design and the same design with aliased columns inserted: constant
+    columns anywhere, and duplicates or linear combinations of earlier
+    columns after them, so the in-order rule marks the inserted ones."""
+    p = draw(st.integers(1, 4))
+    t, ev, x, w = survival_design(draw(st.integers(0, 10_000)), draw(st.integers(30, 80)), p)
+    columns = [x[:, j] for j in range(p)]
+    aliased = [False] * p
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(["constant", "duplicate", "combination"]))
+        if kind == "constant":
+            value = draw(st.sampled_from([0.0, 1.0, 0.1, -3.7, 1e6 / 3.0]))
+            col, at = np.full(len(t), value), draw(st.integers(0, len(columns)))
+        else:
+            sources = [j for j in range(len(columns)) if not aliased[j]]
+            if kind == "duplicate":
+                picked = [draw(st.sampled_from(sources))]
+                coef = [1.0]
+            else:
+                picked = draw(st.lists(st.sampled_from(sources), min_size=1, unique=True))
+                size = len(picked)
+                signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=size, max_size=size))
+                sizes = draw(st.lists(st.floats(0.1, 3.0), min_size=size, max_size=size))
+                coef = [a * b for a, b in zip(signs, sizes)]
+            col = sum(c * columns[j] for c, j in zip(coef, picked)) + draw(st.floats(-5.0, 5.0))
+            at = draw(st.integers(max(picked) + 1, len(columns)))
+        columns.insert(at, col)
+        aliased.insert(at, True)
+    full = dataset(t, ev, np.column_stack(columns), w=w)
+    return full, np.array(aliased)
+
+
+class TestAliasedColumns:
+    def test_threshold_is_r_toler_chol(self):
+        assert ALIAS_TOL == np.finfo(np.float64).eps ** 0.75
+
+    @pytest.mark.parametrize("pivot, aliased", [(1e-11, False), (1e-13, True)])
+    def test_pivot_on_either_side_of_the_threshold(self, pivot, aliased):
+        # the second column's pivot is (1 + pivot) - 1, relative to a
+        # largest diagonal entry of about 1
+        info = np.array([[1.0, 1.0], [1.0, 1.0 + pivot]])
+        assert _aliased_columns(info).tolist() == [False, aliased]
+
+    def test_constant_and_nonfinite_pivots(self):
+        assert _aliased_columns(np.zeros((2, 2))).tolist() == [True, True]
+        info = np.array([[np.nan, 0.0], [0.0, 2.0]])
+        assert _aliased_columns(info).tolist() == [True, False]
+
+    def test_constant_column_whose_mean_rounds(self):
+        # thirteen copies of 0.1 do not average to 0.1, so centering alone
+        # leaves a constant residue in the column
+        t, ev, _, w = survival_design(3, 13, 1)
+        x = np.full((13, 1), 0.1)
+        assert x.mean() != 0.1
+        d = dataset(t, ev, x, w=w)
+        with pytest.raises(ValueError, match="rank deficient"):
+            cox_fit(d)
+        assert _fold_beta(d).tolist() == [0.0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(aliased_designs())
+    def test_fold_fit_equals_the_fit_without_aliased_columns(self, drawn):
+        full, aliased = drawn
+        kept = [n for n, a in zip(full.covariate_names, aliased) if not a]
+        reduced = full.select(kept)
+        try:
+            want = cox_fit(reduced).beta
+        except ConvergenceError:
+            assume(False)
+        expected = np.zeros(len(aliased))
+        expected[~aliased] = _fold_beta(reduced)
+        np.testing.assert_array_equal(expected[~aliased], want)
+        np.testing.assert_array_equal(_fold_beta(full), expected)
+        with pytest.raises(ValueError, match="rank deficient"):
+            cox_fit(full)
+
+    @pytest.mark.parametrize("gap, aliased", [(1e-4, False), (1e-9, True)])
+    def test_near_collinear_pair_on_either_side(self, gap, aliased):
+        # the pair's pivot is about gap^2 of the largest diagonal entry,
+        # against a threshold of eps^0.75 = 1.8e-12
+        t, ev, x, w = survival_design(5, 120, 2)
+        z = (x[:, 1] - x[:, 1].mean()) / x[:, 1].std()
+        pair = x[:, 0] / x[:, 0].std() + gap * z
+        d = dataset(t, ev, np.column_stack([x[:, 0], pair]), w=w)
+        if aliased:
+            with pytest.raises(ValueError, match="rank deficient"):
+                cox_fit(d)
+            beta = _fold_beta(d)
+            assert beta[1] == 0.0
+            np.testing.assert_array_equal(beta[:1], cox_fit(d.select(["x0"])).beta)
+        else:
+            fit = cox_fit(d)
+            assert fit.converged and np.all(np.isfinite(fit.beta))
+            np.testing.assert_array_equal(_fold_beta(d), fit.beta)
+
+    def test_cv_fold_with_a_constant_column(self):
+        # chf is 1 in one row only, so the training fold that leaves that
+        # row out has a constant chf; the CV run fits steps alone there
+        t, ev, x, w = survival_design(11, 60, 1)
+        chf = np.zeros(60)
+        chf[7] = 1.0
+        d = dataset(t, ev, np.column_stack([x[:, 0], chf]), w=w, names=["steps", "chf"])
+        cfg = make_config({"cv_folds": 5})
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            fits = TestRepeatedCv.record_fold_fits(monkeypatch)
+            mean_c, _ = repeated_cv_concordance(d, ["steps", "chf"], cfg, repeats=2)
+        assert math.isfinite(mean_c) and 0.0 < mean_c < 1.0
+        # _newton records only the fits that get past the alias check: the
+        # fold with a constant chf was refitted on steps alone, once a repeat
+        refits = [train for train, _ in fits if train.covariate_names == ("steps",)]
+        assert len(refits) == 2
+        fold = d.take(np.flatnonzero(np.arange(60) != 7))
+        with pytest.raises(ValueError, match="rank deficient"):
+            cox_fit(fold)
+        beta = _fold_beta(fold)
+        assert beta[1] == 0.0
+        np.testing.assert_array_equal(beta[:1], cox_fit(fold.select(["steps"])).beta)
+
+    def test_no_svd_in_a_fit_or_a_cv_run(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an SVD was computed")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(np.linalg, "matrix_rank", refuse)
+        d = ladder_dataset()
+        assert _newton(d).converged
+        cfg = make_config({"cv_folds": 5})
+        mean_c, _ = repeated_cv_concordance(d, d.covariate_names, cfg, repeats=1)
+        assert 0.0 < mean_c < 1.0
 
 
 COX_PROBE = Path(__file__).with_name("data") / "cox_probe.csv"
