@@ -8,7 +8,6 @@ averaging, fully determined by the configured seed.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
@@ -95,30 +94,27 @@ class SurvivalDataset:
         )
 
     def take(self, rows: Sequence[int]) -> "SurvivalDataset":
-        """New dataset restricted to the given row indices (order preserved)."""
-        return replace(self, **self._row_fields(np.asarray(rows, dtype=np.intp)))
+        """New dataset restricted to the given row indices (order preserved).
 
-    def _take_validated(self, rows: np.ndarray) -> "SurvivalDataset":
-        """:meth:`take` without validating the subset again, for the CV
-        folds: rows of a validated dataset, cut by a plan that puts events
-        in every fold."""
-        subset = copy.copy(self)
-        subset.__dict__.update(self._row_fields(rows))
-        return subset
-
-    def _row_fields(self, rows: np.ndarray) -> dict:
+        The rows of a validated dataset need no second validation, so the
+        subset skips ``__post_init__``; the caller keeps an event in it.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
         ids = (
             tuple(self.subject_ids[i] for i in rows)
             if self.subject_ids is not None
             else None
         )
-        return dict(
+        subset = object.__new__(SurvivalDataset)
+        subset.__dict__.update(
+            vars(self),
             followup_months=self.followup_months[rows],
             event=self.event[rows],
             covariates=self.covariates[rows],
             weights=self.weights[rows],
             subject_ids=ids,
         )
+        return subset
 
 
 @dataclass(frozen=True)
@@ -588,8 +584,8 @@ def repeated_cv_concordance(
         )
         fold_cs: list[float] = []
         for f in range(cfg.cv_folds):
-            train = subset._take_validated(np.flatnonzero(fold_of_row != f))
-            test = subset._take_validated(np.flatnonzero(fold_of_row == f))
+            train = subset.take(np.flatnonzero(fold_of_row != f))
+            test = subset.take(np.flatnonzero(fold_of_row == f))
             pred = test.covariates @ _fold_beta(train)
             fold_cs.append(concordance(pred, test))
         per_repeat.append(math.fsum(fold_cs) / len(fold_cs))

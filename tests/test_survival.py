@@ -107,19 +107,6 @@ class TestSurvivalDataset:
             dataset([1.0, 2.0], [True, False], np.ones((2, 2)), names=["a", "a"])
 
     def test_select_and_take(self):
-        d = dataset(
-            [3.0, 1.0, 2.0], [True, True, False],
-            np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]]),
-            names=["a", "b"],
-        )
-        sel = d.select(["b"])
-        assert sel.covariate_names == ("b",)
-        np.testing.assert_array_equal(sel.covariates[:, 0], [10.0, 20.0, 30.0])
-        sub = d.take([2, 0])
-        np.testing.assert_array_equal(sub.followup_months, [2.0, 3.0])
-        assert sub.n_events == 1
-
-    def test_validated_take_equals_take(self):
         d = SurvivalDataset(
             followup_months=np.array([3.0, 1.0, 2.0, 5.0]),
             event=np.array([True, True, False, True]),
@@ -129,19 +116,20 @@ class TestSurvivalDataset:
             subject_ids=("s1", "s2", "s3", "s4"),
             scaling={"a": (1.0, 2.0)},
         )
+        sel = d.select(["b"])
+        assert sel.covariate_names == ("b",)
+        np.testing.assert_array_equal(sel.covariates[:, 0], [10.0, 20.0, 30.0, 0.3])
         rows = np.array([3, 0, 2])
-        fast, slow = d._take_validated(rows), d.take(rows)
+        sub = d.take(rows)
         for name in ("followup_months", "event", "covariates", "weights"):
-            a, b = getattr(fast, name), getattr(slow, name)
+            a, b = getattr(sub, name), getattr(d, name)[rows]
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
-        assert fast.subject_ids == slow.subject_ids == ("s4", "s1", "s3")
-        assert fast.covariate_names == slow.covariate_names
-        assert fast.scaling == slow.scaling
-        # the public take still validates what it cuts
-        d.covariates[0, 0] = math.nan
-        with pytest.raises(ValueError, match="complete"):
-            d.take(rows)
+        assert sub.n_events == 2
+        assert sub.subject_ids == ("s4", "s1", "s3")
+        assert sub.covariate_names == d.covariate_names
+        assert sub.scaling == d.scaling
+        assert d.take([2, 0]).subject_ids == ("s3", "s1")
 
     def test_column_lookup(self):
         d = dataset([1.0, 2.0], [True, False], [[5.0], [6.0]], names=["steps"])
