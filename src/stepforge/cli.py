@@ -176,11 +176,11 @@ def _build_registry(detector_params: Mapping[str, Mapping[str, object]]):
 
 
 def _raw_inputs(raw_dir: Path) -> dict[str, Path]:
-    """Raw .csv/.csv.gz files by subject ID, the file name up to its first dot."""
+    """Raw .csv/.csv.gz files by subject ID (see :func:`ingest.raw_subject_id`)."""
     inputs: dict[str, Path] = {}
     for path in sorted(raw_dir.iterdir()):
         if path.is_file() and path.name.endswith((".csv", ".csv.gz")):
-            subject = path.name.split(".")[0]
+            subject = ingest.raw_subject_id(path)
             if subject in inputs:
                 raise FatalCliError(
                     f"raw files {inputs[subject].name} and {path.name} in {raw_dir} "

@@ -1,15 +1,17 @@
 """Streaming readers/writers for raw recordings and analysis tables.
 
-Raw accelerometer payloads are delimiter-separated text (optionally gzip),
-streamed in hour-sized chunks; a little-endian float32 binary cache with
-magic ``SFG1`` is written beside each text file on first read so re-runs
-skip parsing; a sidecar older than its text is ignored and rewritten.
+Raw accelerometer payloads are comma-separated text (optionally gzip),
+streamed in chunks of one parse block; for the default layout a
+little-endian float32 binary cache with magic ``SFG1`` is written beside
+each text file on first read so re-runs skip parsing, one block at a time
+too; a sidecar older than its text is ignored and rewritten.
 Table I/O round-trips exactly: floats are serialized with ``repr`` so
 ``read(write(x)) == x`` bit for bit.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import gzip
 import io
@@ -55,53 +57,43 @@ class RawFileSchema:
     """
 
     sample_rate_hz: float = 80.0
-    delimiter: str = ","
     has_header: bool = True
     has_timestamp: bool = False
-    gzipped: bool = False
 
     def __post_init__(self) -> None:
         if not self.sample_rate_hz > 0:
             raise ValueError("sample_rate_hz must be positive")
-        if len(self.delimiter) != 1:
-            raise ValueError("delimiter must be a single character")
 
     @property
     def n_columns(self) -> int:
         return 4 if self.has_timestamp else 3
 
+    @property
+    def cached(self) -> bool:
+        """Whether reads of this layout use an SFG1 sidecar.
 
-def _open_text(path: Path, schema: RawFileSchema) -> io.TextIOBase:
-    if schema.gzipped or path.suffix == ".gz":
+        Only the default layout (a header, no timestamps) does: the
+        sidecar's bytes cannot record the layout that wrote them, so a
+        sidecar written under one header setting would be reused under the
+        other, one sample off, and a timestamped read would skip its
+        cadence check.
+        """
+        return self.has_header and not self.has_timestamp
+
+
+def raw_subject_id(path: str | os.PathLike) -> str:
+    """The subject of a raw file: its file name up to the first dot."""
+    return Path(path).name.split(".")[0]
+
+
+def _open_text(path: Path) -> io.TextIOBase:
+    if path.suffix == ".gz":
         return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8")
     return open(path, "r", encoding="utf-8")
 
 
 def cache_path(path: str | os.PathLike) -> Path:
     return Path(path).with_name(Path(path).name + CACHE_SUFFIX)
-
-
-def read_binary_cache(
-    path: str | os.PathLike,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read an SFG1 cache back into float32 axis arrays."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CACHE_MAGIC:
-            raise ValueError(f"{path}: not an SFG1 cache (magic {magic!r})")
-        (count,) = struct.unpack("<I", fh.read(4))
-        payload = fh.read()
-    expected = 3 * 4 * count
-    if len(payload) != expected:
-        raise ValueError(
-            f"{path}: truncated cache ({len(payload)} payload bytes, "
-            f"expected {expected})"
-        )
-    block = count * 4
-    x = np.frombuffer(payload[:block], dtype="<f4")
-    y = np.frombuffer(payload[block : 2 * block], dtype="<f4")
-    z = np.frombuffer(payload[2 * block :], dtype="<f4")
-    return x.copy(), y.copy(), z.copy()
 
 
 #: Non-blank lines parsed per block, bounding the text held while reading.
@@ -116,9 +108,9 @@ _REFUSED_CHARS = '"\x00\x1c\x1d\x1e\x1f'
 
 
 def _text_blocks(
-    fh: Iterable[str], dtype: np.dtype, delimiter: str
+    fh: Iterable[str], dtype: np.dtype
 ) -> Iterator[tuple[list[str], np.ndarray | None]]:
-    """Read ``fh`` in blocks of ``_BLOCK_ROWS`` non-blank lines.
+    """Read comma-separated ``fh`` in blocks of ``_BLOCK_ROWS`` non-blank lines.
 
     Yields each block's physical lines with their rows parsed by one
     ``np.loadtxt`` call (2-D for a plain dtype, 1-D for a structured one), or
@@ -144,7 +136,7 @@ def _text_blocks(
         if not any(c in text for c in _REFUSED_CHARS):
             try:
                 rows = np.loadtxt(
-                    lines, dtype=dtype, delimiter=delimiter, comments=None,
+                    lines, dtype=dtype, delimiter=",", comments=None,
                     quotechar=None, ndmin=1 if dtype.names else 2,
                 )
             except ValueError:
@@ -165,7 +157,7 @@ def _parse_raw_lines(
         line = line.strip()
         if not line:
             continue
-        parts = line.split(schema.delimiter)
+        parts = line.split(",")
         if len(parts) != schema.n_columns:
             raise ValueError(
                 f"{path}:{line_no}: expected {schema.n_columns} columns, "
@@ -188,12 +180,12 @@ def _raw_blocks(path: Path, schema: RawFileSchema) -> Iterator[np.ndarray]:
     a bad line the rows before it are yielded first, then its error raised.
     """
     n_columns = schema.n_columns
-    with _open_text(path, schema) as fh:
+    with _open_text(path) as fh:
         line_no = 0
         if schema.has_header:
             fh.readline()
             line_no = 1
-        for lines, rows in _text_blocks(fh, np.dtype(np.float64), schema.delimiter):
+        for lines, rows in _text_blocks(fh, np.dtype(np.float64)):
             refused = rows is None or rows.shape[1] != n_columns
             if refused or not np.isfinite(rows).all():
                 parsed: list[list[float]] = []
@@ -223,51 +215,71 @@ def _check_cadence(
         )
 
 
+def read_binary_cache(path: str | os.PathLike) -> Iterator[np.ndarray]:
+    """Read an SFG1 cache as float32 ``(3, n)`` blocks of ``_BLOCK_ROWS`` samples.
+
+    The magic and the payload length are checked before the first block.
+    """
+    with open(path, "rb") as fh:
+        magic = fh.read(4)
+        if magic != CACHE_MAGIC:
+            raise ValueError(f"{path}: not an SFG1 cache (magic {magic!r})")
+        (count,) = struct.unpack("<I", fh.read(4))
+        payload = os.fstat(fh.fileno()).st_size - 8
+        expected = 3 * 4 * count
+        if payload != expected:
+            raise ValueError(
+                f"{path}: truncated cache ({payload} payload bytes, "
+                f"expected {expected})"
+            )
+        for start in range(0, count, _BLOCK_ROWS):
+            axes = np.empty((3, min(_BLOCK_ROWS, count - start)), dtype="<f4")
+            for axis, out in enumerate(axes):
+                fh.seek(8 + 4 * (axis * count + start))
+                fh.readinto(out)
+            yield axes
+
+
+def _write_cache(cache: Path, spool: io.BufferedRandom, count: int) -> None:
+    """Write the SFG1 cache of a spool of float32 (x, y, z) rows, atomically."""
+    partial = cache.with_name(cache.name + ".partial")
+    with open(partial, "wb") as out:
+        out.write(CACHE_MAGIC)
+        out.write(struct.pack("<I", count))
+        for axis in range(3):
+            spool.seek(0)
+            while rows := spool.read(3 * 4 * _BLOCK_ROWS):
+                out.write(np.frombuffer(rows, dtype="<f4")[axis::3].tobytes())
+    os.replace(partial, cache)
+
+
 def read_raw_recording(
-    path: str | os.PathLike,
-    schema: RawFileSchema,
-    subject_id: str | None = None,
-    chunk_seconds: float = 3600.0,
-    use_cache: bool = True,
+    path: str | os.PathLike, schema: RawFileSchema
 ) -> Iterator[TriaxialRecording]:
-    """Stream a raw file as hour-sized :class:`TriaxialRecording` chunks.
+    """Stream a raw file as :class:`TriaxialRecording` chunks of one parse block.
 
     Values are cast to float32 on read so text and binary-cache paths yield
-    bit-identical samples.  On the first text read an SFG1 cache is written
-    next to the file (atomically, via a temp file); later reads stream from
-    the cache while it is not older than the text, and otherwise parse the
-    text again and rewrite it.  The text is parsed in blocks of
-    ``_BLOCK_ROWS`` lines, so a read holds at most one chunk and one block;
-    a caller that keeps every chunk (``steps`` does) holds the recording.
+    bit-identical samples.  For a schema with :attr:`~RawFileSchema.cached`
+    set, the first text read writes an SFG1 cache next to the file
+    (atomically, once every row has passed its checks); later reads stream
+    from the cache while it is not older than the text, and otherwise parse
+    the text again and rewrite it.  Either way a read holds one block of at
+    most ``_BLOCK_ROWS`` samples; a caller that keeps every chunk (``steps``
+    does) holds the recording.
     """
     path = Path(path)
-    if subject_id is None:
-        subject_id = path.name.split(".")[0]
-    chunk_len = max(1, int(round(chunk_seconds * schema.sample_rate_hz)))
-
+    subject = raw_subject_id(path)
     cache = cache_path(path)
-    if use_cache and _cache_is_current(cache, path):
-        x, y, z = read_binary_cache(cache)
-        for start in range(0, len(x), chunk_len):
-            sl = slice(start, start + chunk_len)
-            yield TriaxialRecording(
-                subject_id, x[sl], y[sl], z[sl], schema.sample_rate_hz
-            )
+    if schema.cached and _cache_is_current(cache, path):
+        for x, y, z in read_binary_cache(cache):
+            yield TriaxialRecording(subject, x, y, z, schema.sample_rate_hz)
         return
 
-    # float32 (3, n) axis blocks not yet yielded, and their sample count
-    pending: list[np.ndarray] = []
-    held = total = 0
+    total = 0
     first_stamp = last_stamp = None
-    tmp_files = None
-    if use_cache:
-        tmp_files = [
-            tempfile.NamedTemporaryFile(
-                mode="wb", delete=False, dir=cache.parent, suffix=".tmp"
-            )
-            for _ in range(3)
-        ]
-    try:
+    # float32 (x, y, z) rows of every block; the file is deleted on close
+    spool = tempfile.TemporaryFile(dir=cache.parent) if schema.cached else None
+    with spool or contextlib.nullcontext():
         for rows in _raw_blocks(path, schema):
             error = None
             if schema.has_timestamp and len(rows):
@@ -288,64 +300,24 @@ def read_raw_recording(
                     if first_stamp is None:
                         first_stamp = float(rows[0, 0])
                     last_stamp = float(rows[-1, 0])
-            pending.append(rows[:, -3:].T.astype(np.float32))
-            held += len(rows)
-            total += len(rows)
-            if held >= chunk_len:
-                axes = np.concatenate(pending, axis=1)
-                cut = held - held % chunk_len
-                for start in range(0, cut, chunk_len):
-                    chunk = axes[:, start : start + chunk_len]
-                    yield _flush_chunk(chunk, subject_id, schema, tmp_files)
-                pending, held = [axes[:, cut:]], held - cut
+            if len(rows):
+                axes = rows[:, -3:].astype("<f4")
+                if spool is not None:
+                    spool.write(axes.tobytes())
+                total += len(axes)
+                x, y, z = axes.T.copy()
+                yield TriaxialRecording(subject, x, y, z, schema.sample_rate_hz)
             if error is not None:
                 raise error
-        if held:
-            axes = np.concatenate(pending, axis=1)
-            yield _flush_chunk(axes, subject_id, schema, tmp_files)
         if first_stamp is not None:
             _check_cadence(total, first_stamp, last_stamp, schema, path)
-        if tmp_files is not None:
-            _assemble_cache(cache, tmp_files, total)
-            tmp_files = None
-    finally:
-        if tmp_files is not None:
-            for tf in tmp_files:
-                tf.close()
-                os.unlink(tf.name)
+        if spool is not None:
+            _write_cache(cache, spool, total)
 
 
 def _cache_is_current(cache: Path, source: Path) -> bool:
     """A sidecar is used only when it is not older than the text it caches."""
     return cache.exists() and cache.stat().st_mtime_ns >= source.stat().st_mtime_ns
-
-
-def _flush_chunk(axes, subject_id, schema, tmp_files) -> TriaxialRecording:
-    if tmp_files is not None:
-        for tf, arr in zip(tmp_files, axes):
-            tf.write(arr.astype("<f4").tobytes())
-    return TriaxialRecording(
-        subject_id, axes[0], axes[1], axes[2], schema.sample_rate_hz
-    )
-
-
-def _assemble_cache(cache: Path, tmp_files, total: int) -> None:
-    for tf in tmp_files:
-        tf.close()
-    final_tmp = cache.with_name(cache.name + ".partial")
-    with open(final_tmp, "wb") as out:
-        out.write(CACHE_MAGIC)
-        out.write(struct.pack("<I", total))
-        for tf in tmp_files:
-            with open(tf.name, "rb") as src:
-                while True:
-                    block = src.read(1 << 20)
-                    if not block:
-                        break
-                    out.write(block)
-    for tf in tmp_files:
-        os.unlink(tf.name)
-    os.replace(final_tmp, cache)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +434,7 @@ def _minute_blocks(path: Path) -> Iterator[dict[str, object]]:
                 types[column[name]] = kind
         dtype = np.dtype(list(types.items()))
         line_no = reader.line_num
-        for lines, rows in _text_blocks(fh, dtype, ","):
+        for lines, rows in _text_blocks(fh, dtype):
             block = None if rows is None else _minute_fields(rows, column, step_names)
             if block is None:
                 rest = csv.reader(itertools.chain(lines, fh))
@@ -620,6 +592,34 @@ _COVARIATE_FIELDS = {
 _REQUIRED_COVARIATE_COLUMNS = ("subject", "wave", "weight", "stratum", "psu")
 
 
+def _keyed_rows(
+    path: Path, columns: Iterable[str], unique_subjects: bool = False
+) -> Iterator[tuple[str, dict[str, str]]]:
+    """Yield ``(context, row)`` for each row of a CSV table with a header.
+
+    ``context`` is ``path:line`` for error texts.  An empty file yields
+    nothing; a missing column of ``columns`` is an error, and so, with
+    ``unique_subjects``, is a subject that repeats an earlier row's.
+    """
+    first_line: dict[str, int] = {}
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            return
+        missing = set(columns) - set(reader.fieldnames)
+        if missing:
+            raise ValueError(f"{path}: missing columns {sorted(missing)}")
+        for idx, row in enumerate(reader, start=2):
+            ctx = f"{path}:{idx}"
+            if unique_subjects:
+                first = first_line.setdefault(row["subject"], idx)
+                if first != idx:
+                    raise ValueError(
+                        f"{ctx}: subject {row['subject']!r} repeats line {first}"
+                    )
+            yield ctx, row
+
+
 def read_covariates(path: str | os.PathLike) -> list[SubjectCovariates]:
     """Read the subject covariate table.
 
@@ -627,68 +627,41 @@ def read_covariates(path: str | os.PathLike) -> list[SubjectCovariates]:
     alcohol, which maps to its explicit "Missing alcohol" level.  Ages above
     the topcode are clamped and flagged.  A repeated subject is an error.
     """
-    path = Path(path)
     out: list[SubjectCovariates] = []
-    first_line: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            return []
-        missing = set(_REQUIRED_COVARIATE_COLUMNS) - set(reader.fieldnames)
-        if missing:
-            raise ValueError(f"{path}: missing columns {sorted(missing)}")
-        for idx, row in enumerate(reader, start=2):
-            ctx = f"{path}:{idx}"
-            first = first_line.setdefault(row["subject"], idx)
-            if first != idx:
-                raise ValueError(f"{ctx}: subject {row['subject']!r} repeats line {first}")
-            weight = _parse_float(row["weight"], ctx)
-            if weight <= 0:
-                raise ValueError(f"{ctx}: survey weight must be positive")
-            age_text = (row.get("age") or "").strip()
-            age = _parse_float(age_text, ctx) if age_text else None
-            topcoded = False
-            # the source convention: the topcode value means "that age or older"
-            if age is not None and age >= AGE_TOPCODE:
-                age, topcoded = AGE_TOPCODE, True
-
-            def cat(col: str) -> str | None:
-                value = (row.get(col) or "").strip()
-                return value or None
-
-            alcohol = cat("alcohol") or "missing_alcohol"
-
-            def boolean(col: str) -> bool | None:
-                value = (row.get(col) or "").strip()
-                if not value:
-                    return None
-                return bool(_parse_int(value, ctx))
-
-            out.append(
-                SubjectCovariates(
-                    subject_id=row["subject"],
-                    wave=row["wave"],
-                    age_years=age,
-                    sex=cat("sex"),
-                    race_ethnicity=cat("race_ethnicity"),
-                    education=cat("education"),
-                    bmi_category=cat("bmi_category"),
-                    alcohol=alcohol,
-                    smoking=cat("smoking"),
-                    self_reported_health=cat("self_reported_health"),
-                    diabetes=boolean("diabetes"),
-                    chd=boolean("chd"),
-                    chf=boolean("chf"),
-                    heart_attack=boolean("heart_attack"),
-                    stroke=boolean("stroke"),
-                    cancer=boolean("cancer"),
-                    mobility_problem=boolean("mobility_problem"),
-                    survey_weight=weight,
-                    stratum_id=row["stratum"],
-                    psu_id=row["psu"],
-                    age_topcoded=topcoded,
-                )
+    rows = _keyed_rows(Path(path), _REQUIRED_COVARIATE_COLUMNS, unique_subjects=True)
+    for ctx, row in rows:
+        weight = _parse_float(row["weight"], ctx)
+        if weight <= 0:
+            raise ValueError(f"{ctx}: survey weight must be positive")
+        age_text = (row.get("age") or "").strip()
+        age = _parse_float(age_text, ctx) if age_text else None
+        topcoded = False
+        # the source convention: the topcode value means "that age or older"
+        if age is not None and age >= AGE_TOPCODE:
+            age, topcoded = AGE_TOPCODE, True
+        cells = {
+            name: (row.get(name) or "").strip()
+            for name in (*CATEGORICAL_LEVELS, *BOOLEAN_COVARIATES)
+        }
+        categories = {name: cells[name] or None for name in CATEGORICAL_LEVELS}
+        categories["alcohol"] = categories["alcohol"] or "missing_alcohol"
+        flags = {
+            name: bool(_parse_int(cells[name], ctx)) if cells[name] else None
+            for name in BOOLEAN_COVARIATES
+        }
+        out.append(
+            SubjectCovariates(
+                subject_id=row["subject"],
+                wave=row["wave"],
+                age_years=age,
+                **categories,
+                **flags,
+                survey_weight=weight,
+                stratum_id=row["stratum"],
+                psu_id=row["psu"],
+                age_topcoded=topcoded,
             )
+        )
     return out
 
 
@@ -707,34 +680,21 @@ def read_mortality(path: str | os.PathLike) -> list[MortalityRecord]:
 
     A repeated subject is an error.
     """
-    path = Path(path)
     out: list[MortalityRecord] = []
-    first_line: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            return []
-        missing = set(_MORTALITY_COLUMNS) - set(reader.fieldnames)
-        if missing:
-            raise ValueError(f"{path}: missing columns {sorted(missing)}")
-        for idx, row in enumerate(reader, start=2):
-            ctx = f"{path}:{idx}"
-            first = first_line.setdefault(row["subject"], idx)
-            if first != idx:
-                raise ValueError(f"{ctx}: subject {row['subject']!r} repeats line {first}")
-            followup = _parse_float(row["followup_months"], ctx)
-            if followup < 0:
-                raise ValueError(f"{ctx}: negative follow-up")
-            event = _parse_int(row["event"], ctx)
-            if event not in (0, 1):
-                raise ValueError(f"{ctx}: event must be 0 or 1, got {event}")
-            out.append(
-                MortalityRecord(
-                    subject_id=row["subject"],
-                    event=bool(event),
-                    followup_months=followup,
-                )
+    for ctx, row in _keyed_rows(Path(path), _MORTALITY_COLUMNS, unique_subjects=True):
+        followup = _parse_float(row["followup_months"], ctx)
+        if followup < 0:
+            raise ValueError(f"{ctx}: negative follow-up")
+        event = _parse_int(row["event"], ctx)
+        if event not in (0, 1):
+            raise ValueError(f"{ctx}: event must be 0 or 1, got {event}")
+        out.append(
+            MortalityRecord(
+                subject_id=row["subject"],
+                event=bool(event),
+                followup_months=followup,
             )
+        )
     return out
 
 
@@ -780,28 +740,19 @@ def import_external_steps(
         raise ValueError(
             f"{detector_name!r} collides with a built-in detector name"
         )
-    path = Path(path)
     values: dict[tuple[str, int, int], float] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            return ExternalStepSeries(detector_name, {})
-        missing = {"subject", "day", "minute", "steps"} - set(reader.fieldnames)
-        if missing:
-            raise ValueError(f"{path}: missing columns {sorted(missing)}")
-        for idx, row in enumerate(reader, start=2):
-            ctx = f"{path}:{idx}"
-            steps = _parse_float(row["steps"], ctx)
-            if steps < 0:
-                raise ValueError(f"{ctx}: negative steps")
-            key = (
-                row["subject"],
-                _parse_int(row["day"], ctx),
-                _parse_int(row["minute"], ctx),
-            )
-            if key in values:
-                raise ValueError(f"{ctx}: duplicate minute key {key}")
-            values[key] = steps
+    for ctx, row in _keyed_rows(Path(path), ("subject", "day", "minute", "steps")):
+        steps = _parse_float(row["steps"], ctx)
+        if steps < 0:
+            raise ValueError(f"{ctx}: negative steps")
+        key = (
+            row["subject"],
+            _parse_int(row["day"], ctx),
+            _parse_int(row["minute"], ctx),
+        )
+        if key in values:
+            raise ValueError(f"{ctx}: duplicate minute key {key}")
+        values[key] = steps
     return ExternalStepSeries(detector_name, values)
 
 

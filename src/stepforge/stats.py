@@ -90,9 +90,7 @@ def correlation_matrix(
         raise ValueError(f"unknown correlation method: {method!r}")
     corr = _CORRELATIONS[method]
     table = {
-        v: np.array(
-            [float(row.get(v, math.nan)) for row in _as_maps(rows)], dtype=np.float64
-        )
+        v: np.array([float(row.get(v, math.nan)) for row in rows], dtype=np.float64)
         for v in variables
     }
     k = len(variables)
@@ -110,10 +108,6 @@ def correlation_matrix(
             except ValueError:
                 continue  # constant column within the complete pairs
     return out
-
-
-def _as_maps(rows: Sequence) -> list[Mapping[str, float]]:
-    return [row.means if hasattr(row, "means") else row for row in rows]
 
 
 def weighted_mean_se(

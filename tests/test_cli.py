@@ -391,16 +391,69 @@ class TestExitCodes:
         assert not list(raw.glob("*.sfg1"))  # refused before any parse
         assert not (tmp_path / "o").exists()
 
-    def test_steps_header_only_file_fails_its_subject(self, corpus, tmp_path, capsys):
+    def test_steps_header_only_file_fails_its_subject(
+        self, corpus, tmp_path, capsys, monkeypatch
+    ):
         raw = tmp_path / "raw"
         raw.mkdir()
         (raw / "E1.csv").write_text("x,y,z\n")
         (raw / "R0001.csv").write_bytes((corpus / "raw" / "R0001.csv").read_bytes())
+        failed = f"subject E1: FAILED (ValueError: {raw / 'E1.csv'}: no samples)"
         out = tmp_path / "o"
         assert main(["steps", str(raw), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert f"subject E1: FAILED (ValueError: {raw / 'E1.csv'}: no samples)" in err
+        assert failed in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["R0001_minutes.csv"]
+        # a sidecar of count 0, read back on the next run
+        assert cache_path(raw / "E1.csv").read_bytes() == ingest.CACHE_MAGIC + bytes(4)
+
+        def no_text(*args):
+            raise AssertionError("text parsed although the sidecar is current")
+
+        monkeypatch.setattr(ingest, "_text_blocks", no_text)
+        assert main(["steps", str(raw), "--out", str(tmp_path / "again")]) == 1
+        assert failed in capsys.readouterr().err
+
+    def test_steps_timestamped_file_is_checked_on_every_run(self, tmp_path, capsys):
+        """A sidecar would skip the cadence check, so timestamped files get none."""
+        walk = [GaitSegment("walk", 130, cadence_hz=2.0, amplitude_g=0.35, noise_sd_g=0.02)]
+        rec, _ = gen_gait(walk, seed=5, subject_id="T1")
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        with open(raw / "T1.csv", "w", encoding="utf-8") as fh:
+            fh.write("t,x,y,z\n")
+            for i, xyz in enumerate(zip(rec.x.tolist(), rec.y.tolist(), rec.z.tolist())):
+                fh.write(",".join(map(repr, (i / 80.0, *xyz))) + "\n")
+        args = ["steps", str(raw), "--has-timestamp", "--out", str(tmp_path / "o")]
+        mismatch = "declared rate 100.0 Hz but rows run at 80.000000 Hz"
+        assert main([*args, "--rate", "100"]) == 1
+        assert mismatch in capsys.readouterr().err
+        assert main([*args, "--rate", "80"]) == 0
+        assert main([*args, "--rate", "100"]) == 1
+        assert mismatch in capsys.readouterr().err
+        assert not cache_path(raw / "T1.csv").exists()
+
+    def test_steps_headerless_file_reads_every_row_after_a_header_run(self, tmp_path):
+        """A sidecar from a run that took the first row as a header holds one
+        sample fewer, so a --no-header run must not reuse it."""
+        walk = [GaitSegment("walk", 130, cadence_hz=2.0, amplitude_g=0.35, noise_sd_g=0.02)]
+        rec, _ = gen_gait(walk, seed=5, subject_id="H1")
+        text = "".join(
+            f"{x!r},{y!r},{z!r}\n"
+            for x, y, z in zip(rec.x.tolist(), rec.y.tolist(), rec.z.tolist())
+        )
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        for raw in (reused, fresh):
+            raw.mkdir()
+            (raw / "H1.csv").write_text(text, encoding="utf-8")
+        assert main(["steps", str(reused), "--out", str(tmp_path / "header")]) == 0
+        assert cache_path(reused / "H1.csv").exists()
+        for raw in (reused, fresh):
+            out = tmp_path / f"{raw.name}_out"
+            assert main(["steps", str(raw), "--no-header", "--out", str(out)]) == 0
+            schema = ingest.RawFileSchema(has_header=False)
+            assert sum(map(len, ingest.read_raw_recording(raw / "H1.csv", schema))) == 10_400
+        assert filecmp.cmp(tmp_path / "reused_out" / "H1_minutes.csv",
+                           tmp_path / "fresh_out" / "H1_minutes.csv", shallow=False)
 
     def test_unknown_config_key_is_fatal(self, tmp_path):
         conf = tmp_path / "bad.conf"

@@ -46,8 +46,6 @@ class TestRawFileSchema:
     def test_validation(self):
         with pytest.raises(ValueError, match="positive"):
             RawFileSchema(sample_rate_hz=0.0)
-        with pytest.raises(ValueError, match="single character"):
-            RawFileSchema(delimiter=", ")
 
     def test_column_count(self):
         assert RawFileSchema().n_columns == 3
@@ -58,7 +56,7 @@ class TestRawReading:
     def test_three_row_file(self, tmp_path):
         path = tmp_path / "S1.csv"
         write_raw(path, [(0.1, -0.2, 0.97), (0.12, -0.18, 0.99), (0.09, -0.22, 1.01)])
-        chunks = list(read_raw_recording(path, RawFileSchema(), use_cache=False))
+        chunks = list(read_raw_recording(path, RawFileSchema()))
         assert len(chunks) == 1
         rec = chunks[0]
         assert rec.subject_id == "S1"
@@ -68,18 +66,19 @@ class TestRawReading:
         )
         assert rec.x.dtype == np.float32
 
-    def test_chunk_boundaries(self, tmp_path):
+    def test_chunks_are_parse_blocks_from_text_and_sidecar(self, tmp_path, monkeypatch):
         path = tmp_path / "S2.csv"
         n = 2 * 160 + 37
         write_raw(path, [(0.001 * i, 0.0, 1.0) for i in range(n)])
-        chunks = list(
-            read_raw_recording(path, RawFileSchema(), chunk_seconds=2.0, use_cache=False)
-        )
-        assert [len(c.x) for c in chunks] == [160, 160, 37]
-        merged = np.concatenate([c.x for c in chunks])
-        np.testing.assert_array_equal(
-            merged, np.array([0.001 * i for i in range(n)], dtype=np.float32)
-        )
+        monkeypatch.setattr(ingest, "_BLOCK_ROWS", 160)
+        from_text = list(read_raw_recording(path, RawFileSchema()))
+        assert cache_path(path).exists()
+        from_cache = list(read_raw_recording(path, RawFileSchema()))
+        want = np.array([0.001 * i for i in range(n)], dtype=np.float32)
+        for chunks in (from_text, from_cache):
+            assert [len(c.x) for c in chunks] == [160, 160, 37]
+            assert {c.subject_id for c in chunks} == {"S2"}
+            np.testing.assert_array_equal(np.concatenate([c.x for c in chunks]), want)
 
     def test_text_and_cache_reads_are_bit_identical(self, tmp_path, monkeypatch):
         path = tmp_path / "S3.csv"
@@ -112,14 +111,14 @@ class TestRawReading:
         (chunk,) = read_raw_recording(path, RawFileSchema())
         np.testing.assert_array_equal(chunk.x, np.full(12, 0.25, dtype=np.float32))
         np.testing.assert_array_equal(chunk.z, np.full(12, 1.0, dtype=np.float32))
-        rx, _, _ = read_binary_cache(cache_path(path))
+        ((rx, _, _),) = read_binary_cache(cache_path(path))
         np.testing.assert_array_equal(rx, np.full(12, 0.25, dtype=np.float32))
 
     def test_gzipped_input(self, tmp_path):
         path = tmp_path / "S4.csv.gz"
         with gzip.open(path, "wt") as fh:
             fh.write("x,y,z\n0.1,0.2,0.3\n0.4,0.5,0.6\n")
-        chunks = list(read_raw_recording(path, RawFileSchema(), use_cache=False))
+        chunks = list(read_raw_recording(path, RawFileSchema()))
         np.testing.assert_array_equal(
             chunks[0].y, np.array([0.2, 0.5], dtype=np.float32)
         )
@@ -131,7 +130,7 @@ class TestRawReading:
         write_raw(path, rows, header="t,x,y,z")
         schema = RawFileSchema(has_timestamp=True)  # declared 80 Hz
         with pytest.raises(ValueError, match="rows run at"):
-            list(read_raw_recording(path, schema, use_cache=False))
+            list(read_raw_recording(path, schema))
 
     def test_non_monotone_timestamp(self, tmp_path):
         path = tmp_path / "S6.csv"
@@ -141,32 +140,30 @@ class TestRawReading:
             header="t,x,y,z",
         )
         with pytest.raises(ValueError, match="non-monotone"):
-            list(read_raw_recording(path, RawFileSchema(has_timestamp=True),
-                                    use_cache=False))
+            list(read_raw_recording(path, RawFileSchema(has_timestamp=True)))
 
     def test_malformed_rows_carry_line_numbers(self, tmp_path):
         short = tmp_path / "a.csv"
         short.write_text("x,y,z\n1,2,3\n1,2\n")
         with pytest.raises(ValueError, match=r"a\.csv:3: expected 3 columns"):
-            list(read_raw_recording(short, RawFileSchema(), use_cache=False))
+            list(read_raw_recording(short, RawFileSchema()))
 
         garbled = tmp_path / "b.csv"
         garbled.write_text("x,y,z\n1,spam,3\n")
         with pytest.raises(ValueError, match=r"b\.csv:2: malformed row"):
-            list(read_raw_recording(garbled, RawFileSchema(), use_cache=False))
+            list(read_raw_recording(garbled, RawFileSchema()))
 
         nonfinite = tmp_path / "c.csv"
         nonfinite.write_text("x,y,z\n1,inf,3\n")
         with pytest.raises(ValueError, match=r"c\.csv:2: non-finite"):
-            list(read_raw_recording(nonfinite, RawFileSchema(), use_cache=False))
+            list(read_raw_recording(nonfinite, RawFileSchema()))
 
     def test_failed_read_leaves_no_cache(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x,y,z\n1,2,3\n1,2\n")
         with pytest.raises(ValueError):
             list(read_raw_recording(path, RawFileSchema()))
-        assert not cache_path(path).exists()
-        assert not list(tmp_path.glob("*.tmp"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
 
 
 class TestBinaryCache:
@@ -174,7 +171,7 @@ class TestBinaryCache:
         path = tmp_path / "r.csv"
         write_raw(path, [(0.1, 1.5, 0.0), (0.2, -2.5, 9.75)])
         list(read_raw_recording(path, RawFileSchema()))
-        rx, ry, rz = read_binary_cache(cache_path(path))
+        ((rx, ry, rz),) = read_binary_cache(cache_path(path))
         np.testing.assert_array_equal(rx, np.array([0.1, 0.2], dtype=np.float32))
         np.testing.assert_array_equal(ry, np.array([1.5, -2.5], dtype=np.float32))
         np.testing.assert_array_equal(rz, np.array([0.0, 9.75], dtype=np.float32))
@@ -183,7 +180,7 @@ class TestBinaryCache:
         path = tmp_path / "bad.sfg1"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ValueError, match="not an SFG1 cache"):
-            read_binary_cache(path)
+            next(read_binary_cache(path))
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "short.sfg1"
@@ -191,7 +188,7 @@ class TestBinaryCache:
 
         path.write_bytes(CACHE_MAGIC + struct.pack("<I", 10) + b"\x00" * 8)
         with pytest.raises(ValueError, match="truncated"):
-            read_binary_cache(path)
+            next(read_binary_cache(path))
 
 
 class TestWriteTable:

@@ -3,16 +3,17 @@ per-line parsers it replaces.
 
 Every read runs with a block of 1-8 rows, so the files cross many block
 seams.  The raw oracle is a line-by-line read through
-``ingest._parse_raw_lines`` with the chunking, timestamp and cadence rules
-written out longhand; the minute oracle is ``read_minute_file`` with every
+``ingest._parse_raw_lines`` with the timestamp and cadence rules written
+out longhand; the minute oracle is ``read_minute_file`` with every
 block refused, so the ``csv.reader`` path parses the whole file.  Each read
-must give the same arrays, dtypes and chunk lengths, or raise the same
-exception with the same text, line number included.
+must give the same arrays and dtypes, or raise the same exception with the
+same text, line number included.
 """
 
 from __future__ import annotations
 
 import gzip
+import struct
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -23,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stepforge import ingest
-from stepforge.ingest import RawFileSchema, read_binary_cache, read_raw_recording
+from stepforge.ingest import RawFileSchema, read_raw_recording
 from tests.conftest import assert_tables_equal
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -60,12 +61,11 @@ def raw_files(draw):
     """Raw text; half the files have rare ragged, odd and late-stamped lines."""
     schema = RawFileSchema(
         sample_rate_hz=RATE,
-        delimiter=draw(st.sampled_from([",", ",", ";", "\t", " "])),
         has_header=draw(st.booleans()),
         has_timestamp=draw(st.booleans()),
     )
     header = ["t", "x", "y", "z"] if schema.has_timestamp else ["x", "y", "z"]
-    lines = [schema.delimiter.join(header)] if schema.has_header else []
+    lines = [",".join(header)] if schema.has_header else []
     odd = draw(st.booleans())
     flaws = ["blank", "space", "short", "long", "late"] if odd else ["blank"]
     kinds = ["row"] * 8 + flaws
@@ -81,7 +81,7 @@ def raw_files(draw):
             fields = [draw(number) for _ in range(count)]
             if schema.has_timestamp:
                 fields.insert(0, repr((i - 2 if kind == "late" else i) / RATE))
-            lines.append(schema.delimiter.join(fields))
+            lines.append(",".join(fields))
     text = "".join(line + draw(line_ends) for line in lines)
     return schema, text, draw(st.booleans())
 
@@ -93,10 +93,10 @@ def write_text(directory: Path, text: str, gzipped: bool) -> Path:
     return path
 
 
-def read_lines_longhand(path, schema, chunk_len, chunks):
-    """Append the chunks of a line-by-line read to ``chunks``, as (n, 3) float32."""
-    buf, stamps = [], []
-    with ingest._open_text(path, schema) as fh:
+def read_lines_longhand(path, schema, rows):
+    """Append the rows of a line-by-line read to ``rows``, as float32 (x, y, z)."""
+    stamps = []
+    with ingest._open_text(path) as fh:
         if schema.has_header:
             fh.readline()
         for values in ingest._parse_raw_lines(fh, int(schema.has_header), path, schema):
@@ -106,51 +106,51 @@ def read_lines_longhand(path, schema, chunk_len, chunks):
                         f"{path}: non-monotone timestamp {values[0]} after {stamps[-1]}"
                     )
                 stamps.append(values[0])
-            buf.append(values[-3:])
-            if len(buf) == chunk_len:
-                chunks.append(np.array(buf, dtype=np.float32))
-                buf = []
-    if buf:
-        chunks.append(np.array(buf, dtype=np.float32))
+            rows.append(np.array(values[-3:], dtype=np.float32))
     if stamps:
         ingest._check_cadence(len(stamps), stamps[0], stamps[-1], schema, path)
 
 
-def read_blocks(path, schema, chunk_len, chunks, use_cache=False):
-    """Append the chunks of ``read_raw_recording`` to ``chunks``."""
-    for rec in read_raw_recording(
-        path, schema, chunk_seconds=chunk_len / RATE, use_cache=use_cache
-    ):
+def read_blocks(path, schema, chunks):
+    """Append the chunks of ``read_raw_recording`` to ``chunks``, as (n, 3) float32."""
+    for rec in read_raw_recording(path, schema):
         assert rec.x.dtype == rec.y.dtype == rec.z.dtype == np.float32
+        assert rec.subject_id == "R1"
         chunks.append(np.stack([rec.x, rec.y, rec.z], axis=1))
 
 
-def assert_same_raw(path, schema, block_rows, chunk_len):
-    """Same chunks, or the same error after the same chunks."""
+def assert_same_raw(path, schema, block_rows):
+    """Same rows in chunks of one parse block, or the same error after the same
+    rows; then, for a cached layout, the same rows from the sidecar."""
+    ingest.cache_path(path).unlink(missing_ok=True)
     want, got = [], []
-    _, want_error = outcome(lambda: read_lines_longhand(path, schema, chunk_len, want))
+    _, want_error = outcome(lambda: read_lines_longhand(path, schema, want))
+    want = np.array(want, dtype=np.float32).reshape(-1, 3)
     with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
-        _, got_error = outcome(lambda: read_blocks(path, schema, chunk_len, got))
+        _, got_error = outcome(lambda: read_blocks(path, schema, got))
         assert got_error == want_error
-        assert [len(c) for c in got] == [len(c) for c in want]
-        for a, b in zip(got, want):
-            assert a.tobytes() == b.tobytes()
-        if want_error is None:
-            # the sidecar holds the same float32 bits
-            read_blocks(path, schema, chunk_len, [], use_cache=True)
-            cached = np.stack(read_binary_cache(ingest.cache_path(path)), axis=1)
-            assert cached.tobytes() == b"".join(c.tobytes() for c in want)
+        assert all(0 < len(c) <= block_rows for c in got)
+        assert b"".join(c.tobytes() for c in got) == want.tobytes()
+        cache = ingest.cache_path(path)
+        assert cache.exists() == (want_error is None and schema.cached)
+        if cache.exists():
+            cached = []
+            read_blocks(path, schema, cached)
+            sizes = [min(block_rows, len(want) - i) for i in range(0, len(want), block_rows)]
+            assert [len(c) for c in cached] == sizes
+            assert b"".join(c.tobytes() for c in cached) == want.tobytes()
+            head = ingest.CACHE_MAGIC + struct.pack("<I", len(want))
+            assert cache.read_bytes() == head + want.T.tobytes()
 
 
 @SETTINGS
-@given(drawn=raw_files(), block_rows=st.integers(1, 8), chunk_len=st.integers(1, 12))
+@given(drawn=raw_files(), block_rows=st.integers(1, 8))
 # a block whose every row has two fields parses as an (n, 2) array
-@example(drawn=(RawFileSchema(), "x,y,z\n1,2,3\n1,2\n", False), block_rows=1,
-         chunk_len=4)
-def test_raw_blocks_match_the_line_by_line_read(drawn, block_rows, chunk_len):
+@example(drawn=(RawFileSchema(), "x,y,z\n1,2,3\n1,2\n", False), block_rows=1)
+def test_raw_blocks_match_the_line_by_line_read(drawn, block_rows):
     schema, text, gzipped = drawn
     with tempfile.TemporaryDirectory() as tmp:
-        assert_same_raw(write_text(Path(tmp), text, gzipped), schema, block_rows, chunk_len)
+        assert_same_raw(write_text(Path(tmp), text, gzipped), schema, block_rows)
 
 
 @pytest.mark.parametrize("token", ODD_NUMBERS)
@@ -158,8 +158,7 @@ def test_one_odd_number_in_a_raw_file(tmp_path, token):
     text = "x,y,z\n" + "0.5,1,2\n" * 5 + f"1,{token},1\n" + "2,2,2\n"
     path = write_text(tmp_path, text, False)
     for block_rows in (1, 4, 8):
-        assert_same_raw(path, RawFileSchema(), block_rows, 2)
-        ingest.cache_path(path).unlink(missing_ok=True)
+        assert_same_raw(path, RawFileSchema(), block_rows)
 
 
 def test_non_monotone_stamp_beats_a_later_malformed_line(tmp_path):
@@ -168,10 +167,10 @@ def test_non_monotone_stamp_beats_a_later_malformed_line(tmp_path):
     path.write_text("t,x,y,z\n0.0,1,1,1\n0.0125,1,1,1\n0.0,1,1,1\n0.025,spam,1,1\n")
     schema = RawFileSchema(has_timestamp=True)
     chunks = []
-    _, error = outcome(lambda: read_blocks(path, schema, 1, chunks))
+    _, error = outcome(lambda: read_blocks(path, schema, chunks))
     assert error == f"ValueError: {path}: non-monotone timestamp 0.0 after 0.0125"
-    assert len(chunks) == 2
-    assert_same_raw(path, schema, 8, 1)
+    assert sum(map(len, chunks)) == 2
+    assert_same_raw(path, schema, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +232,7 @@ def minute_files(draw):
     return "".join(line + draw(line_ends) for line in lines)
 
 
-def refuse_every_block(fh, dtype, delimiter):
+def refuse_every_block(fh, dtype):
     yield list(fh), None
 
 

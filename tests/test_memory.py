@@ -9,7 +9,11 @@ norm array, or a second axis's filtered arrays again breaks its bound
 86, 64 and 25 with those arrays held).  The minute-file bound is per row,
 with small parse blocks so that one block's text counts for little: holding
 every parsed block beside the stacked table breaks it (measured then: 157
-bytes per row, against 287 with the blocks held).
+bytes per row, against 287 with the blocks held).  The raw read has no
+per-sample bound but a ratio: a 2 h read that keeps no chunk must peak within
+10 % of a 1 h read, from text and from the sidecar (measured then: 17.7 MB
+and 1.6 MB for both lengths; reading the whole sidecar payload took 10.4 MB
+for 1 h and 20.7 MB for 2 h).
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ def hour_recording():
     return rec
 
 
-def traced_bytes_per_sample(fn, arg, n_samples: int) -> float:
+def traced_peak_bytes(fn, arg) -> int:
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
@@ -50,7 +54,11 @@ def traced_bytes_per_sample(fn, arg, n_samples: int) -> float:
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return (peak - base) / n_samples
+    return peak - base
+
+
+def traced_bytes_per_sample(fn, arg, n_samples: int) -> float:
+    return traced_peak_bytes(fn, arg) / n_samples
 
 
 def test_template_detector(hour_recording):
@@ -80,3 +88,38 @@ def test_minute_file_read(minute_file):
         ingest.read_minute_file(minute_file)
         per_row = traced_bytes_per_sample(ingest.read_minute_file, minute_file, 69_120)
     assert per_row <= 180.0
+
+
+@pytest.fixture(scope="module")
+def raw_files(hour_recording, tmp_path_factory):
+    """The hour recording as ``x,y,z`` text, once (1 h) and twice (2 h)."""
+    rec = hour_recording
+    lines = [
+        f"{x:.4f},{y:.4f},{z:.4f}\n"
+        for x, y, z in zip(rec.x.tolist(), rec.y.tolist(), rec.z.tolist())
+    ]
+    paths = []
+    for hours in (1, 2):
+        path = tmp_path_factory.mktemp(f"raw{hours}h") / "R1.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("x,y,z\n")
+            for _ in range(hours):
+                fh.writelines(lines)
+        paths.append(path)
+    return paths
+
+
+def drain(path) -> None:
+    for _ in ingest.read_raw_recording(path, ingest.RawFileSchema()):
+        pass
+
+
+def test_raw_read_holds_one_block(raw_files):
+    """A read that keeps no chunk peaks the same for 2 h as for 1 h, from text
+    and then from the sidecar the text read wrote."""
+    peaks = {}
+    for source in ("text", "sidecar"):
+        assert [ingest.cache_path(p).exists() for p in raw_files] == [source == "sidecar"] * 2
+        peaks[source] = [traced_peak_bytes(drain, path) for path in raw_files]
+    for source, (one_hour, two_hours) in peaks.items():
+        assert two_hours <= 1.1 * one_hour, peaks
