@@ -201,9 +201,15 @@ def _steps_worker(args: tuple) -> tuple[str, dict[str, float], str]:
         x = np.concatenate([c.x for c in chunks])
         y = np.concatenate([c.y for c in chunks])
         z = np.concatenate([c.z for c in chunks])
-        del chunks  # the detectors then hold one copy of the recording, not two
+        del chunks
         rec = TriaxialRecording(subject, x, y, z, schema.sample_rate_hz)
+        del x, y, z
         vm = vector_magnitude(rec)
+        # AC and MIMS read the axes and the detectors read only the magnitude,
+        # so the recording is released before the detectors run.
+        ac = activity_counts(rec)
+        mims = mims_units(rec)
+        del rec
         n_seconds = int(len(vm) // vm.sample_rate_hz)
         n_minutes = max(1, (n_seconds + 59) // 60)
         run = det.run_detectors(vm, registry, n_minutes=n_minutes)
@@ -211,8 +217,6 @@ def _steps_worker(args: tuple) -> tuple[str, dict[str, float], str]:
             raise RuntimeError(
                 "; ".join(f"{k}: {v}" for k, v in sorted(run.errors.items()))
             )
-        ac = activity_counts(rec)
-        mims = mims_units(rec)
         minute = np.arange(n_minutes)
         names = tuple(sorted(run.minutes))
         table = MinuteTable(

@@ -15,6 +15,10 @@ from scipy import signal
 
 from .model import TriaxialRecording
 
+#: Samples per block of the vector magnitude, the resampler and both passes
+#: of the zero-phase filter.  Blocks change no output bit.
+BLOCK_SAMPLES = 1 << 16
+
 
 @dataclass(frozen=True)
 class UniformSeries:
@@ -53,20 +57,56 @@ def vector_magnitude(rec: TriaxialRecording) -> UniformSeries:
     UniformSeries
         Nonnegative magnitude signal at the recording's rate.
     """
-    a, b, c = (np.multiply(v, v, dtype=np.float64) for v in (rec.x, rec.y, rec.z))
-    # Summing the squares smallest-first makes the result independent of
-    # which physical axis landed in which column.  The three buffers are
-    # reused: lo = min, b = median = max(min(a, b), min(max(a, b), c)),
-    # a = max.
-    lo = np.minimum(a, b)
-    np.maximum(a, b, out=a)
-    np.minimum(a, c, out=b)
-    np.maximum(lo, b, out=b)
-    np.minimum(lo, c, out=lo)
-    np.maximum(a, c, out=a)
-    lo += b
-    lo += a
-    return UniformSeries(rec.sample_rate_hz, np.sqrt(lo, out=lo))
+    n = len(rec)
+    out = np.empty(n)
+    for start in range(0, n, BLOCK_SAMPLES):
+        block = slice(start, min(n, start + BLOCK_SAMPLES))
+        a, b, c = (
+            np.multiply(v[block], v[block], dtype=np.float64) for v in (rec.x, rec.y, rec.z)
+        )
+        # Summing the squares smallest-first makes the result independent of
+        # which physical axis landed in which column.  The three buffers are
+        # reused: lo = min, b = median = max(min(a, b), min(max(a, b), c)),
+        # a = max.
+        lo = np.minimum(a, b)
+        np.maximum(a, b, out=a)
+        np.minimum(a, c, out=b)
+        np.maximum(lo, b, out=b)
+        np.minimum(lo, c, out=lo)
+        np.maximum(a, c, out=a)
+        lo += b
+        lo += a
+        np.sqrt(lo, out=out[block])
+    return UniformSeries(rec.sample_rate_hz, out)
+
+
+def _resampled_length(n: int, rate_hz: float, target_hz: float) -> int:
+    if not target_hz > 0:
+        raise ValueError("target_hz must be positive")
+    if n == 0:
+        raise ValueError("cannot resample an empty series")
+    return max(1, int(round(n * target_hz / rate_hz)))
+
+
+def _resample_into(
+    values: np.ndarray, rate_hz: float, target_hz: float, out: np.ndarray
+) -> None:
+    """Write ``values`` linearly resampled to ``target_hz`` into ``out``.
+
+    Each block of ``out`` interpolates on the input samples it falls between,
+    plus one on each side.  Query and input times are absolute indices over
+    the rates, as for the whole series, so every output equals the one
+    ``np.interp`` gives on the whole grid.
+    """
+    n = len(values)
+    step = rate_hz / target_hz
+    for start in range(0, len(out), BLOCK_SAMPLES):
+        stop = min(len(out), start + BLOCK_SAMPLES)
+        j0 = max(0, min(n - 1, int(start * step) - 1))
+        j1 = min(n, int((stop - 1) * step) + 3)
+        t_in = np.arange(j0, j1, dtype=np.float64) / rate_hz
+        t_out = np.arange(start, stop, dtype=np.float64) / target_hz
+        out[start:stop] = np.interp(t_out, t_in, values[j0:j1])
 
 
 def resample_linear(series: UniformSeries, target_hz: float) -> UniformSeries:
@@ -76,17 +116,12 @@ def resample_linear(series: UniformSeries, target_hz: float) -> UniformSeries:
     beyond the last input sample clamp to the endpoint.  Total duration is
     preserved to within one output sample.
     """
-    if not target_hz > 0:
-        raise ValueError("target_hz must be positive")
-    n = len(series)
-    if n == 0:
-        raise ValueError("cannot resample an empty series")
+    n_out = _resampled_length(len(series), series.sample_rate_hz, target_hz)
     if target_hz == series.sample_rate_hz:
         return UniformSeries(target_hz, series.values.copy())
-    n_out = max(1, int(round(n * target_hz / series.sample_rate_hz)))
-    t_in = np.arange(n, dtype=np.float64) / series.sample_rate_hz
-    t_out = np.arange(n_out, dtype=np.float64) / target_hz
-    return UniformSeries(target_hz, np.interp(t_out, t_in, series.values))
+    out = np.empty(n_out)
+    _resample_into(series.values, series.sample_rate_hz, target_hz, out)
+    return UniformSeries(target_hz, out)
 
 
 def butterworth_bandpass(
@@ -104,15 +139,61 @@ def butterworth_bandpass(
     low_hz, high_hz : float
         Pass-band edges; must satisfy 0 < low < high < Nyquist.
     """
-    nyquist = series.sample_rate_hz / 2.0
+    rate = series.sample_rate_hz
+    return UniformSeries(rate, resampled_bandpass(series.values, rate, rate, low_hz, high_hz))
+
+
+def resampled_bandpass(
+    values: np.ndarray, rate_hz: float, target_hz: float, low_hz: float, high_hz: float
+) -> np.ndarray:
+    """``values`` linearly resampled to ``target_hz``, then zero-phase band-passed.
+
+    The same bits as :func:`resample_linear` followed by
+    :func:`butterworth_bandpass`, which is ``scipy.signal.sosfiltfilt`` with
+    its default odd padding.  The resampler writes straight into the
+    filter's one float64 buffer of the padded length, and both filter passes
+    run over it in blocks: the forward pass with its state carried from block
+    to block, the backward pass from the end, writing each block back in
+    place.  So one axis costs that buffer and a few blocks, not the input,
+    its extension and both pass outputs.
+    """
+    n = len(values)
+    if target_hz != rate_hz:
+        n = _resampled_length(n, rate_hz, target_hz)
+    nyquist = target_hz / 2.0
     if not (0.0 < low_hz < high_hz < nyquist):
         raise ValueError(
             f"band edges must satisfy 0 < {low_hz} < {high_hz} < Nyquist ({nyquist})"
         )
-    sos = signal.butter(
-        4, [low_hz, high_hz], btype="bandpass", output="sos", fs=series.sample_rate_hz
-    )
-    return UniformSeries(series.sample_rate_hz, signal.sosfiltfilt(sos, series.values))
+    sos = signal.butter(4, [low_hz, high_hz], btype="bandpass", output="sos", fs=target_hz)
+    # sosfiltfilt's default padding: three times its count of filter taps
+    ntaps = 2 * len(sos) + 1 - min((sos[:, 2] == 0).sum(), (sos[:, 5] == 0).sum())
+    edge = 3 * int(ntaps)
+    if n <= edge:
+        raise ValueError(
+            "The length of the input vector x must be greater than padlen, "
+            f"which is {edge}."
+        )
+    buf = np.empty(n + 2 * edge)
+    x = buf[edge : edge + n]
+    if target_hz != rate_hz:
+        _resample_into(values, rate_hz, target_hz, x)
+    else:
+        x[:] = values
+    # odd extension at both ends, as scipy's odd_ext writes it
+    buf[:edge] = 2 * x[0] - x[edge:0:-1]
+    buf[edge + n :] = 2 * x[-1] - x[-2 : -(edge + 2) : -1]
+    zi = signal.sosfilt_zi(sos)
+    state = zi * buf[0]
+    for start in range(0, len(buf), BLOCK_SAMPLES):
+        block = slice(start, start + BLOCK_SAMPLES)
+        buf[block], state = signal.sosfilt(sos, buf[block], zi=state)
+    state = zi * buf[-1]
+    for stop in range(len(buf), 0, -BLOCK_SAMPLES):
+        block = slice(max(0, stop - BLOCK_SAMPLES), stop)
+        backward, state = signal.sosfilt(sos, buf[block][::-1], zi=state)
+        buf[block] = backward[::-1]
+    return x
 
 
 def power_spectrum(window: UniformSeries) -> tuple[np.ndarray, np.ndarray]:

@@ -597,8 +597,9 @@ def _keyed_rows(
 ) -> Iterator[tuple[str, dict[str, str]]]:
     """Yield ``(context, row)`` for each row of a CSV table with a header.
 
-    ``context`` is ``path:line`` for error texts.  An empty file yields
-    nothing; a missing column of ``columns`` is an error, and so, with
+    ``context`` is ``path:line`` for error texts, with the file line the
+    row ends on, so blank lines and quoted line breaks count.  An empty file
+    yields nothing; a missing column of ``columns`` is an error, and so, with
     ``unique_subjects``, is a subject that repeats an earlier row's.
     """
     first_line: dict[str, int] = {}
@@ -609,7 +610,8 @@ def _keyed_rows(
         missing = set(columns) - set(reader.fieldnames)
         if missing:
             raise ValueError(f"{path}: missing columns {sorted(missing)}")
-        for idx, row in enumerate(reader, start=2):
+        for row in reader:
+            idx = reader.line_num
             ctx = f"{path}:{idx}"
             if unique_subjects:
                 first = first_line.setdefault(row["subject"], idx)

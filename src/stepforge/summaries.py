@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dsp import UniformSeries, butterworth_bandpass, resample_linear
+from .dsp import resampled_bandpass
 from .model import TriaxialRecording
 
 #: Both measures sum whole 60-s epochs.
@@ -38,13 +38,11 @@ def _band_passed(
 ) -> np.ndarray:
     """One axis resampled to ``target_hz``, zero-phase band-passed and rectified.
 
-    Each axis runs in its own call, so only one axis's resampled and
-    filtered arrays are alive at a time.
+    The axis is resampled straight into the filter's buffer, and each axis
+    runs in its own call, so one float64 buffer of the resampled length is
+    the only whole-axis array alive at a time.
     """
-    series = UniformSeries(rate_hz, np.asarray(axis, dtype=np.float64))
-    if rate_hz != target_hz:
-        series = resample_linear(series, target_hz)
-    values = butterworth_bandpass(series, band_hz[0], band_hz[1]).values
+    values = resampled_bandpass(axis, rate_hz, target_hz, *band_hz)
     return np.abs(values, out=values)
 
 
@@ -55,10 +53,12 @@ def _axis_epoch_counts(axis: np.ndarray, rate_hz: float) -> np.ndarray:
     np.maximum(values, 0.0, out=values)
     np.minimum(values, AC_CLIP_G, out=values)
     values /= AC_QUANTUM_G
-    quanta = np.floor(values, out=values).astype(np.int64)
+    np.floor(values, out=values)
     epoch_len = int(round(EPOCH_SECONDS * AC_RESAMPLE_HZ))
-    n_epochs = len(quanta) // epoch_len
-    return quanta[: n_epochs * epoch_len].reshape(n_epochs, epoch_len).sum(axis=1)
+    n_epochs = len(values) // epoch_len
+    # the quanta are small whole numbers, so their float sums are exact
+    sums = values[: n_epochs * epoch_len].reshape(n_epochs, epoch_len).sum(axis=1)
+    return sums.astype(np.int64)
 
 
 def activity_counts(rec: TriaxialRecording) -> np.ndarray:

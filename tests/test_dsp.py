@@ -1,11 +1,13 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stepforge import dsp
 from stepforge.dsp import (
     UniformSeries,
     butterworth_bandpass,
@@ -75,14 +77,15 @@ class TestVectorMagnitude:
         np.testing.assert_array_equal(base, permuted)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.sampled_from(sorted(AXIS_VALUES, key=str)), st.data())
-    def test_bitwise_equal_to_sorted_sum_in_every_axis_order(self, dtype, data):
+    @given(st.sampled_from(sorted(AXIS_VALUES, key=str)), st.integers(1, 8), st.data())
+    def test_bitwise_equal_to_sorted_sum_in_every_axis_order(self, dtype, block, data):
         values = AXIS_VALUES[dtype]
         rows = data.draw(st.lists(st.tuples(values, values, values), max_size=40))
         axes = np.array(rows, dtype=dtype).reshape(-1, 3).T
         for order in itertools.permutations(range(3)):
             x, y, z = (axes[i] for i in order)
-            got = vector_magnitude(TriaxialRecording("s", x, y, z, 40.0)).values
+            with mock.patch.object(dsp, "BLOCK_SAMPLES", block):
+                got = vector_magnitude(TriaxialRecording("s", x, y, z, 40.0)).values
             x, y, z = (v.astype(np.float64) for v in (x, y, z))
             squares = np.sort(np.stack([x * x, y * y, z * z]), axis=0)
             want = np.sqrt(squares[0] + squares[1] + squares[2])

@@ -376,6 +376,24 @@ class TestMortalityFiles:
         with pytest.raises(ValueError, match="mort.csv:4: subject 'B' repeats line 3"):
             read_mortality(path)
 
+    def test_bad_number_after_a_blank_line_names_its_line(self, tmp_path):
+        path = tmp_path / "mort.csv"
+        path.write_text("subject,event,followup_months\nS1,0,10\n\nS2,0,x\n")
+        with pytest.raises(ValueError, match="mort.csv:4: bad number 'x'"):
+            read_mortality(path)
+
+    def test_bad_number_after_a_quoted_line_break_names_its_line(self, tmp_path):
+        path = tmp_path / "mort.csv"
+        path.write_text('subject,event,followup_months\n"S\n1",0,10\nS2,0,x\n')
+        with pytest.raises(ValueError, match="mort.csv:4: bad number 'x'"):
+            read_mortality(path)
+
+    def test_repeat_after_a_blank_line_names_its_line(self, tmp_path):
+        path = tmp_path / "mort.csv"
+        path.write_text("subject,event,followup_months\nS1,0,10\n\nS1,0,5\n")
+        with pytest.raises(ValueError, match="mort.csv:4: subject 'S1' repeats line 2"):
+            read_mortality(path)
+
 
 class TestExternalSteps:
     def test_import_and_merge(self, tmp_path):

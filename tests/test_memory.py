@@ -3,27 +3,33 @@ minute-file read.
 
 Each bound is the traced allocation peak of one stage, per input sample,
 on a fixed 1 h 80 Hz recording: the value measured when the bound was set
-plus a margin.  Holding a whole-signal correlation transform, a whole-profile
-norm array, or a second axis's filtered arrays again breaks its bound
-(measured then: template 48, MIMS 44 and AC 22 bytes per sample, against
-86, 64 and 25 with those arrays held).  The minute-file bound is per row,
-with small parse blocks so that one block's text counts for little: holding
-every parsed block beside the stacked table breaks it (measured then: 157
-bytes per row, against 287 with the blocks held).  The raw read has no
+plus a margin.  Holding a whole-signal correlation transform or a
+whole-profile norm array again breaks the template bound (measured then: 48
+bytes per sample, against 86 with those arrays held).  The magnitude, MIMS
+and AC run in 65,536-sample blocks into one output or one filter buffer per
+axis; squaring whole axes, resampling on whole time grids, or filtering a
+whole axis with ``scipy.signal.sosfiltfilt`` breaks their bounds (measured
+then: 20.7, 18.1 and 16.4 bytes per sample, against 33.0, 44.1 and 22.0
+with whole arrays; these bounds include a fixed cost of a few blocks, so a
+3 h recording measured 12.2, 12.7 and 7.5).  The minute-file bound is per
+row, with small parse blocks so that one block's text counts for little:
+holding every parsed block beside the stacked table breaks it (measured then:
+157 bytes per row, against 287 with the blocks held).  The raw read has no
 per-sample bound but a ratio: a 2 h read that keeps no chunk must peak within
 10 % of a 1 h read, from text and from the sidecar (measured then: 17.7 MB
 and 1.6 MB for both lengths; reading the whole sidecar payload took 10.4 MB
-for 1 h and 20.7 MB for 2 h).
+for 1 h and 20.7 MB for 2 h).  ``steps`` runs the detectors with the
+recording and its axes released.
 """
-
 from __future__ import annotations
 
 import tracemalloc
+import weakref
 from unittest import mock
 
 import pytest
 
-from stepforge import ingest
+from stepforge import cli, detectors, ingest
 from stepforge.detectors import detect_steps_template
 from stepforge.dsp import vector_magnitude
 from stepforge.simulate import GaitSegment, gen_cohort, gen_gait
@@ -66,13 +72,47 @@ def test_template_detector(hour_recording):
     assert traced_bytes_per_sample(detect_steps_template, vm, len(vm)) <= 56.0
 
 
+def test_vector_magnitude(hour_recording):
+    n = len(hour_recording)
+    assert traced_bytes_per_sample(vector_magnitude, hour_recording, n) <= 23.0
+
+
 def test_mims(hour_recording):
-    assert traced_bytes_per_sample(mims_units, hour_recording, len(hour_recording)) <= 50.0
+    assert traced_bytes_per_sample(mims_units, hour_recording, len(hour_recording)) <= 20.0
 
 
 def test_activity_counts(hour_recording):
     per_sample = traced_bytes_per_sample(activity_counts, hour_recording, len(hour_recording))
-    assert per_sample <= 23.5
+    assert per_sample <= 18.0
+
+
+def test_steps_releases_the_recording_before_the_detectors(tmp_path, monkeypatch):
+    """The detectors read only the magnitude, so ``steps`` drops the recording
+    and its axes, which AC and MIMS read, before it runs them."""
+    walk = [GaitSegment("walk", 120, cadence_hz=2.0, amplitude_g=0.35, noise_sd_g=0.02)]
+    rec, _ = gen_gait(walk, seed=2, subject_id="W1")
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    with open(raw / "W1.csv", "w", encoding="utf-8") as fh:
+        fh.write("x,y,z\n")
+        for x, y, z in zip(rec.x.tolist(), rec.y.tolist(), rec.z.tolist()):
+            fh.write(f"{x!r},{y!r},{z!r}\n")
+    refs = []
+    alive = []
+    detect = detectors.run_detectors
+
+    def counts(recording):
+        refs.extend(weakref.ref(a) for a in (recording, recording.x, recording.y, recording.z))
+        return activity_counts(recording)
+
+    def run_detectors(*args, **kwargs):
+        alive.append([ref() is not None for ref in refs])
+        return detect(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "activity_counts", counts)
+    monkeypatch.setattr(detectors, "run_detectors", run_detectors)
+    assert cli.main(["steps", str(raw), "--out", str(tmp_path / "out")]) == 0
+    assert alive == [[False] * 4]
 
 
 @pytest.fixture(scope="module")

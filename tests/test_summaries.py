@@ -1,8 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import signal
 
+from stepforge import dsp
 from stepforge.dsp import UniformSeries, butterworth_bandpass, resample_linear
 from stepforge.model import MinuteTable, TriaxialRecording, make_config
 from stepforge import summaries as sm
@@ -30,21 +35,36 @@ def sine_recording(amplitude, freq_hz, seconds, rate):
     )
 
 
+def front_end_oracle(axis, rate, target, band):
+    """One axis resampled and band-passed over whole arrays, with no blocks.
+
+    ``np.interp`` on the whole time grids and ``scipy.signal.sosfiltfilt``,
+    which hold every intermediate array at once.
+    """
+    values = np.asarray(axis, dtype=np.float64)
+    if rate != target:
+        n_out = max(1, int(round(len(values) * target / rate)))
+        values = np.interp(
+            np.arange(n_out) / target, np.arange(len(values)) / rate, values
+        )
+    sos = signal.butter(4, list(band), btype="bandpass", output="sos", fs=target)
+    return signal.sosfiltfilt(sos, values)
+
+
 def ac_oracle(rec):
     """Sample-by-sample reimplementation of the count pipeline in plain Python.
 
-    Shares only the resample/filter primitives with the production code; the
-    rectify/deadband/clip/quantize/sum/combine stages are written out longhand.
+    The front end is :func:`front_end_oracle`; the rectify/deadband/clip/
+    quantize/sum/combine stages are written out longhand.
     """
     epoch_len = int(round(sm.EPOCH_SECONDS * sm.AC_RESAMPLE_HZ))
     per_axis = []
     for axis in (rec.x, rec.y, rec.z):
-        series = UniformSeries(rec.sample_rate_hz, np.asarray(axis, dtype=np.float64))
-        if rec.sample_rate_hz != sm.AC_RESAMPLE_HZ:
-            series = resample_linear(series, sm.AC_RESAMPLE_HZ)
-        filtered = butterworth_bandpass(series, *sm.AC_BAND_HZ)
+        filtered = front_end_oracle(
+            axis, rec.sample_rate_hz, sm.AC_RESAMPLE_HZ, sm.AC_BAND_HZ
+        )
         quanta = []
-        for v in filtered.values:
+        for v in filtered:
             r = abs(float(v))
             d = r - sm.AC_DEADBAND_G if r > sm.AC_DEADBAND_G else 0.0
             c = d if d < sm.AC_CLIP_G else sm.AC_CLIP_G
@@ -61,16 +81,15 @@ def ac_oracle(rec):
 
 
 def mims_oracle(rec):
-    """Trapezoid quadrature written out with fsum, sharing only the front end."""
+    """Trapezoid quadrature written out with fsum after :func:`front_end_oracle`."""
     epoch_len = int(round(sm.EPOCH_SECONDS * sm.MIMS_INTERP_HZ))
     dt = 1.0 / sm.MIMS_INTERP_HZ
     per_axis = []
     for axis in (rec.x, rec.y, rec.z):
-        series = UniformSeries(rec.sample_rate_hz, np.asarray(axis, dtype=np.float64))
-        if rec.sample_rate_hz != sm.MIMS_INTERP_HZ:
-            series = resample_linear(series, sm.MIMS_INTERP_HZ)
-        filtered = butterworth_bandpass(series, *sm.MIMS_BAND_HZ)
-        r = [abs(float(v)) for v in filtered.values]
+        filtered = front_end_oracle(
+            axis, rec.sample_rate_hz, sm.MIMS_INTERP_HZ, sm.MIMS_BAND_HZ
+        )
+        r = [abs(float(v)) for v in filtered]
         n_epochs = len(r) // epoch_len
         areas = []
         for e in range(n_epochs):
@@ -82,6 +101,105 @@ def mims_oracle(rec):
         per_axis.append(areas)
     n_epochs = min(len(a) for a in per_axis)
     return np.array([math.fsum(a[e] for a in per_axis) for e in range(n_epochs)])
+
+
+def outcome(fn, *args):
+    """The result of ``fn``, or the type and text of what it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# Draws block sizes down to one sample, rates of 30-100 Hz with both targets
+# among them, and lengths from too short for the filter's pad (27 samples at
+# the target rate) to many blocks.
+BLOCKS = st.sampled_from([1, 2, 3, 5, 8, 64, 1000, dsp.BLOCK_SAMPLES])
+RATES = st.one_of(
+    st.sampled_from([sm.AC_RESAMPLE_HZ, sm.MIMS_INTERP_HZ, 80.0]),
+    st.floats(30.0, 100.0, allow_nan=False),
+)
+LENGTHS = st.one_of(st.integers(1, 40), st.integers(28, 4000))
+
+
+class TestBlockwiseFrontEnd:
+    """The block-wise resampler and zero-phase filter against whole-array oracles."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(BLOCKS, RATES, LENGTHS, st.sampled_from(["ac", "mims"]),
+           st.sampled_from([np.float32, np.float64]), st.integers(0, 2**32 - 1))
+    def test_band_passed_axis_is_bit_identical(self, block, rate, n, measure, dtype, seed):
+        target, band = {
+            "ac": (sm.AC_RESAMPLE_HZ, sm.AC_BAND_HZ),
+            "mims": (sm.MIMS_INTERP_HZ, sm.MIMS_BAND_HZ),
+        }[measure]
+        axis = np.random.default_rng(seed).normal(0.0, 0.5, n).astype(dtype)
+        want = outcome(front_end_oracle, axis, rate, target, band)
+        if not isinstance(want, str):
+            want = np.abs(want)
+        with mock.patch.object(dsp, "BLOCK_SAMPLES", block):
+            got = outcome(sm._band_passed, axis, rate, target, band)
+        assert_same_outcome(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(BLOCKS, RATES, RATES, st.integers(1, 3000), st.integers(0, 2**32 - 1))
+    def test_resampler_is_bit_identical(self, block, rate, target, n, seed):
+        values = np.random.default_rng(seed).normal(size=n)
+        n_out = max(1, int(round(n * target / rate)))
+        want = np.interp(np.arange(n_out) / target, np.arange(n) / rate, values)
+        with mock.patch.object(dsp, "BLOCK_SAMPLES", block):
+            got = resample_linear(UniformSeries(rate, values), target).values
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(BLOCKS, st.sampled_from([(30.0, sm.AC_BAND_HZ), (100.0, sm.MIMS_BAND_HZ)]),
+           LENGTHS, st.integers(0, 2**32 - 1))
+    def test_filter_is_bit_identical(self, block, rate_band, n, seed):
+        rate, band = rate_band
+        values = np.random.default_rng(seed).normal(size=n)
+        sos = signal.butter(4, list(band), btype="bandpass", output="sos", fs=rate)
+        want = outcome(signal.sosfiltfilt, sos, values)
+        with mock.patch.object(dsp, "BLOCK_SAMPLES", block):
+            got = outcome(
+                lambda: butterworth_bandpass(UniformSeries(rate, values), *band).values
+            )
+        assert_same_outcome(got, want)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from([1, 7, 1000]), st.sampled_from([30.0, 47.5, 80.0, 100.0]),
+           st.integers(60, 150), st.integers(0, 2**32 - 1))
+    def test_activity_counts_match_the_oracle(self, block, rate, seconds, seed):
+        rng = np.random.default_rng(seed)
+        n = int(seconds * rate)
+        t = np.arange(n) / rate
+        x = 0.4 * np.sin(2 * np.pi * rng.uniform(0.5, 2.5) * t) + rng.normal(0, 0.05, n)
+        rec = recording(x, rng.normal(0, 0.1, n), np.ones(n), rate=rate)
+        with mock.patch.object(dsp, "BLOCK_SAMPLES", block):
+            got = activity_counts(rec)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, ac_oracle(rec))
+
+    def test_seams_of_the_default_block(self):
+        """Lengths at and past one and two default blocks, for both filters."""
+        rng = np.random.default_rng(3)
+        for n in (65_535, 65_536, 65_537, 2 * 65_536 + 1, 123_457):
+            values = rng.normal(size=n)
+            for rate, band in ((30.0, sm.AC_BAND_HZ), (100.0, sm.MIMS_BAND_HZ)):
+                sos = signal.butter(4, list(band), btype="bandpass", output="sos", fs=rate)
+                got = butterworth_bandpass(UniformSeries(rate, values), *band).values
+                assert got.tobytes() == signal.sosfiltfilt(sos, values).tobytes()
+            got = sm._band_passed(values.astype(np.float32), 80.0, 100.0, sm.MIMS_BAND_HZ)
+            want = np.abs(front_end_oracle(values.astype(np.float32), 80.0, 100.0,
+                                           sm.MIMS_BAND_HZ))
+            assert got.tobytes() == want.tobytes()
 
 
 class TestActivityCounts:
