@@ -204,11 +204,13 @@ def _steps_worker(args: tuple) -> tuple[str, dict[str, float], str]:
         del chunks
         rec = TriaxialRecording(subject, x, y, z, schema.sample_rate_hz)
         del x, y, z
-        vm = vector_magnitude(rec)
         # AC and MIMS read the axes and the detectors read only the magnitude,
-        # so the recording is released before the detectors run.
+        # so the magnitude is formed last and the recording is released
+        # before the detectors run; no stage holds both the axes' filter
+        # buffers and the magnitude.
         ac = activity_counts(rec)
         mims = mims_units(rec)
+        vm = vector_magnitude(rec)
         del rec
         n_seconds = int(len(vm) // vm.sample_rate_hz)
         n_minutes = max(1, (n_seconds + 59) // 60)

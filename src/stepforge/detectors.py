@@ -19,7 +19,7 @@ import bisect
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -331,78 +331,155 @@ def _window_norms(csum: np.ndarray, csum2: np.ndarray, L: int) -> np.ndarray:
     return np.sqrt(seg_sum2, out=seg_sum2)
 
 
-#: Signal samples per batch of the correlation; only one batch's spectra
-#: and window norms are alive at a time.
+#: Signal samples per batch of the template search; only one batch's prefix
+#: sums, spectra and profiles are alive at a time.
 CORRELATION_BATCH_SAMPLES = 2**15
 
 
-def _normalized_correlations(
-    values: np.ndarray, templates: np.ndarray, csum: np.ndarray, csum2: np.ndarray
-) -> np.ndarray:
-    """Normalized cross-correlation profiles, one row per zero-mean unit template row.
+def _continued_sums(head: np.ndarray, fresh: np.ndarray, carried: bool) -> np.ndarray:
+    """``head`` followed by the running sums of ``fresh``, continued from
+    ``head[-1]`` when ``carried``; ``fresh`` is consumed.
 
-    The numerator is an overlap-save correlation: blocks of ``nfft`` samples,
-    ``nfft - L + 1`` apart from sample 0, each transformed once for all
-    templates, keeping the outputs that do not wrap around.  A batch of
-    about ``CORRELATION_BATCH_SAMPLES`` samples is transformed and normalized
-    at a time, with the window norms formed from ``csum`` and ``csum2``, the
-    prefix sums of the signal and of its square.  A batch is a whole number
-    of blocks, so no output depends on where the batches fall.
+    The carry is added to the first fresh element before ``np.cumsum``, so
+    every float addition is the one a cumulative sum over the whole signal
+    makes.
     """
-    n_templates, L = templates.shape
-    nfft = scipy_fft.next_fast_len(max(1024, 4 * L), real=True)
-    step = nfft - L + 1
-    kernel = scipy_fft.rfft(templates[:, ::-1], nfft)[:, np.newaxis]
-    m = len(values) - L + 1
-    r = np.empty((n_templates, m))
-    per_batch = max(1, CORRELATION_BATCH_SAMPLES // step) * step
-    for a in range(0, m, per_batch):
-        b = min(a + per_batch, m)
-        # offsets a .. b-1 read samples a .. b+L-2; the last block is zero-padded
-        seg = np.zeros(-(-(b - a) // step) * step + L - 1)
-        seg[: b - a + L - 1] = values[a : b + L - 1]
-        blocks = sliding_window_view(seg, nfft)[::step]
-        full = scipy_fft.irfft(scipy_fft.rfft(blocks) * kernel, nfft)
-        out = r[:, a:b]
-        out[:] = full[:, :, L - 1 :].reshape(n_templates, -1)[:, : b - a]
-        denom = _window_norms(csum[a : b + L], csum2[a : b + L], L)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out /= denom
-        out[:, ~(denom > 0)] = 0.0
-        np.clip(out, -1.0, 1.0, out=out)
-    return r
+    if carried:
+        fresh[0] += head[-1]
+    out = np.empty(len(head) + len(fresh))
+    out[: len(head)] = head
+    np.cumsum(fresh, out=out[len(head) :])
+    return out
 
 
-def _candidate_onsets(
-    r: np.ndarray, threshold: float, half: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets where ``r`` clears the threshold at a maximum of its smoothing,
-    and ``r`` at those offsets.
+def _correlation_batches(
+    values: np.ndarray, stacks: Sequence[np.ndarray]
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Normalized cross-correlation profiles of stacks of zero-mean unit
+    templates, one stack per length, in batches ``(i, a, r)``: ``r[k, j]`` is
+    the profile of ``stacks[i][k]`` at offset ``a + j``.
+
+    The numerator is an overlap-save correlation: for length ``L``, blocks of
+    ``nfft`` samples, ``nfft - L + 1`` apart from sample 0, each transformed
+    once for all templates of the length, keeping the outputs that do not
+    wrap around.  The signal is walked in batches of at least
+    ``CORRELATION_BATCH_SAMPLES`` samples, batches outer and lengths inner.
+    Each batch extends the prefix sums of the signal and of its square, which
+    give the window norms, once for all lengths; each length then correlates
+    the whole blocks those sums now cover, and the sums are kept back only to
+    the earliest offset a length has still to correlate.  Every block is the
+    one a whole-signal correlation uses and every prefix sum the one a
+    whole-signal ``np.cumsum`` forms, so no bit depends on the batches.
+    """
+    n = len(values)
+    plans = []
+    for stack in stacks:
+        L = stack.shape[1]
+        nfft = scipy_fft.next_fast_len(max(1024, 4 * L), real=True)
+        kernel = scipy_fft.rfft(stack[:, ::-1], nfft)[:, np.newaxis]
+        plans.append((L, n - L + 1, nfft, nfft - L + 1, kernel))
+    nxt = [0] * len(plans)  # next offset of each length, a multiple of its block step
+    lo = hi = 0  # csum[k] and csum2[k] sum values[: lo + k] and their squares
+    csum = csum2 = np.zeros(1)
+    while True:
+        live = [i for i, plan in enumerate(plans) if nxt[i] < plan[1]]
+        if not live:
+            return
+        # A batch reaches at least the last prefix sum that the next block of
+        # the length furthest behind reads, so it correlates a block or more.
+        needs = []
+        for i in live:
+            L, m, _, step, _ = plans[i]
+            needs.append(min(nxt[i] + step, m) + L - 1)
+        stop = min(n, max(hi + CORRELATION_BATCH_SAMPLES, min(needs)))
+        start = min(nxt[i] for i in live)
+        fresh = values[hi:stop]
+        csum2 = _continued_sums(csum2[start - lo :], fresh * fresh, hi > 0)
+        csum = _continued_sums(csum[start - lo :], fresh.copy(), hi > 0)
+        lo, hi = start, stop
+        for i in live:
+            L, m, nfft, step, kernel = plans[i]
+            a = nxt[i]
+            # offsets a .. b-1 read samples a .. b+L-2 and prefix sums a .. b+L-1
+            b = m if stop == n else a + (stop + 1 - L - a) // step * step
+            if b <= a:
+                continue
+            nxt[i] = b
+            # the last block is zero-padded
+            seg = np.zeros(-(-(b - a) // step) * step + L - 1)
+            seg[: b - a + L - 1] = values[a : b + L - 1]
+            blocks = sliding_window_view(seg, nfft)[::step]
+            full = scipy_fft.irfft(scipy_fft.rfft(blocks) * kernel, nfft)
+            r = full[:, :, L - 1 :].reshape(len(kernel), -1)[:, : b - a]
+            del seg, blocks, full
+            denom = _window_norms(csum[a - lo : b + L - lo], csum2[a - lo : b + L - lo], L)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                r /= denom
+            r[:, ~(denom > 0)] = 0.0
+            np.clip(r, -1.0, 1.0, out=r)
+            yield i, a, r
+
+
+#: Candidates per block of the greedy cover's loop.
+COVER_BLOCK_CANDIDATES = 2**12
+
+
+class _OnsetScan:
+    """Candidate onsets of one correlation profile, fed in order in batches:
+    offsets where the profile clears the threshold at a maximum of its
+    smoothing.
 
     The smoothing is a centered moving average over ``2*half + 1`` offsets,
-    its windows shrunk at the edges, evaluated only at the offsets above the
-    threshold and their two neighbours.  Maxima follow the rising-edge
-    plateau convention: strict rise in, soft fall out.  The running sum
-    behind the smoothing is taken in place, so ``r`` is consumed.
+    its windows shrunk at the profile's ends, evaluated only at the offsets
+    above the threshold and their two neighbours.  Maxima follow the
+    rising-edge plateau convention: strict rise in, soft fall out.  The
+    average reads a running sum of the profile (the profile itself when
+    ``half`` is 0), carried across batches as the signal's prefix sums are,
+    and the scan keeps its last ``2*half + 3`` values.  An onset's test reads
+    ``half + 2`` offsets back and ``half + 1`` ahead, so an onset that near a
+    batch's end waits for the next batch.
     """
-    m = len(r)
-    onsets = np.flatnonzero(r >= threshold)
-    corr = r[onsets]
-    if half:
-        csum = np.cumsum(r, out=r)  # csum[j] sums r[: j + 1]
 
-        def smoothed(at: np.ndarray) -> np.ndarray:
+    def __init__(self, m: int, threshold: float, half: int) -> None:
+        self.m, self.threshold, self.half = m, threshold, half
+        self.start = 0  # offset of the next batch
+        self.tail = np.empty(0)  # running sums just before it
+        self.waiting = np.empty(0, dtype=np.intp)
+        self.waiting_corr = np.empty(0)
+
+    def feed(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Scan the profile at the next ``len(r)`` offsets, consuming ``r``;
+        return the onsets now settled and the profile at them."""
+        m, half = self.m, self.half
+        a = self.start
+        b = self.start = a + len(r)
+        found = np.flatnonzero(r >= self.threshold)
+        onsets = np.concatenate((self.waiting, found + a))
+        corr = np.concatenate((self.waiting_corr, r[found]))
+        if half:  # the running sum through each offset
+            s = _continued_sums(self.tail, r, a > 0)
+        else:
+            s = np.concatenate((self.tail, r))
+        base = a - len(self.tail)  # offset of s[0]
+        self.tail = s[-(2 * half + 3) :].copy()
+        settled = len(onsets) if b == m else np.searchsorted(onsets, b - half - 1)
+        self.waiting, self.waiting_corr = onsets[settled:], corr[settled:]
+        onsets, corr = onsets[:settled], corr[:settled]
+
+        # each onset's left neighbour, itself and its right neighbour
+        at = np.clip(onsets + np.array([[-1], [0], [1]]), 0, m - 1)
+        if half:
             lo = np.maximum(at - half, 0)
             hi = np.minimum(at + half + 1, m)
-            return (csum[hi - 1] - np.where(lo > 0, csum[lo - 1], 0.0)) / (hi - lo)
-
-    else:
-        smoothed = r.__getitem__  # a one-offset window leaves r as it is
-    here = smoothed(onsets)
-    rise = (onsets == 0) | (here > smoothed(np.maximum(onsets - 1, 0)))
-    fall = (onsets == m - 1) | (here >= smoothed(np.minimum(onsets + 1, m - 1)))
-    keep = rise & fall
-    return onsets[keep], corr[keep]
+            # lo > 0 wherever base > 0, so s[lo - 1 - base] is in the window
+            smoothed = (s[hi - 1 - base] - np.where(lo > 0, s[lo - 1 - base], 0.0)) / (hi - lo)
+        else:
+            smoothed = s[at - base]
+        before, here, after = smoothed
+        rise = (onsets == 0) | (here > before)
+        fall = (onsets == m - 1) | (here >= after)
+        keep = rise & fall
+        return onsets[keep], corr[keep]
 
 
 def detect_steps_template(
@@ -420,15 +497,14 @@ def detect_steps_template(
     overlapping strides discarded.  Each accepted stride contributes 2
     steps, booked at the second containing the stride midpoint.
 
-    The search is arranged so that its cost stays near one correlation per
-    (template, length): the signal's prefix sums are built once, each
-    length's window norms and signal transforms once for all templates, the
-    smoothing only where the correlation clears the threshold, and only the
-    candidates of a length outlive it.  The numerator is one overlap-save
-    correlation for every recording length, with blocks of
-    ``next_fast_len(max(1024, 4 * L), real=True)`` samples, and it runs in
-    batches, so a length holds one profile per template and no whole-signal
-    spectra.
+    The search walks the signal in batches of whole overlap-save blocks,
+    batches outer and lengths inner (``_correlation_batches``): each batch's
+    prefix sums serve every length, each length's signal transforms serve
+    all its templates, and each (length, template) profile is scanned for
+    candidates as its batches come (``_OnsetScan``).  The prefix sums and the
+    smoothing's running sums are carried exactly across batches, so the
+    candidates are those of a whole-signal search, bit for bit.  Besides the
+    magnitude it reads, only the candidates outlive a batch.
     """
     params = params or TemplateParams()
     rate = vm.sample_rate_hz
@@ -442,41 +518,48 @@ def detect_steps_template(
     # odd) keeps the smoothed profile's maxima centered on symmetric peaks.
     half = max(1, int(round(params.smoothing_window_seconds * rate))) // 2
 
-    csum = np.concatenate(([0.0], np.cumsum(values)))
-    csum2 = np.concatenate(([0.0], np.cumsum(values * values)))
-    onsets, lengths, corrs = [], [], []
     # A length repeated on the grid would only repeat its candidates.
-    for L in dict.fromkeys(int(round(d * rate)) for d in params.stride_grid_seconds):
-        if L < 4 or L > n:
-            continue
-        templates = np.array([normalized_template(t, L) for t in params.templates])
-        r = _normalized_correlations(values, templates, csum, csum2)
-        for row in r:
-            onset, corr = _candidate_onsets(row, params.correlation_threshold, half)
+    grid = dict.fromkeys(int(round(d * rate)) for d in params.stride_grid_seconds)
+    stride_lengths = [L for L in grid if 4 <= L <= n]
+    stacks = [
+        np.array([normalized_template(t, L) for t in params.templates])
+        for L in stride_lengths
+    ]
+    scans = [
+        [_OnsetScan(n - L + 1, params.correlation_threshold, half) for _ in params.templates]
+        for L in stride_lengths
+    ]
+    onsets, lengths, corrs = [], [], []
+    for i, _, r in _correlation_batches(values, stacks):
+        for scan, row in zip(scans[i], r):
+            onset, corr = scan.feed(row)
             onsets.append(onset)
             corrs.append(corr)
-            lengths.append(np.full(len(onset), L))
-        # free this length's profiles before the next length's are built
-        del r, row
+            lengths.append(np.full(len(onset), stride_lengths[i]))
     if not onsets:
         return StepSeries(name, counts)
 
     onset, length, corr = (np.concatenate(a) for a in (onsets, lengths, corrs))
+    del onsets, lengths, corrs
     # Near-equal correlations count as ties so the earlier onset wins;
     # quantizing at 0.01 keeps phase-ambiguous candidates from shuffling.
     order = np.lexsort((length, onset, -np.round(corr / 0.01)))
+    del corr
     # Accepted strides are disjoint, so sorted starts and ends describe them.
     starts: list[int] = []
     ends: list[int] = []
-    for a, L in zip(onset[order].tolist(), length[order].tolist()):
-        i = bisect.bisect_right(starts, a)
-        if (i and ends[i - 1] > a) or (i < len(starts) and starts[i] < a + L):
-            continue
-        starts.insert(i, a)
-        ends.insert(i, a + L)
-        # Two steps per stride, bucketed at the second holding its midpoint.
-        midpoint_second = int((a + L // 2) // rate)
-        counts[min(midpoint_second, n_seconds - 1)] += 2.0
+    # The candidates become Python ints a block at a time.
+    for first in range(0, len(order), COVER_BLOCK_CANDIDATES):
+        block = order[first : first + COVER_BLOCK_CANDIDATES]
+        for a, L in zip(onset[block].tolist(), length[block].tolist()):
+            i = bisect.bisect_right(starts, a)
+            if (i and ends[i - 1] > a) or (i < len(starts) and starts[i] < a + L):
+                continue
+            starts.insert(i, a)
+            ends.insert(i, a + L)
+            # Two steps per stride, bucketed at the second holding its midpoint.
+            midpoint_second = int((a + L // 2) // rate)
+            counts[min(midpoint_second, n_seconds - 1)] += 2.0
     return StepSeries(name, counts)
 
 

@@ -131,17 +131,23 @@ def _text_blocks(
             blank += wanted
         if len(lines) == blank:
             return
-        rows = None
-        text = "".join(lines)
-        if not any(c in text for c in _REFUSED_CHARS):
-            try:
-                rows = np.loadtxt(
-                    lines, dtype=dtype, delimiter=",", comments=None,
-                    quotechar=None, ndmin=1 if dtype.names else 2,
-                )
-            except ValueError:
-                pass
-        yield lines, rows
+        yield lines, _parse_block(lines, dtype)
+
+
+def _parse_block(lines: list[str], dtype: np.dtype) -> np.ndarray | None:
+    """``lines`` parsed by one ``np.loadtxt`` call, or None where they hold a
+    refused character or ``np.loadtxt`` raises."""
+    text = "".join(lines)
+    if any(c in text for c in _REFUSED_CHARS):
+        return None
+    del text  # not held while the block is parsed
+    try:
+        return np.loadtxt(
+            lines, dtype=dtype, delimiter=",", comments=None,
+            quotechar=None, ndmin=1 if dtype.names else 2,
+        )
+    except ValueError:
+        return None
 
 
 def _parse_raw_lines(
@@ -196,7 +202,11 @@ def _raw_blocks(path: Path, schema: RawFileSchema) -> Iterator[np.ndarray]:
                     raise
                 rows = np.array(parsed, dtype=np.float64).reshape(-1, n_columns)
             line_no += len(lines)
+            # neither this block's lines nor its rows are held while the next
+            # block is read
+            del lines
             yield rows
+            del rows
 
 
 def _check_cadence(
@@ -306,6 +316,7 @@ def read_raw_recording(
                     spool.write(axes.tobytes())
                 total += len(axes)
                 x, y, z = axes.T.copy()
+                del rows, axes  # not held while the next block is read
                 yield TriaxialRecording(subject, x, y, z, schema.sample_rate_hz)
             if error is not None:
                 raise error

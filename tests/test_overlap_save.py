@@ -1,11 +1,13 @@
 """The template correlation's overlap-save loop against ``np.correlate``.
 
-``_normalized_correlations`` transforms blocks of the signal and normalizes
-each batch of offsets with the window norms.  Its profile must match the
-direct correlation over those norms to within a few units in the last
-place of ``max|v| * ||t||_1``, be exactly 0 where a window has no energy,
-and keep every bit whatever the batch size, since a batch is a whole
-number of blocks.
+``_correlation_batches`` walks the signal in batches, extending the prefix
+sums of the signal and of its square once per batch for every length, and
+correlates and normalizes the whole blocks each batch covers.  Its profile
+must match the direct correlation over whole-signal window norms to within
+a few units in the last place of ``max|v| * ||t||_1``, be exactly 0 where a
+window has no energy, and keep every bit whatever the batch size and
+whichever other lengths share the walk, since every block and every prefix
+sum is the one a whole-signal pass forms.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 from scipy import fft as scipy_fft
 
 from stepforge import detectors
-from stepforge.detectors import _normalized_correlations, _window_norms
+from stepforge.detectors import _correlation_batches, _window_norms
 
 #: Allowed numerator error, relative to ``max|v| * ||t||_1``.
 RELATIVE_TOLERANCE = 1e-14
@@ -28,13 +30,17 @@ def block_step(L: int) -> int:
     return scipy_fft.next_fast_len(max(1024, 4 * L), real=True) - L + 1
 
 
-def correlate_in_batches(values, templates, batch):
-    """``_normalized_correlations`` with ``CORRELATION_BATCH_SAMPLES`` set to ``batch``."""
-    csum = np.concatenate(([0.0], np.cumsum(values)))
-    csum2 = np.concatenate(([0.0], np.cumsum(values * values)))
+def correlate_in_batches(values, stacks, batch):
+    """The whole profile of each template stack from ``_correlation_batches``
+    with ``CORRELATION_BATCH_SAMPLES`` set to ``batch``."""
+    parts = [[] for _ in stacks]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(detectors, "CORRELATION_BATCH_SAMPLES", batch)
-        return _normalized_correlations(values, templates, csum, csum2)
+        for i, a, r in _correlation_batches(values, stacks):
+            # each length's batches come in order, with no gap
+            assert a == sum(part.shape[1] for part in parts[i])
+            parts[i].append(r.copy())
+    return [np.concatenate(part, axis=1) for part in parts]
 
 
 def assert_matches_direct(values, templates, got):
@@ -86,25 +92,28 @@ def correlation_cases(draw):
 @given(correlation_cases())
 def test_matches_direct_correlation_at_any_batch_size(case):
     values, templates, batch = case
-    got = correlate_in_batches(values, templates, batch)
+    (got,) = correlate_in_batches(values, [templates], batch)
     assert_matches_direct(values, templates, got)
-    whole = correlate_in_batches(values, templates, len(values))
+    (whole,) = correlate_in_batches(values, [templates], len(values))
     assert got.tobytes() == whole.tobytes()
 
 
 def test_detector_lengths_at_80_hz_and_every_batch_size():
     """The 12 stride lengths of the default grid over a 30-minute 80 Hz
-    magnitude signal with a rest, with batches of one block up to the
-    whole signal."""
+    magnitude signal with a rest, walked together with batches of one block
+    up to the whole signal, and each alone in one batch."""
     rng = np.random.default_rng(3)
     values = np.abs(1.0 + 0.35 * rng.standard_normal(144_000))
     values[50_000:60_000] = 0.0
+    stacks = []
     for L in range(56, 145, 8):
         templates = rng.standard_normal((2, L))
         templates -= templates.mean(axis=1, keepdims=True)
         templates /= np.linalg.norm(templates, axis=1, keepdims=True)
-        whole = correlate_in_batches(values, templates, len(values))
+        stacks.append(templates)
+    alone = [correlate_in_batches(values, [t], len(values))[0] for t in stacks]
+    for templates, whole in zip(stacks, alone):
         assert_matches_direct(values, templates, whole)
-        for batch in (1, 37 * L, 2**15, 3 * len(values)):
-            got = correlate_in_batches(values, templates, batch)
-            assert got.tobytes() == whole.tobytes(), (L, batch)
+    for batch in (1, 37 * 56, 2**15, 3 * len(values)):
+        for got, whole in zip(correlate_in_batches(values, stacks, batch), alone):
+            assert got.tobytes() == whole.tobytes(), (whole.shape, batch)
