@@ -44,13 +44,6 @@ from .summaries import activity_counts, mims_units
 
 ENV_PREFIX = "STEPFORGE_"
 
-_PARAM_TYPES = {
-    "peak_original": det.PeakParams,
-    "peak_revised": det.PeakParams,
-    "spectral": det.SpectralParams,
-    "template": det.TemplateParams,
-}
-
 
 class FatalCliError(Exception):
     """Configuration or input problem that should abort with exit code 2."""
@@ -117,13 +110,15 @@ def load_config(
     config_path: str | None,
     seed: int | None = None,
     env: Mapping[str, str] | None = None,
-) -> tuple[AnalysisConfig, dict[str, dict[str, object]]]:
+) -> tuple[AnalysisConfig, dict[str, det.DetectorParams]]:
     """Resolve config precedence: defaults < file < environment < --seed.
 
-    Returns the analysis config plus per-detector parameter overrides
-    gathered from dotted keys like ``spectral.activity_std_min_g = 0.03``,
-    each typed like its parameter field.  Every detector's parameters are
-    built once here, so a refused value is fatal before any input is read.
+    Returns the analysis config plus the parameters of every built-in
+    detector (``detectors.DETECTORS``), with the fields set by dotted keys
+    like ``spectral.activity_std_min_g = 0.03``, each typed like its field,
+    and defaults otherwise.  They are built here, once, so a refused value
+    is fatal before any input is read.  Presets of one class with equal
+    parameters share one object, which ``run_detectors`` runs once.
     """
     env = os.environ if env is None else env
     raw: dict[str, str] = {}
@@ -135,17 +130,16 @@ def load_config(
             raw[key] = env[env_key]
 
     overrides: dict[str, object] = {}
-    detector_params: dict[str, dict[str, object]] = {}
+    fields: dict[str, dict[str, object]] = {name: {} for name in det.DETECTORS}
     for key, text in raw.items():
         if "." in key:
             prefix, _, param = key.partition(".")
-            if prefix not in _PARAM_TYPES:
+            if prefix not in det.DETECTORS:
                 raise FatalCliError(f"unknown detector prefix in config key {key!r}")
-            param_types = typing.get_type_hints(_PARAM_TYPES[prefix])
+            param_types = typing.get_type_hints(det.DETECTORS[prefix])
             if param not in param_types:
                 raise FatalCliError(f"unknown detector parameter {key!r}")
-            value = _coerce(key, text, param_types[param])
-            detector_params.setdefault(prefix, {})[param] = value
+            fields[prefix][param] = _coerce(key, text, param_types[param])
             continue
         if key not in _CONFIG_TYPES:
             raise FatalCliError(f"unknown config key {key!r}")
@@ -156,18 +150,16 @@ def load_config(
         cfg = make_config(overrides)
     except ValueError as exc:
         raise FatalCliError(str(exc)) from None
-    for prefix, params in detector_params.items():
+    params: dict[str, det.DetectorParams] = {}
+    for name, kind in det.DETECTORS.items():
         try:
-            _PARAM_TYPES[prefix](**params)
+            built = kind(**fields[name])
         except ValueError as exc:
-            raise FatalCliError(f"config keys {prefix}.*: {exc}") from None
-    return cfg, detector_params
-
-
-def _build_registry(detector_params: Mapping[str, Mapping[str, object]]):
-    return det.build_registry(
-        **{name: _PARAM_TYPES[name](**params) for name, params in detector_params.items()}
-    )
+            raise FatalCliError(f"config keys {name}.*: {exc}") from None
+        params[name] = next(
+            (p for p in params.values() if type(p) is kind and p == built), built
+        )
+    return cfg, params
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +184,8 @@ def _raw_inputs(raw_dir: Path) -> dict[str, Path]:
 
 def _steps_worker(args: tuple) -> tuple[str, dict[str, float], str]:
     """Process one raw file into a minute-level output; returns timings."""
-    subject, path_text, out_dir_text, schema, detector_params = args
+    subject, path_text, out_dir_text, schema, params = args
     try:
-        registry = _build_registry(detector_params)
         chunks = list(ingest.read_raw_recording(Path(path_text), schema))
         if not chunks:
             raise ValueError(f"{path_text}: no samples")
@@ -214,7 +205,7 @@ def _steps_worker(args: tuple) -> tuple[str, dict[str, float], str]:
         del rec
         n_seconds = int(len(vm) // vm.sample_rate_hz)
         n_minutes = max(1, (n_seconds + 59) // 60)
-        run = det.run_detectors(vm, registry, n_minutes=n_minutes)
+        run = det.run_detectors(vm, params, n_minutes=n_minutes)
         if run.errors:
             raise RuntimeError(
                 "; ".join(f"{k}: {v}" for k, v in sorted(run.errors.items()))
@@ -243,7 +234,7 @@ def _steps_worker(args: tuple) -> tuple[str, dict[str, float], str]:
 
 
 def cmd_steps(args: argparse.Namespace) -> int:
-    cfg, detector_params = load_config(args.config, args.seed)
+    cfg, params = load_config(args.config, args.seed)
     raw_dir = Path(args.raw_dir)
     if not raw_dir.is_dir():
         raise FatalCliError(f"raw directory {raw_dir} does not exist")
@@ -258,7 +249,7 @@ def cmd_steps(args: argparse.Namespace) -> int:
         has_timestamp=args.has_timestamp,
     )
     work = [
-        (subject, str(path), str(out_dir), schema, detector_params)
+        (subject, str(path), str(out_dir), schema, params)
         for subject, path in inputs.items()
     ]
     if args.jobs > 1:
@@ -591,7 +582,7 @@ def _survival_stage(
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    cfg, _detector_params = load_config(args.config, args.seed)
+    cfg, _ = load_config(args.config, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     suffix = "" if cfg.min_valid_days == 3 else f"_minvd{cfg.min_valid_days}"
@@ -646,12 +637,11 @@ def _bench_day_recipe() -> list[simulate.GaitSegment]:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    _, detector_params = load_config(args.config, args.seed)
+    _, params = load_config(args.config, args.seed)
     detector_names = [d for d in args.detectors.split(",") if d]
     if not detector_names:
         raise FatalCliError("0 detectors requested")
-    registry = _build_registry(detector_params)
-    unknown = [d for d in detector_names if d not in registry]
+    unknown = [d for d in detector_names if d not in params]
     if unknown:
         raise FatalCliError(f"unknown detectors: {', '.join(unknown)}")
     if args.subjects < 1 or args.days < 1:
@@ -669,7 +659,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             vm = vector_magnitude(rec)
             for name in detector_names:
                 start = time.perf_counter()
-                registry[name](vm)
+                det.detect(vm, params[name], name)
                 totals[name] += time.perf_counter() - start
         _log(f"bench: subject {subject + 1}/{args.subjects} done")
     subject_weeks = args.subjects * args.days / 7.0
@@ -787,7 +777,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--rate", type=float, default=80.0)
     p_bench.add_argument(
         "--detectors",
-        default=",".join(det.BUILTIN_DETECTOR_NAMES),
+        default=",".join(det.DETECTORS),
         help="comma-separated detector names",
     )
     p_bench.add_argument(

@@ -8,9 +8,10 @@ Three families are implemented:
 * scaled template matching with greedy stride selection
   (``detect_steps_template``).
 
-Every detector maps a vector-magnitude series to a per-second step series;
-``run_detectors`` fans one signal out to a registry of detectors and
-aggregates to minutes.
+Every detector maps a vector-magnitude series to a per-second step series.
+``DETECTORS`` names the built-in detectors and their parameter classes;
+``detect`` runs the detector of a parameter object, and ``run_detectors``
+fans one signal out to named parameter objects and aggregates to minutes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import bisect
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -31,9 +32,6 @@ from .dsp import (
     resample_linear,
     sliding_windows,
 )
-
-#: Detector names wired into the default registry.
-BUILTIN_DETECTOR_NAMES = ("peak_original", "peak_revised", "spectral", "template")
 
 
 @dataclass(frozen=True)
@@ -563,72 +561,64 @@ def detect_steps_template(
     return StepSeries(name, counts)
 
 
-DetectorFn = Callable[[UniformSeries], StepSeries]
+#: The parameters of any detector; their class picks the detector.
+DetectorParams = PeakParams | SpectralParams | TemplateParams
+
+#: The built-in detectors: each name and the class of its parameters.  The
+#: two peak presets run one peak detector; ``peak_revised`` is a named slot
+#: for a revised preset and holds the original parameters until configured.
+DETECTORS: dict[str, type] = {
+    "peak_original": PeakParams,
+    "peak_revised": PeakParams,
+    "spectral": SpectralParams,
+    "template": TemplateParams,
+}
 
 
-def build_registry(
-    peak_original: PeakParams | None = None,
-    peak_revised: PeakParams | None = None,
-    spectral: SpectralParams | None = None,
-    template: TemplateParams | None = None,
-) -> dict[str, DetectorFn]:
-    """Default detector registry.
+def detect(vm: UniformSeries, params: DetectorParams, name: str) -> StepSeries:
+    """Run the detector that ``params`` tunes, naming its series ``name``.
 
-    ``peak_revised`` is a named configuration slot for a revised peak
-    preset; until a revision is configured it runs the original parameters.
-    While the two peak presets are equal, both names map to one detector
-    function, which ``run_detectors`` runs once.
+    The detector is looked up in this module at call time, so a patched
+    module attribute is the one called.
     """
-    peak_original = peak_original or PeakParams()
-    peak_revised = peak_revised or PeakParams()
-    spectral_params = spectral or SpectralParams()
-    template_params = template or TemplateParams()
-    registry = {
-        "peak_original": lambda vm: detect_steps_peak(vm, peak_original, "peak_original"),
-        "peak_revised": lambda vm: detect_steps_peak(vm, peak_revised, "peak_revised"),
-        "spectral": lambda vm: detect_steps_spectral(vm, spectral_params, "spectral"),
-        "template": lambda vm: detect_steps_template(vm, template_params, "template"),
-    }
-    if peak_revised == peak_original:
-        registry["peak_revised"] = registry["peak_original"]
-    return registry
+    if isinstance(params, PeakParams):
+        fn = detect_steps_peak
+    elif isinstance(params, SpectralParams):
+        fn = detect_steps_spectral
+    else:
+        fn = detect_steps_template
+    return fn(vm, params, name)
 
 
-@dataclass(frozen=True)
-class DetectorRun:
+class DetectorRun(NamedTuple):
     """Fan-out result: per-minute steps per detector plus timing and errors."""
 
-    minutes: Mapping[str, np.ndarray]
-    timings_s: Mapping[str, float]
-    errors: Mapping[str, str]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "minutes", dict(self.minutes))
-        object.__setattr__(self, "timings_s", dict(self.timings_s))
-        object.__setattr__(self, "errors", dict(self.errors))
+    minutes: dict[str, np.ndarray]
+    timings_s: dict[str, float]
+    errors: dict[str, str]
 
 
 def run_detectors(
     vm: UniformSeries,
-    registry: Mapping[str, DetectorFn],
+    params: Mapping[str, DetectorParams],
     n_minutes: int | None = None,
 ) -> DetectorRun:
-    """Apply every registered detector to one signal.
+    """Run the detector of every named parameter object on one signal.
 
     A detector raising an exception is isolated: its error message is
     recorded and the remaining detectors still run.  Wall-clock time is
-    recorded per detector.  A function registered under several names runs
-    once; its minutes (or error) are copied under the later names.
+    recorded per detector.  A name whose parameter object is an earlier
+    name's runs nothing; it takes that name's minutes (or error).
     """
-    if not registry:
-        raise ValueError("registry must contain at least one detector")
+    if not params:
+        raise ValueError("run_detectors needs at least one detector")
     minutes: dict[str, np.ndarray] = {}
     timings: dict[str, float] = {}
     errors: dict[str, str] = {}
-    first_name: dict[DetectorFn, str] = {}
-    for dname, detector in registry.items():
+    first_name: dict[int, str] = {}
+    for dname, p in params.items():
         t0 = time.perf_counter()
-        first = first_name.setdefault(detector, dname)
+        first = first_name.setdefault(id(p), dname)
         if first != dname:
             if first in errors:
                 errors[dname] = errors[first]
@@ -637,11 +627,11 @@ def run_detectors(
             timings[dname] = time.perf_counter() - t0
             continue
         try:
-            result = detector(vm)
+            result = detect(vm, p, dname)
         except Exception as exc:  # noqa: BLE001 - detector isolation by contract
             errors[dname] = f"{type(exc).__name__}: {exc}"
             timings[dname] = time.perf_counter() - t0
             continue
         timings[dname] = time.perf_counter() - t0
         minutes[dname] = per_second_to_minutes(result.steps_per_second, n_minutes)
-    return DetectorRun(minutes=minutes, timings_s=timings, errors=errors)
+    return DetectorRun(minutes, timings, errors)

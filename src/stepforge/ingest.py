@@ -747,9 +747,9 @@ def import_external_steps(
 
     The name must not collide with a built-in detector.
     """
-    from .detectors import BUILTIN_DETECTOR_NAMES
+    from .detectors import DETECTORS
 
-    if detector_name in BUILTIN_DETECTOR_NAMES:
+    if detector_name in DETECTORS:
         raise ValueError(
             f"{detector_name!r} collides with a built-in detector name"
         )

@@ -124,7 +124,7 @@ def make_boundary_day(
     n_valid: int,
     n_wake: int,
     n_nonzero_mims: int,
-    detector_names: Sequence[str] = ("peak_original",),
+    detector_names: Sequence[str] = COHORT_DETECTORS[:1],
 ) -> MinuteTable:
     """Construct a full day with exact validity counts.
 

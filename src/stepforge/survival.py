@@ -280,6 +280,9 @@ class _Newton:
 #: Relative log-likelihood change at which Newton-Raphson stops.
 NEWTON_TOL = 1e-9
 
+#: Newton-Raphson steps before a fit counts as not converged.
+NEWTON_MAX_ITER = 50
+
 #: A pivot of the information below this share of its largest diagonal
 #: entry marks an aliased column: R ``survival``'s ``toler.chol``.
 ALIAS_TOL = np.finfo(np.float64).eps ** 0.75
@@ -318,7 +321,7 @@ def _aliased_columns(info: np.ndarray) -> np.ndarray:
     return aliased
 
 
-def _newton(data: SurvivalDataset, max_iter: int = 50) -> _Newton:
+def _newton(data: SurvivalDataset) -> _Newton:
     """The coefficient search of :func:`cox_fit`, without its covariance.
 
     The log-likelihood comes first at every trial point; the score and
@@ -346,8 +349,8 @@ def _newton(data: SurvivalDataset, max_iter: int = 50) -> _Newton:
         raise _RankDeficient(aliased)
     loglik_seq = [ll]
     converged = False
-    failure = f"did not converge in {max_iter} iterations"
-    for iteration in range(max_iter):
+    failure = f"did not converge in {NEWTON_MAX_ITER} iterations"
+    for iteration in range(NEWTON_MAX_ITER):
         if iteration:
             score, hess = _score_hess(risk, sums)
         try:
@@ -416,10 +419,13 @@ def _fold_beta(train: SurvivalDataset) -> np.ndarray:
 
     A fold with aliased columns fits the others, as R ``coxph`` does: its
     β is ``_fold_beta`` of the fold without them, bit for bit, with 0 at
-    the aliased columns.  Otherwise it is ``cox_fit(train).beta``, bit for
-    bit, and a fit that does not converge raises the same ConvergenceError.
-    Only β is returned, so the fit's risk sets are freed before the next
-    fold's are built.
+    the aliased columns.  Otherwise it is ``cox_fit(train).beta`` bit for
+    bit, or, where that fit raises ConvergenceError (its step search
+    stalled or it reached ``NEWTON_MAX_ITER``), the error's last β.  R
+    ``coxph`` returns such a fit with a warning, so a fold whose likelihood
+    climbs towards a bound while β diverges is still scored.  Only β is
+    returned, so the fit's risk sets are freed before the next fold's are
+    built.
     """
     try:
         newton = _newton(train)
@@ -430,12 +436,10 @@ def _fold_beta(train: SurvivalDataset) -> np.ndarray:
             names = [train.covariate_names[i] for i in kept]
             beta[kept] = _fold_beta(train.select(names))
         return beta
-    if not newton.converged:
-        _with_covariance(train, newton)  # raises ConvergenceError
     return newton.raw_beta
 
 
-def cox_fit(data: SurvivalDataset, max_iter: int = 50) -> CoxFit:
+def cox_fit(data: SurvivalDataset) -> CoxFit:
     """Maximize the weighted Breslow partial likelihood by Newton-Raphson.
 
     Steps that fail to improve the objective are halved (up to 30 times);
@@ -451,7 +455,7 @@ def cox_fit(data: SurvivalDataset, max_iter: int = 50) -> CoxFit:
     of the information of the centered, scaled design at beta = 0, a pivot
     below ``ALIAS_TOL`` (eps^0.75) times the largest diagonal entry.
     """
-    return _with_covariance(data, _newton(data, max_iter))
+    return _with_covariance(data, _newton(data))
 
 
 def _safe_exp(v: float) -> float:
@@ -557,28 +561,28 @@ def repeated_cv_concordance(
     data: SurvivalDataset,
     covariates: Sequence[str],
     cfg: AnalysisConfig,
-    repeats: int | None = None,
 ) -> tuple[float, list[float]]:
     """Mean cross-validated concordance over seeded repeats.
 
-    Each repeat r builds an event-stratified fold plan from (rng_seed + r),
-    fits the coefficients on the training rows, scores the held-out rows,
-    and averages fold concordances; the return value averages the repeats.
+    Each of the ``cfg.cv_repeats`` repeats r builds an event-stratified
+    fold plan from (rng_seed + r), fits the coefficients on the training
+    rows, scores the held-out rows, and averages fold concordances; the
+    return value averages the repeats.
     Deterministic for a fixed config.  A fold fit stops at the coefficients
     :func:`cox_fit` would return, bit for bit, without the covariance that
     scoring never reads.  A training fold with aliased columns (see
     :func:`cox_fit`), such as a column constant in that fold, fits the
     columns that vary, and its held-out fold is scored with β = 0 for the
-    aliased ones.
+    aliased ones.  A fold fit that does not converge is scored with its
+    last accepted β (see ``_fold_beta``); full-sample fits still raise.
     """
-    reps = cfg.cv_repeats if repeats is None else repeats
     if cfg.cv_folds < 2:
         raise ValueError("cfg.cv_folds must be at least 2")
     # CV never reads subject IDs; dropping them keeps ``take`` from
     # rebuilding the ID tuple for every fold
     subset = replace(data.select(covariates), subject_ids=None)
     per_repeat: list[float] = []
-    for r in range(reps):
+    for r in range(cfg.cv_repeats):
         fold_of_row = _plan_with_events_everywhere(
             subset, cfg.cv_folds, cfg.rng_seed + r, r
         )
@@ -609,7 +613,6 @@ def model_suite(
     data: SurvivalDataset,
     cfg: AnalysisConfig,
     traditional: Sequence[str] | None = None,
-    repeats: int | None = None,
     univariate: Mapping[str, float] | None = None,
 ) -> list[ModelReport]:
     """Fit the nested model ladder and report concordance and step HRs.
@@ -619,8 +622,8 @@ def model_suite(
     steps and MIMS together.  Step hazard ratios are reported per
     ``cfg.hr_step_increment`` steps with robust Wald p-values.
     ``univariate`` maps step variables to the univariate cvC that
-    :func:`repeated_cv_concordance` gave for this data, config and
-    ``repeats``; a step variable it lacks is cross-validated here.
+    :func:`repeated_cv_concordance` gave for this data and config; a step
+    variable it lacks is cross-validated here.
     """
     step_vars = sorted(n for n in data.covariate_names if n.startswith("steps_"))
     if not step_vars:
@@ -639,7 +642,7 @@ def model_suite(
         if var in univariate:
             c = univariate[var]
         else:
-            c, _ = repeated_cv_concordance(data, [var], cfg, repeats=repeats)
+            c, _ = repeated_cv_concordance(data, [var], cfg)
         if c > best_c:
             best_var, best_c = var, c
     assert best_var is not None
@@ -652,7 +655,7 @@ def model_suite(
     ]
     reports: list[ModelReport] = []
     for name, covs, steps_var in ladder:
-        c, _ = repeated_cv_concordance(data, covs, cfg, repeats=repeats)
+        c, _ = repeated_cv_concordance(data, covs, cfg)
         hr = ci = pval = None
         if steps_var is not None:
             fit = cox_fit(data.select(covs))

@@ -1,8 +1,10 @@
 import filecmp
 import gzip
 import os
+import pickle
 import re
 from dataclasses import fields as dataclass_fields
+from dataclasses import replace
 
 import pytest
 
@@ -48,7 +50,13 @@ class TestLoadConfig:
     def test_defaults(self):
         cfg, params = load_config(None, env={})
         assert cfg == make_config()
-        assert params == {}
+        assert list(params) == list(det.DETECTORS)
+        for name, kind in det.DETECTORS.items():
+            assert type(params[name]) is kind
+        assert params["peak_original"] == det.PeakParams()
+        assert params["spectral"] == det.SpectralParams()
+        # equal peak presets share one object, which steps runs once
+        assert params["peak_revised"] is params["peak_original"]
 
     def test_precedence_file_env_seed(self, tmp_path):
         path = tmp_path / "c.conf"
@@ -80,10 +88,10 @@ class TestLoadConfig:
             "spectral.activity_std_min_g = 0.03\n"
         )
         _, params = load_config(str(path), env={})
-        assert params == {
-            "template": {"correlation_threshold": 0.8},
-            "spectral": {"activity_std_min_g": 0.03},
-        }
+        assert params["template"].correlation_threshold == 0.8
+        assert params["spectral"] == det.SpectralParams(activity_std_min_g=0.03)
+        assert params["peak_original"] == det.PeakParams()
+        assert params["peak_revised"] is params["peak_original"]
 
     def test_unknown_keys_fatal(self, tmp_path):
         for text, message in [
@@ -129,13 +137,14 @@ class TestLoadConfig:
             "spectral.harmonic_check = false\n"
         )
         _, params = load_config(str(path), env={})
-        assert params == {
-            "peak_original": {"k_neighbors": 4},
-            "spectral": {"cadence_band_hz": (1.5, 2.2), "harmonic_check": False},
-        }
-        assert type(params["peak_original"]["k_neighbors"]) is int
-        registry = cli._build_registry(params)
-        assert set(registry) == set(det.BUILTIN_DETECTOR_NAMES)
+        assert params["peak_original"] == det.PeakParams(k_neighbors=4)
+        assert type(params["peak_original"].k_neighbors) is int
+        assert params["spectral"] == det.SpectralParams(
+            cadence_band_hz=(1.5, 2.2), harmonic_check=False
+        )
+        # the revised preset keeps the defaults, so it no longer shares
+        assert params["peak_revised"] == det.PeakParams()
+        assert params["peak_revised"] is not params["peak_original"]
 
     @pytest.mark.parametrize("text, message", [
         ("peak_original.k_neighbors = 0", "peak_original.*: k_neighbors must be at least 1"),
@@ -228,15 +237,14 @@ class TestPipeline:
         assert main(["steps", str(corpus / "raw"), "--out", str(once)]) == 0
         assert peak_calls == ["peak_original"] * 2  # two subjects
 
-        real_build = cli._build_registry
+        real_load = cli.load_config
 
-        def separate_revised(params):
-            registry = real_build(params)
-            shared = registry["peak_revised"]
-            registry["peak_revised"] = lambda vm: shared(vm)
-            return registry
+        def separate_revised(*args, **kwargs):
+            cfg, params = real_load(*args, **kwargs)
+            # an equal copy, which runs on its own
+            return cfg, {**params, "peak_revised": replace(params["peak_revised"])}
 
-        monkeypatch.setattr(cli, "_build_registry", separate_revised)
+        monkeypatch.setattr(cli, "load_config", separate_revised)
         peak_calls.clear()
         assert main(["steps", str(corpus / "raw"), "--out", str(twice)]) == 0
         assert len(peak_calls) == 4
@@ -249,6 +257,29 @@ class TestPipeline:
         assert main(["steps", str(corpus / "raw"), "--out", str(tmp_path / "s"),
                      "--config", str(conf)]) == 0
         assert peak_calls == ["peak_original", "peak_revised"] * 2
+
+    def test_configured_params_cross_the_worker_pool(self, corpus, tmp_path):
+        """Built parameter objects reach --jobs 2 workers by pickling; the
+        minute files equal those of one process."""
+        conf = tmp_path / "tuned.conf"
+        conf.write_text("peak_revised.mag_threshold_g = 1.3\n"
+                        "template.correlation_threshold = 0.9\n")
+        _, params = load_config(str(conf), env={})
+        copied = pickle.loads(pickle.dumps(params))
+        assert copied["peak_revised"] == params["peak_revised"]
+        assert copied["template"].correlation_threshold == 0.9
+        one, two = tmp_path / "one", tmp_path / "two"
+        for out, jobs in ((one, "1"), (two, "2")):
+            assert main(["steps", str(corpus / "raw"), "--out", str(out),
+                         "--config", str(conf), "--jobs", jobs]) == 0
+        default = tmp_path / "default"
+        assert main(["steps", str(corpus / "raw"), "--out", str(default)]) == 0
+        for name in ("R0001_minutes.csv", "R0002_minutes.csv"):
+            assert filecmp.cmp(one / name, two / name, shallow=False)
+            # the raised peak_revised threshold drops steps
+            tuned, plain = read_minute_file(two / name), read_minute_file(default / name)
+            j = tuned.detectors.index("peak_revised")
+            assert tuned.steps[:, j].sum() < plain.steps[:, j].sum()
 
     def test_steps_logs_peak_rss(self, corpus, tmp_path, capsys):
         assert main(["steps", str(corpus / "raw"), "--out", str(tmp_path / "one")]) == 0
@@ -325,6 +356,28 @@ class TestPipeline:
         assert len(runs) - reused == reused + len(step_measures)
         assert filecmp.cmp(tmp_path / "reuse" / "model_suite.csv",
                            tmp_path / "rerun" / "model_suite.csv", shallow=False)
+
+    def test_separated_cv_fold_is_scored(self, tmp_path, capsys):
+        """A CV training fold of this cohort has more columns than its events
+        support: its likelihood climbs towards a bound while beta diverges,
+        and the step search stalls.  The fold is scored with its last beta,
+        as R coxph does, so the model suite is written and analyze exits 0."""
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--out", str(sim), "--subjects", "100", "--days", "4",
+                     "--seed", "11"]) == 0
+        conf = tmp_path / "cv.conf"
+        conf.write_text("cv_repeats = 2\n")
+        out = tmp_path / "an"
+        assert main(["analyze", str(sim / "minutes.csv"),
+                     "--covariates", str(sim / "covariates.csv"),
+                     "--mortality", str(sim / "mortality.csv"),
+                     "--config", str(conf), "--out", str(out)]) == 0
+        assert "failed" not in capsys.readouterr().err
+        rows = read_table(out / "model_suite.csv")
+        assert [r["model"] for r in rows] == [
+            "traditional", "traditional+mims", "traditional+steps", "traditional+steps+mims",
+        ]
+        assert all(0.0 < float(r["concordance"]) < 1.0 for r in rows)
 
     def test_steps_count_every_walk_after_rests(self, tmp_path, monkeypatch):
         """Walk-rest-walk-rest-walk over more than one parse block (76,800
@@ -536,6 +589,21 @@ class TestExitCodes:
                                            "--seed", "-1"])
         assert rc == 2
         assert "rng_seed must lie in [0, 2**63)" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("sonar.threshold = 1", "unknown detector prefix in config key 'sonar.threshold'"),
+        ("template.wingspan = 1", "unknown detector parameter 'template.wingspan'"),
+        ("peak_revised.k_neighbors = 0",
+         "config keys peak_revised.*: k_neighbors must be at least 1"),
+    ])
+    def test_bad_detector_key_exits_2(self, corpus, tmp_path, capsys, text, message):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(text + "\n")
+        out = tmp_path / "o"
+        rc = main(["steps", str(corpus / "raw"), "--out", str(out), "--config", str(conf)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_bench_rejects_empty_and_unknown_detectors(self, tmp_path):

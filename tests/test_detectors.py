@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
+from stepforge import detectors
 from stepforge.detectors import (
-    BUILTIN_DETECTOR_NAMES,
+    DETECTORS,
     PeakParams,
     SpectralParams,
     StepSeries,
     TemplateParams,
     _default_templates,
     _strict_local_maxima,
-    build_registry,
+    detect,
     detect_steps_peak,
     detect_steps_spectral,
     detect_steps_template,
@@ -227,43 +228,90 @@ class TestTemplateDetector:
             TemplateParams(templates=())
 
 
+def default_params():
+    return {name: kind() for name, kind in DETECTORS.items()}
+
+
 class TestRegistryAndRunner:
     def test_builtin_names(self):
-        assert set(build_registry()) == set(BUILTIN_DETECTOR_NAMES)
+        assert DETECTORS == {
+            "peak_original": PeakParams,
+            "peak_revised": PeakParams,
+            "spectral": SpectralParams,
+            "template": TemplateParams,
+        }
 
     def test_four_series_on_gait(self, walk_vm):
         vm, _ = walk_vm
-        registry = build_registry()
-        run = run_detectors(vm, registry)
-        assert set(run.minutes) == set(BUILTIN_DETECTOR_NAMES)
+        params = default_params()
+        run = run_detectors(vm, params)
+        assert set(run.minutes) == set(DETECTORS)
         assert not run.errors
         assert all(t >= 0 for t in run.timings_s.values())
         for name, minutes in run.minutes.items():
-            assert minutes.sum() == pytest.approx(registry[name](vm).total)
+            assert minutes.sum() == pytest.approx(detect(vm, params[name], name).total)
+
+    def test_detect_dispatches_on_the_params_class(self, walk_vm):
+        vm, _ = walk_vm
+        for fn, params in [(detect_steps_peak, PeakParams()),
+                           (detect_steps_spectral, SpectralParams()),
+                           (detect_steps_template, TemplateParams())]:
+            got = detect(vm, params, "named")
+            assert got.detector_name == "named"
+            np.testing.assert_array_equal(got.steps_per_second,
+                                          fn(vm, params).steps_per_second)
 
     def test_empty_recording(self):
-        run = run_detectors(series([], rate=80.0), build_registry())
+        run = run_detectors(series([], rate=80.0), default_params())
         assert not run.errors
-        assert set(run.minutes) == set(BUILTIN_DETECTOR_NAMES)
+        assert set(run.minutes) == set(DETECTORS)
         assert all(len(m) == 0 for m in run.minutes.values())
 
-    def test_failing_detector_isolated(self, walk_vm):
+    def test_failing_detector_isolated(self, walk_vm, monkeypatch):
         vm, _ = walk_vm
-        def boom(_vm):
+
+        def boom(*args):
             raise RuntimeError("synthetic failure")
-        registry = dict(build_registry(), broken=boom)
-        run = run_detectors(vm, registry)
-        assert set(run.minutes) == set(BUILTIN_DETECTOR_NAMES)
-        assert "broken" in run.errors and "synthetic failure" in run.errors["broken"]
+
+        monkeypatch.setattr(detectors, "detect_steps_spectral", boom)
+        run = run_detectors(vm, default_params())
+        assert set(run.minutes) == set(DETECTORS) - {"spectral"}
+        assert run.errors == {"spectral": "RuntimeError: synthetic failure"}
+
+    def test_shared_params_run_once(self, walk_vm, monkeypatch):
+        """A name holding an earlier name's params object takes its minutes,
+        or its error; an equal but separate object runs again."""
+        vm, _ = walk_vm
+        calls = []
+        real_peak = detectors.detect_steps_peak
+
+        def counted(vm, params, name):
+            calls.append(name)
+            return real_peak(vm, params, name)
+
+        monkeypatch.setattr(detectors, "detect_steps_peak", counted)
+        shared = PeakParams()
+        run = run_detectors(vm, {"a": shared, "b": shared, "c": PeakParams()})
+        assert calls == ["a", "c"]
+        assert run.minutes["b"] is run.minutes["a"]
+        np.testing.assert_array_equal(run.minutes["c"], run.minutes["a"])
+
+        def boom(*args):
+            raise RuntimeError("synthetic failure")
+
+        monkeypatch.setattr(detectors, "detect_steps_peak", boom)
+        run = run_detectors(vm, {"a": shared, "b": shared})
+        assert not run.minutes
+        assert run.errors["b"] == run.errors["a"] == "RuntimeError: synthetic failure"
 
     def test_empty_registry_rejected(self, walk_vm):
         vm, _ = walk_vm
-        with pytest.raises(ValueError, match="registry"):
+        with pytest.raises(ValueError, match="at least one detector"):
             run_detectors(vm, {})
 
     def test_determinism(self, walk_vm):
         vm, _ = walk_vm
-        a = run_detectors(vm, build_registry())
-        b = run_detectors(vm, build_registry())
-        for name in BUILTIN_DETECTOR_NAMES:
+        a = run_detectors(vm, default_params())
+        b = run_detectors(vm, default_params())
+        for name in DETECTORS:
             np.testing.assert_array_equal(a.minutes[name], b.minutes[name])

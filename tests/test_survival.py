@@ -423,15 +423,18 @@ class TestCoxFit:
         seq = np.asarray(fit.loglik_seq)
         assert np.all(np.diff(seq) >= 0)
 
-    def test_iteration_cap_raises_with_last_fit(self):
+    def test_iteration_cap_raises_with_last_fit(self, monkeypatch):
+        import stepforge.survival as survival
+
         d = gen_survival(80, -0.4 / 3000, 0.03, censor_rate=0.3, seed=11)
-        with pytest.raises(ConvergenceError, match="did not converge") as exc_info:
-            cox_fit(d, max_iter=2)
+        full = cox_fit(d)
+        monkeypatch.setattr(survival, "NEWTON_MAX_ITER", 2)
+        with pytest.raises(ConvergenceError, match="did not converge in 2") as exc_info:
+            cox_fit(d)
         last = exc_info.value.last_fit
         assert not last.converged
         assert len(last.loglik_seq) == 3
         # the capped iterate is already descending toward the full solution
-        full = cox_fit(d)
         assert abs(last.beta[0] - full.beta[0]) < abs(full.beta[0])
 
 
@@ -548,10 +551,10 @@ class TestAliasedColumns:
         chf = np.zeros(60)
         chf[7] = 1.0
         d = dataset(t, ev, np.column_stack([x[:, 0], chf]), w=w, names=["steps", "chf"])
-        cfg = make_config({"cv_folds": 5})
+        cfg = make_config({"cv_folds": 5, "cv_repeats": 2})
         with pytest.MonkeyPatch.context() as monkeypatch:
             fits = TestRepeatedCv.record_fold_fits(monkeypatch)
-            mean_c, _ = repeated_cv_concordance(d, ["steps", "chf"], cfg, repeats=2)
+            mean_c, _ = repeated_cv_concordance(d, ["steps", "chf"], cfg)
         assert math.isfinite(mean_c) and 0.0 < mean_c < 1.0
         # _newton records only the fits that get past the alias check: the
         # fold with a constant chf was refitted on steps alone, once a repeat
@@ -572,8 +575,8 @@ class TestAliasedColumns:
         monkeypatch.setattr(np.linalg, "matrix_rank", refuse)
         d = ladder_dataset()
         assert _newton(d).converged
-        cfg = make_config({"cv_folds": 5})
-        mean_c, _ = repeated_cv_concordance(d, d.covariate_names, cfg, repeats=1)
+        cfg = make_config({"cv_folds": 5, "cv_repeats": 1})
+        mean_c, _ = repeated_cv_concordance(d, d.covariate_names, cfg)
         assert 0.0 < mean_c < 1.0
 
 
@@ -658,12 +661,11 @@ class TestCoxFitStopping:
         import stepforge.survival as survival
 
         real = survival._loglik
-        calls = []
 
         def refuse(risk, beta):
-            calls.append(1)
+            # every fit stalls at its start, beta = 0
             ll, sums = real(risk, beta)
-            return (ll if len(calls) == 1 else -math.inf), sums
+            return (ll if not beta.any() else -math.inf), sums
 
         monkeypatch.setattr(survival, "_loglik", refuse)
 
@@ -673,17 +675,19 @@ class TestCoxFitStopping:
         with pytest.raises(ConvergenceError, match="step search failed after 0 steps"):
             cox_fit(d)
 
-    def test_failed_step_search_in_a_cv_fold_raises_as_cox_fit(self, monkeypatch):
+    def test_failed_step_search_in_a_cv_fold_scores_its_last_beta(self, monkeypatch):
+        # R coxph returns a fit that stalls with a warning, so its fold is
+        # scored; every fold here stalls at beta = 0, which ties every
+        # held-out prediction: C is 1/2 in each fold
         self.refuse_every_move(monkeypatch)
         d = gen_survival(80, -0.4 / 3000, 0.03, censor_rate=0.3, seed=11)
-        cfg = make_config({"cv_folds": 4})
+        cfg = make_config({"cv_folds": 4, "cv_repeats": 1})
+        mean_c, per_repeat = repeated_cv_concordance(d, ["steps"], cfg)
+        assert mean_c == per_repeat[0] == 0.5
+        # a full-sample fit still raises, with its last fit
         with pytest.raises(ConvergenceError, match="step search failed after 0 steps") as exc:
-            repeated_cv_concordance(d, ["steps"], cfg, repeats=1)
-        # the error carries the last fit, covariance included, as cox_fit's does
-        last = exc.value.last_fit
-        assert not last.converged
-        assert last.loglik_seq == (last.loglik_seq[0],)
-        assert np.all(np.isfinite(last.covariance))
+            cox_fit(d)
+        assert exc.value.last_fit.beta.tolist() == [0.0]
 
 
 class TestEffectReporting:
@@ -941,23 +945,23 @@ class TestRepeatedCv:
     def test_strong_signal_frozen_value(self):
         cfg = make_config({"cv_folds": 10, "cv_repeats": 5})
         data = gen_survival(500, -12.0 / 3000.0, 0.05, censor_rate=0.0, seed=3)
-        mean_c, per_repeat = repeated_cv_concordance(data, ["steps"], cfg, repeats=5)
+        mean_c, per_repeat = repeated_cv_concordance(data, ["steps"], cfg)
         assert mean_c == pytest.approx(0.9678040816326531, abs=1e-12)
         assert len(per_repeat) == 5
         assert mean_c > 0.95
 
     def test_null_signal_hovers_at_half(self):
-        cfg = make_config({"cv_folds": 10})
+        cfg = make_config({"cv_folds": 10, "cv_repeats": 5})
         data = gen_survival(500, 0.0, 0.002, censor_rate=0.3, seed=5)
-        mean_c, _ = repeated_cv_concordance(data, ["steps"], cfg, repeats=5)
+        mean_c, _ = repeated_cv_concordance(data, ["steps"], cfg)
         assert mean_c == pytest.approx(0.5264665702858593, abs=1e-12)
         assert 0.45 <= mean_c <= 0.55
 
     def test_deterministic(self):
-        cfg = make_config({"cv_folds": 5})
+        cfg = make_config({"cv_folds": 5, "cv_repeats": 3})
         data = gen_survival(120, -1.0 / 3000.0, 0.02, censor_rate=0.2, seed=8)
-        a = repeated_cv_concordance(data, ["steps"], cfg, repeats=3)
-        b = repeated_cv_concordance(data, ["steps"], cfg, repeats=3)
+        a = repeated_cv_concordance(data, ["steps"], cfg)
+        b = repeated_cv_concordance(data, ["steps"], cfg)
         assert a == b
 
     @staticmethod
@@ -985,12 +989,12 @@ class TestRepeatedCv:
         ev = rng.random(n) < 0.6
         ev[:k] = True
         d = dataset(t, ev, x, w=rng.uniform(0.5, 3.0, size=n))
-        cfg = make_config({"cv_folds": k, "rng_seed": seed})
+        cfg = make_config({"cv_folds": k, "cv_repeats": 2, "rng_seed": seed})
         with pytest.MonkeyPatch.context() as monkeypatch:
             fits = self.record_fold_fits(monkeypatch)
             try:
-                repeated_cv_concordance(d, d.covariate_names, cfg, repeats=2)
-            except (ValueError, ConvergenceError):
+                repeated_cv_concordance(d, d.covariate_names, cfg)
+            except ValueError:
                 pass  # a failed fold stops the run; the fits before it still count
         assert fits
         for train, newton in fits:
@@ -1015,9 +1019,9 @@ class TestRepeatedCv:
         ev = np.zeros(20, dtype=bool)
         ev[3] = True
         d = dataset(t, ev, np.linspace(0, 1, 20)[:, None], names=["steps"])
-        cfg = make_config({"cv_folds": 5})
+        cfg = make_config({"cv_folds": 5, "cv_repeats": 1})
         with pytest.raises(ValueError, match="could not build folds"):
-            repeated_cv_concordance(d, ["steps"], cfg, repeats=1)
+            repeated_cv_concordance(d, ["steps"], cfg)
 
 
 def ladder_dataset(n=150, seed=9):
@@ -1040,8 +1044,8 @@ def ladder_dataset(n=150, seed=9):
 
 class TestModelSuite:
     def test_ladder_structure(self):
-        cfg = make_config({"cv_folds": 5})
-        reports = model_suite(ladder_dataset(), cfg, repeats=2)
+        cfg = make_config({"cv_folds": 5, "cv_repeats": 2})
+        reports = model_suite(ladder_dataset(), cfg)
         assert [r.name for r in reports] == [
             "traditional",
             "traditional+mims",
@@ -1064,8 +1068,8 @@ class TestModelSuite:
 
     def test_missing_landmarks_rejected(self):
         d = ladder_dataset()
-        cfg = make_config({"cv_folds": 5})
+        cfg = make_config({"cv_folds": 5, "cv_repeats": 1})
         with pytest.raises(ValueError, match="no covariates named"):
-            model_suite(d.select(["age", "mims"]), cfg, repeats=1)
+            model_suite(d.select(["age", "mims"]), cfg)
         with pytest.raises(ValueError, match="missing covariate"):
-            model_suite(d.select(["age", "steps_a"]), cfg, repeats=1)
+            model_suite(d.select(["age", "steps_a"]), cfg)
