@@ -26,7 +26,7 @@ import numpy as np
 
 from . import detectors as det
 from . import ingest, simulate, stats, survival, validity
-from .dsp import vector_magnitude
+from .dsp import MagnitudeView, vector_magnitude
 from .model import (
     BOOLEAN_COVARIATES,
     CATEGORICAL_LEVELS,
@@ -36,7 +36,6 @@ from .model import (
     MortalityRecord,
     SubjectCovariates,
     SubjectSummary,
-    TriaxialRecording,
     WearState,
     make_config,
 )
@@ -186,26 +185,16 @@ def _steps_worker(args: tuple) -> tuple[str, dict[str, float], str]:
     """Process one raw file into a minute-level output; returns timings."""
     subject, path_text, out_dir_text, schema, params = args
     try:
-        chunks = list(ingest.read_raw_recording(Path(path_text), schema))
-        if not chunks:
-            raise ValueError(f"{path_text}: no samples")
-        x = np.concatenate([c.x for c in chunks])
-        y = np.concatenate([c.y for c in chunks])
-        z = np.concatenate([c.z for c in chunks])
-        del chunks
-        rec = TriaxialRecording(subject, x, y, z, schema.sample_rate_hz)
-        del x, y, z
-        # AC and MIMS read the axes and the detectors read only the magnitude,
-        # so the magnitude is formed last and the recording is released
-        # before the detectors run; no stage holds both the axes' filter
-        # buffers and the magnitude.
-        ac = activity_counts(rec)
-        mims = mims_units(rec)
-        vm = vector_magnitude(rec)
-        del rec
-        n_seconds = int(len(vm) // vm.sample_rate_hz)
-        n_minutes = max(1, (n_seconds + 59) // 60)
-        run = det.run_detectors(vm, params, n_minutes=n_minutes)
+        # The axes are spooled to files in the output directory and every
+        # stage reads them, and the magnitude formed from them, in slices, so
+        # no stage holds a whole raw axis or the whole magnitude.
+        with ingest.spool_raw_recording(Path(path_text), schema, out_dir_text) as rec:
+            ac = activity_counts(rec)
+            mims = mims_units(rec)
+            vm = MagnitudeView(rec)
+            n_seconds = int(len(vm) // vm.sample_rate_hz)
+            n_minutes = max(1, (n_seconds + 59) // 60)
+            run = det.run_detectors(vm, params, n_minutes=n_minutes)
         if run.errors:
             raise RuntimeError(
                 "; ".join(f"{k}: {v}" for k, v in sorted(run.errors.items()))
@@ -521,6 +510,14 @@ def _descriptive_stage(
     return measures
 
 
+def _warn_diverging(fit_name: str, variable: str | None, diverging: Sequence[str]) -> None:
+    """Log R ``coxph``'s warning when the coefficient whose hazard ratio a
+    table reports may be infinite (see ``survival.CoxFit.diverging``)."""
+    if variable in diverging:
+        _log(f"analyze: {fit_name}: loglik converged before variable {variable}; "
+             "coefficient may be infinite")
+
+
 def _survival_stage(
     data: survival.SurvivalDataset,
     measures: Sequence[str],
@@ -554,6 +551,7 @@ def _survival_stage(
         for r in survival.model_suite(data, cfg, traditional=traditional, univariate=done):
             rows.append([r.name, r.concordance, r.steps_variable or "", r.steps_hr_per_500,
                          *(r.steps_hr_ci or (None, None)), r.steps_p])
+            _warn_diverging(f"model {r.name}", r.steps_variable, r.diverging)
     except Exception as exc:  # noqa: BLE001 - keep the remaining tables
         partial_failure = True
         _log(f"analyze: model suite failed: {type(exc).__name__}: {exc}")
@@ -565,6 +563,7 @@ def _survival_stage(
     for measure in [m for m in step_measures if m.startswith("steps_")]:
         try:
             adjusted = survival.cox_fit(data.select(traditional + [measure]))
+            _warn_diverging("hazard ratios", measure, adjusted.diverging)
             per_increment = survival.hazard_ratio(adjusted, measure, cfg.hr_step_increment)
             # standardizing the column (as survival.standardize does) scales
             # its beta and se by the sd, so the per-sd HR needs no refit

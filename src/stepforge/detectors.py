@@ -9,6 +9,9 @@ Three families are implemented:
   (``detect_steps_template``).
 
 Every detector maps a vector-magnitude series to a per-second step series.
+It reads the series only through ``sample_rate_hz``, ``len`` and contiguous
+slices of ``values``, so a ``dsp.MagnitudeView`` serves as well as a
+``dsp.UniformSeries``.
 ``DETECTORS`` names the built-in detectors and their parameter classes;
 ``detect`` runs the detector of a parameter object, and ``run_detectors``
 fans one signal out to named parameter objects and aggregates to minutes.
@@ -26,6 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as scipy_fft
 
+from . import dsp
 from .dsp import (
     UniformSeries,
     power_spectrum,
@@ -137,7 +141,7 @@ def detect_steps_peak(
         return StepSeries(name, np.zeros(0))
     if vm.sample_rate_hz != params.target_hz:
         vm = resample_linear(vm, params.target_hz)
-    values = vm.values
+    values = vm.values[: len(vm)]  # an array, also of a MagnitudeView at the target rate
     counts = np.zeros(int(math.ceil(len(values) / params.target_hz)))
 
     locs = _strict_local_maxima(values, params.k_neighbors)
@@ -225,8 +229,13 @@ def detect_steps_spectral(
     n_seconds = int(math.ceil(len(vm) / vm.sample_rate_hz))
     counts = np.zeros(n_seconds)
     window_s = int(round(params.window_seconds))
+    # the windows are read in groups of at least a block of samples
+    group, first = np.empty(0), 0
     for start, stop in sliding_windows(vm, params.window_seconds, params.window_seconds):
-        seg = vm.values[start:stop]
+        if stop > first + len(group):
+            first = start
+            group = vm.values[start : max(stop, start + dsp.BLOCK_SAMPLES)]
+        seg = group[start - first : stop - first]
         if seg.std() < params.activity_std_min_g:
             continue
         freqs, power = power_spectrum(UniformSeries(vm.sample_rate_hz, seg))
@@ -368,6 +377,8 @@ def _correlation_batches(
     the earliest offset a length has still to correlate.  Every block is the
     one a whole-signal correlation uses and every prefix sum the one a
     whole-signal ``np.cumsum`` forms, so no bit depends on the batches.
+    ``values`` is read through ``len`` and one contiguous slice per batch, so
+    it may be a :class:`~stepforge.dsp.MagnitudeView`.
     """
     n = len(values)
     plans = []
@@ -391,7 +402,8 @@ def _correlation_batches(
             needs.append(min(nxt[i] + step, m) + L - 1)
         stop = min(n, max(hi + CORRELATION_BATCH_SAMPLES, min(needs)))
         start = min(nxt[i] for i in live)
-        fresh = values[hi:stop]
+        span = values[start:stop]  # every sample the batch reads, read once
+        fresh = span[hi - start :]
         csum2 = _continued_sums(csum2[start - lo :], fresh * fresh, hi > 0)
         csum = _continued_sums(csum[start - lo :], fresh.copy(), hi > 0)
         lo, hi = start, stop
@@ -405,7 +417,7 @@ def _correlation_batches(
             nxt[i] = b
             # the last block is zero-padded
             seg = np.zeros(-(-(b - a) // step) * step + L - 1)
-            seg[: b - a + L - 1] = values[a : b + L - 1]
+            seg[: b - a + L - 1] = span[a - start : b + L - 1 - start]
             blocks = sliding_window_view(seg, nfft)[::step]
             full = scipy_fft.irfft(scipy_fft.rfft(blocks) * kernel, nfft)
             r = full[:, :, L - 1 :].reshape(len(kernel), -1)[:, : b - a]
@@ -506,8 +518,7 @@ def detect_steps_template(
     """
     params = params or TemplateParams()
     rate = vm.sample_rate_hz
-    values = vm.values
-    n = len(values)
+    n = len(vm)
     n_seconds = int(math.ceil(n / rate))
     counts = np.zeros(n_seconds)
     if n == 0:
@@ -528,7 +539,7 @@ def detect_steps_template(
         for L in stride_lengths
     ]
     onsets, lengths, corrs = [], [], []
-    for i, _, r in _correlation_batches(values, stacks):
+    for i, _, r in _correlation_batches(vm.values, stacks):
         for scan, row in zip(scans[i], r):
             onset, corr = scan.feed(row)
             onsets.append(onset)

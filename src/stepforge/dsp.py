@@ -17,7 +17,7 @@ from .model import TriaxialRecording
 
 #: Samples per block of the vector magnitude, the resampler and both passes
 #: of the zero-phase filter.  Blocks change no output bit.
-BLOCK_SAMPLES = 1 << 16
+BLOCK_SAMPLES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,57 @@ class UniformSeries:
         return len(self.values) / self.sample_rate_hz
 
 
+class MagnitudeView:
+    """The vector magnitude of a recording, computed one slice at a time.
+
+    It stands in for the :class:`UniformSeries` that :func:`vector_magnitude`
+    returns wherever that series is only sliced: it has ``sample_rate_hz``,
+    ``len`` and ``values[a:b]`` (a contiguous slice, as a new float64 array),
+    and ``values`` is the view itself.  Each slice reads the same slices of
+    the axes, a block at a time, and holds the samples ``vector_magnitude``
+    gives there, bit for bit.  The axes need only ``len`` and contiguous
+    slicing, so they may be read from files.
+    """
+
+    def __init__(self, rec) -> None:
+        self.rec = rec
+        self.sample_rate_hz = rec.sample_rate_hz
+
+    @property
+    def values(self) -> MagnitudeView:
+        return self
+
+    def __len__(self) -> int:
+        return len(self.rec)
+
+    def __getitem__(self, key: slice) -> np.ndarray:
+        start, stop, step = key.indices(len(self))
+        if step != 1:
+            raise ValueError("a magnitude view reads contiguous slices only")
+        out = np.empty(max(0, stop - start))
+        axes = (self.rec.x, self.rec.y, self.rec.z)
+        for first in range(start, stop, BLOCK_SAMPLES):
+            last = min(stop, first + BLOCK_SAMPLES)
+            a, b, c = (
+                np.multiply(v, v, dtype=np.float64)
+                for v in (axis[first:last] for axis in axes)
+            )
+            # Summing the squares smallest-first makes the result independent
+            # of which physical axis landed in which column.  The three buffers
+            # are reused: lo = min, b = median = max(min(a, b), min(max(a, b),
+            # c)), a = max.
+            lo = np.minimum(a, b)
+            np.maximum(a, b, out=a)
+            np.minimum(a, c, out=b)
+            np.maximum(lo, b, out=b)
+            np.minimum(lo, c, out=lo)
+            np.maximum(a, c, out=a)
+            lo += b
+            lo += a
+            np.sqrt(lo, out=out[first - start : last - start])
+        return out
+
+
 def vector_magnitude(rec: TriaxialRecording) -> UniformSeries:
     """Euclidean norm of the three axes, per sample.
 
@@ -57,27 +108,7 @@ def vector_magnitude(rec: TriaxialRecording) -> UniformSeries:
     UniformSeries
         Nonnegative magnitude signal at the recording's rate.
     """
-    n = len(rec)
-    out = np.empty(n)
-    for start in range(0, n, BLOCK_SAMPLES):
-        block = slice(start, min(n, start + BLOCK_SAMPLES))
-        a, b, c = (
-            np.multiply(v[block], v[block], dtype=np.float64) for v in (rec.x, rec.y, rec.z)
-        )
-        # Summing the squares smallest-first makes the result independent of
-        # which physical axis landed in which column.  The three buffers are
-        # reused: lo = min, b = median = max(min(a, b), min(max(a, b), c)),
-        # a = max.
-        lo = np.minimum(a, b)
-        np.maximum(a, b, out=a)
-        np.minimum(a, c, out=b)
-        np.maximum(lo, b, out=b)
-        np.minimum(lo, c, out=lo)
-        np.maximum(a, c, out=a)
-        lo += b
-        lo += a
-        np.sqrt(lo, out=out[block])
-    return UniformSeries(rec.sample_rate_hz, out)
+    return UniformSeries(rec.sample_rate_hz, MagnitudeView(rec)[:])
 
 
 def _resampled_length(n: int, rate_hz: float, target_hz: float) -> int:
@@ -155,7 +186,9 @@ def resampled_bandpass(
     run over it in blocks: the forward pass with its state carried from block
     to block, the backward pass from the end, writing each block back in
     place.  So one axis costs that buffer and a few blocks, not the input,
-    its extension and both pass outputs.
+    its extension and both pass outputs.  ``values`` is read only through
+    ``len`` and contiguous slices of about a block, so it may be an axis that
+    is read from a file.
     """
     n = len(values)
     if target_hz != rate_hz:
@@ -179,7 +212,8 @@ def resampled_bandpass(
     if target_hz != rate_hz:
         _resample_into(values, rate_hz, target_hz, x)
     else:
-        x[:] = values
+        for start in range(0, n, BLOCK_SAMPLES):
+            x[start : start + BLOCK_SAMPLES] = values[start : start + BLOCK_SAMPLES]
     # odd extension at both ends, as scipy's odd_ext writes it
     buf[:edge] = 2 * x[0] - x[edge:0:-1]
     buf[edge + n :] = 2 * x[-1] - x[-2 : -(edge + 2) : -1]

@@ -97,7 +97,7 @@ def cache_path(path: str | os.PathLike) -> Path:
 
 
 #: Non-blank lines parsed per block, bounding the text held while reading.
-_BLOCK_ROWS = 1 << 16
+_BLOCK_ROWS = 1 << 13
 #: Empty lines: ``csv.reader`` yields no row for them, ``np.loadtxt`` skips them.
 _BLANK_LINES = ("\n", "\r\n", "\r")
 #: Characters that make the block parse refuse a block: a quote, which
@@ -274,8 +274,8 @@ def read_raw_recording(
     (atomically, once every row has passed its checks); later reads stream
     from the cache while it is not older than the text, and otherwise parse
     the text again and rewrite it.  Either way a read holds one block of at
-    most ``_BLOCK_ROWS`` samples; a caller that keeps every chunk (``steps``
-    does) holds the recording.
+    most ``_BLOCK_ROWS`` samples; a caller that keeps every chunk holds the
+    recording (``steps`` spools them instead, see :func:`spool_raw_recording`).
     """
     path = Path(path)
     subject = raw_subject_id(path)
@@ -324,6 +324,73 @@ def read_raw_recording(
             _check_cadence(total, first_stamp, last_stamp, schema, path)
         if spool is not None:
             _write_cache(cache, spool, total)
+
+
+class AxisFile:
+    """One float32 axis in a binary file, read-only: ``len``, and contiguous
+    slices, each read with ``readinto`` into a new float32 array.  The file
+    is read, not mapped, so the pages a read touches do not stay in the
+    process's resident set."""
+
+    def __init__(self, fh: io.BufferedRandom, n: int) -> None:
+        self.fh, self.n = fh, n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, key: slice) -> np.ndarray:
+        start, stop, step = key.indices(self.n)
+        if step != 1:
+            raise ValueError("an axis file reads contiguous slices only")
+        out = np.empty(max(0, stop - start), dtype="<f4")
+        self.fh.seek(4 * start)
+        self.fh.readinto(out)
+        return out
+
+
+@dataclass(frozen=True)
+class SpooledRecording:
+    """A raw recording whose axes are :class:`AxisFile` objects.
+
+    It stands in for a :class:`TriaxialRecording` wherever the axes are only
+    sliced: in ``summaries.activity_counts``, ``summaries.mims_units`` and
+    ``dsp.MagnitudeView``.
+    """
+
+    x: AxisFile
+    y: AxisFile
+    z: AxisFile
+    sample_rate_hz: float
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+
+@contextlib.contextmanager
+def spool_raw_recording(
+    path: str | os.PathLike, schema: RawFileSchema, directory: str | os.PathLike
+) -> Iterator[SpooledRecording]:
+    """Spool a raw file to one unnamed float32 temporary file per axis in
+    ``directory`` and yield it as a :class:`SpooledRecording`.
+
+    Each chunk of :func:`read_raw_recording` is appended to the files and
+    dropped, so the spool holds one chunk at a time; the files take 12 bytes
+    of disk per sample and are deleted on exit.  A file with no samples
+    raises ValueError.
+    """
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(tempfile.TemporaryFile(dir=directory)) for _ in "xyz"]
+        n = 0
+        for chunk in read_raw_recording(path, schema):
+            for fh, axis in zip(files, (chunk.x, chunk.y, chunk.z)):
+                fh.write(np.ascontiguousarray(axis, dtype="<f4"))
+            n += len(chunk)
+            del chunk  # not held while the next block is read
+        if not n:
+            raise ValueError(f"{path}: no samples")
+        for fh in files:
+            fh.flush()
+        yield SpooledRecording(*(AxisFile(fh, n) for fh in files), schema.sample_rate_hz)
 
 
 def _cache_is_current(cache: Path, source: Path) -> bool:

@@ -4,7 +4,9 @@ Both measures run per axis through a resample → band-pass → rectify stage
 and then diverge: AC deadbands, clips, quantizes, and sums; MIMS integrates
 the rectified curve and truncates tiny areas.  Axis results combine per
 epoch.  Both return one value per epoch; the ``steps`` command stores them
-as the ``ac`` and ``mims`` columns of a minute table.
+as the ``ac`` and ``mims`` columns of a minute table.  They read each axis
+only through ``len`` and contiguous slices, so the axes of an
+``ingest.SpooledRecording``, read from files, serve as well as arrays.
 """
 
 from __future__ import annotations

@@ -125,6 +125,10 @@ class CoxFit:
     converged: bool
     n_events: int
     covariate_names: tuple[str, ...]
+    #: Covariates whose coefficient may be infinite, by R ``coxph.fit``'s
+    #: rule: the Newton step not taken at the final beta, ``|H^-1 U|``,
+    #: exceeds both ``NEWTON_TOL`` and ``sqrt(NEWTON_TOL) * |beta|``.
+    diverging: tuple[str, ...] = ()
 
     @property
     def se(self) -> np.ndarray:
@@ -386,7 +390,7 @@ def _with_covariance(data: SurvivalDataset, newton: _Newton) -> CoxFit:
     """The fit with its robust sandwich covariance; raises unless converged."""
     risk, beta = newton.risk, newton.beta
     p = len(beta)
-    _, hess = _score_hess(risk, newton.sums)
+    score, hess = _score_hess(risk, newton.sums)
     with np.errstate(all="ignore"):
         resid = _score_residuals(risk, beta)
         try:
@@ -396,17 +400,26 @@ def _with_covariance(data: SurvivalDataset, newton: _Newton) -> CoxFit:
         meat = resid.T @ resid
         cov_scaled = bread @ meat @ bread
         cov_scaled = 0.5 * (cov_scaled + cov_scaled.T)
+        # the Newton step not taken, in raw covariate units
+        untaken = np.abs(bread @ score) / newton.col_scale
+    raw_beta = newton.raw_beta
+    diverging = tuple(
+        name
+        for name, step, b in zip(data.covariate_names, untaken.tolist(), raw_beta.tolist())
+        if step > NEWTON_TOL and step > math.sqrt(NEWTON_TOL) * abs(b)
+    )
     if newton.converged and not np.all(np.isfinite(cov_scaled)):
         raise ValueError("sandwich covariance is not finite at the optimum")
     # map back to raw covariate units
     inv_scale = 1.0 / newton.col_scale
     fit = CoxFit(
-        beta=newton.raw_beta,
+        beta=raw_beta,
         covariance=cov_scaled * np.outer(inv_scale, inv_scale),
         loglik_seq=tuple(newton.loglik_seq),
         converged=newton.converged,
         n_events=data.n_events,
         covariate_names=data.covariate_names,
+        diverging=diverging,
     )
     if not newton.converged:
         raise ConvergenceError(f"Newton-Raphson {newton.failure}", fit)
@@ -607,6 +620,8 @@ class ModelReport:
     steps_hr_per_500: float | None
     steps_hr_ci: tuple[float, float] | None
     steps_p: float | None
+    #: ``CoxFit.diverging`` of the full-sample fit (models with steps only).
+    diverging: tuple[str, ...] = ()
 
 
 def model_suite(
@@ -657,10 +672,12 @@ def model_suite(
     for name, covs, steps_var in ladder:
         c, _ = repeated_cv_concordance(data, covs, cfg)
         hr = ci = pval = None
+        diverging: tuple[str, ...] = ()
         if steps_var is not None:
             fit = cox_fit(data.select(covs))
             hr_, lo, hi = hazard_ratio(fit, steps_var, cfg.hr_step_increment)
             hr, ci, pval = hr_, (lo, hi), wald_p_value(fit, steps_var)
+            diverging = fit.diverging
         reports.append(
             ModelReport(
                 name=name,
@@ -670,6 +687,7 @@ def model_suite(
                 steps_hr_per_500=hr,
                 steps_hr_ci=ci,
                 steps_p=pval,
+                diverging=diverging,
             )
         )
     return reports

@@ -391,6 +391,7 @@ def test_07_statistical_identities(capsys):
 
 # ---------------------------------------------------------------- 08 ----
 
+@pytest.mark.slow
 def test_08_full_analysis_is_deterministic(capsys, tmp_path):
     """On a 200-subject simulated cohort the analysis is byte-identical
     across repeated runs and worker counts, well under five minutes."""
@@ -430,6 +431,7 @@ def test_08_full_analysis_is_deterministic(capsys, tmp_path):
 
 # ---------------------------------------------------------------- 09 ----
 
+@pytest.mark.slow
 def test_09_peak_family_throughput(capsys, tmp_path):
     """Soft throughput target: the peak detectors should chew through
     10 subjects x 7 days at 80 Hz in at most 3.6 minutes of detector time.

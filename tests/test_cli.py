@@ -372,12 +372,39 @@ class TestPipeline:
                      "--covariates", str(sim / "covariates.csv"),
                      "--mortality", str(sim / "mortality.csv"),
                      "--config", str(conf), "--out", str(out)]) == 0
-        assert "failed" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "failed" not in err
         rows = read_table(out / "model_suite.csv")
         assert [r["model"] for r in rows] == [
             "traditional", "traditional+mims", "traditional+steps", "traditional+steps+mims",
         ]
         assert all(0.0 < float(r["concordance"]) < 1.0 for r in rows)
+        # The full-sample fits with steps_peak_revised converge in the
+        # log-likelihood while its coefficient diverges (HR 0.0 in both
+        # tables), so each is flagged by R coxph's rule.
+        warning = ("loglik converged before variable steps_peak_revised; "
+                   "coefficient may be infinite")
+        assert [line for line in err.splitlines() if "may be infinite" in line] == [
+            f"analyze: model traditional+steps: {warning}",
+            f"analyze: model traditional+steps+mims: {warning}",
+            f"analyze: hazard ratios: {warning}",
+        ]
+
+    def test_golden_corpus_logs_no_diverging_coefficient(self, tmp_path, capsys):
+        """The golden corpus's reported step coefficients are finite.  Its
+        heart_attack and stroke columns (2 and 1 subjects, no events) do
+        diverge, but no table reports their hazard ratios."""
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--out", str(sim), "--subjects", "120", "--days", "4",
+                     "--seed", "7", "--raw-subjects", "1"]) == 0
+        conf = tmp_path / "analysis.cfg"
+        conf.write_text("cv_repeats = 2\ncv_folds = 3\n")
+        capsys.readouterr()
+        assert main(["analyze", str(sim / "minutes.csv"),
+                     "--covariates", str(sim / "covariates.csv"),
+                     "--mortality", str(sim / "mortality.csv"),
+                     "--config", str(conf), "--out", str(tmp_path / "tables")]) == 0
+        assert "may be infinite" not in capsys.readouterr().err
 
     def test_steps_count_every_walk_after_rests(self, tmp_path, monkeypatch):
         """Walk-rest-walk-rest-walk over more than one parse block (76,800

@@ -190,7 +190,8 @@ class TestBlockwiseFrontEnd:
     def test_seams_of_the_default_block(self):
         """Lengths at and past one and two default blocks, for both filters."""
         rng = np.random.default_rng(3)
-        for n in (65_535, 65_536, 65_537, 2 * 65_536 + 1, 123_457):
+        block = dsp.BLOCK_SAMPLES
+        for n in (block - 1, block, block + 1, 2 * block + 1, 123_457):
             values = rng.normal(size=n)
             for rate, band in ((30.0, sm.AC_BAND_HZ), (100.0, sm.MIMS_BAND_HZ)):
                 sos = signal.butter(4, list(band), btype="bandpass", output="sos", fs=rate)

@@ -373,6 +373,7 @@ class TestCoxFit:
         fit = cox_fit(scaled)
         assert fit.converged
         assert abs(fit.beta[0] - grid_argmax(scaled)) < 1e-4
+        assert fit.diverging == ()
 
     def test_loglik_sequence_nondecreasing(self):
         d = gen_survival(80, -0.4 / 3000, 0.03, censor_rate=0.3, seed=11)
@@ -422,6 +423,22 @@ class TestCoxFit:
         assert fit.loglik_seq[-1] == pytest.approx(0.0, abs=1e-9)
         seq = np.asarray(fit.loglik_seq)
         assert np.all(np.diff(seq) >= 0)
+
+    def test_a_column_with_no_events_is_flagged_as_diverging(self):
+        """Three censored subjects alone carry ``flag``: the likelihood rises
+        towards a bound as its beta falls, and the fit stops on the
+        log-likelihood tolerance with a Newton step of about 1 still untaken.
+        R ``coxph.fit``'s rule flags that column and only that one."""
+        d = gen_survival(80, -0.4 / 3000, 0.03, censor_rate=0.3, seed=11)
+        flag = np.zeros(80)
+        flag[np.flatnonzero(~d.event)[:3]] = 1.0
+        x = np.column_stack([d.covariates[:, 0], flag])
+        fit = cox_fit(dataset(d.followup_months, d.event, x, d.weights,
+                              names=["steps", "flag"]))
+        assert fit.converged
+        assert fit.beta[1] < -5.0
+        assert fit.diverging == ("flag",)
+        assert cox_fit(d).diverging == ()
 
     def test_iteration_cap_raises_with_last_fit(self, monkeypatch):
         import stepforge.survival as survival
