@@ -1,10 +1,10 @@
 """Streaming readers/writers for raw recordings and analysis tables.
 
 Raw accelerometer payloads are comma-separated text (optionally gzip),
-streamed in chunks of one parse block; for the default layout a
-little-endian float32 binary cache with magic ``SFG1`` is written beside
-each text file on first read so re-runs skip parsing, one block at a time
-too; a sidecar older than its text is ignored and rewritten.
+parsed in chunks of one parse block and spooled to one float32 file per
+axis; for the default layout the spool also writes those files beside the
+text as a little-endian sidecar with magic ``SFG1``, which re-runs read in
+place; a sidecar older than its text is ignored and rewritten.
 Table I/O round-trips exactly: floats are serialized with ``repr`` so
 ``read(write(x)) == x`` bit for bit.
 """
@@ -18,6 +18,7 @@ import io
 import itertools
 import math
 import os
+import shutil
 import struct
 import tempfile
 from dataclasses import dataclass, field, replace
@@ -225,115 +226,59 @@ def _check_cadence(
         )
 
 
-def read_binary_cache(path: str | os.PathLike) -> Iterator[np.ndarray]:
-    """Read an SFG1 cache as float32 ``(3, n)`` blocks of ``_BLOCK_ROWS`` samples.
-
-    The magic and the payload length are checked before the first block.
-    """
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CACHE_MAGIC:
-            raise ValueError(f"{path}: not an SFG1 cache (magic {magic!r})")
-        (count,) = struct.unpack("<I", fh.read(4))
-        payload = os.fstat(fh.fileno()).st_size - 8
-        expected = 3 * 4 * count
-        if payload != expected:
-            raise ValueError(
-                f"{path}: truncated cache ({payload} payload bytes, "
-                f"expected {expected})"
-            )
-        for start in range(0, count, _BLOCK_ROWS):
-            axes = np.empty((3, min(_BLOCK_ROWS, count - start)), dtype="<f4")
-            for axis, out in enumerate(axes):
-                fh.seek(8 + 4 * (axis * count + start))
-                fh.readinto(out)
-            yield axes
-
-
-def _write_cache(cache: Path, spool: io.BufferedRandom, count: int) -> None:
-    """Write the SFG1 cache of a spool of float32 (x, y, z) rows, atomically."""
-    partial = cache.with_name(cache.name + ".partial")
-    with open(partial, "wb") as out:
-        out.write(CACHE_MAGIC)
-        out.write(struct.pack("<I", count))
-        for axis in range(3):
-            spool.seek(0)
-            while rows := spool.read(3 * 4 * _BLOCK_ROWS):
-                out.write(np.frombuffer(rows, dtype="<f4")[axis::3].tobytes())
-    os.replace(partial, cache)
-
-
 def read_raw_recording(
     path: str | os.PathLike, schema: RawFileSchema
 ) -> Iterator[TriaxialRecording]:
-    """Stream a raw file as :class:`TriaxialRecording` chunks of one parse block.
+    """Parse raw text as :class:`TriaxialRecording` chunks of one parse block.
 
-    Values are cast to float32 on read so text and binary-cache paths yield
-    bit-identical samples.  For a schema with :attr:`~RawFileSchema.cached`
-    set, the first text read writes an SFG1 cache next to the file
-    (atomically, once every row has passed its checks); later reads stream
-    from the cache while it is not older than the text, and otherwise parse
-    the text again and rewrite it.  Either way a read holds one block of at
-    most ``_BLOCK_ROWS`` samples; a caller that keeps every chunk holds the
-    recording (``steps`` spools them instead, see :func:`spool_raw_recording`).
+    Values are cast to float32 on read, the type the spool and the SFG1
+    sidecar store.  A read holds one block of at most ``_BLOCK_ROWS``
+    samples; a caller that keeps every chunk holds the recording (``steps``
+    spools them instead, see :func:`spool_raw_recording`).
     """
     path = Path(path)
     subject = raw_subject_id(path)
-    cache = cache_path(path)
-    if schema.cached and _cache_is_current(cache, path):
-        for x, y, z in read_binary_cache(cache):
-            yield TriaxialRecording(subject, x, y, z, schema.sample_rate_hz)
-        return
-
     total = 0
     first_stamp = last_stamp = None
-    # float32 (x, y, z) rows of every block; the file is deleted on close
-    spool = tempfile.TemporaryFile(dir=cache.parent) if schema.cached else None
-    with spool or contextlib.nullcontext():
-        for rows in _raw_blocks(path, schema):
-            error = None
-            if schema.has_timestamp and len(rows):
-                stamps = rows[:, 0]
-                before = np.concatenate(
-                    ([-np.inf if last_stamp is None else last_stamp], stamps[:-1])
+    for rows in _raw_blocks(path, schema):
+        error = None
+        if schema.has_timestamp and len(rows):
+            stamps = rows[:, 0]
+            before = np.concatenate(
+                ([-np.inf if last_stamp is None else last_stamp], stamps[:-1])
+            )
+            late = np.flatnonzero(stamps <= before)
+            if late.size:
+                # the rows before the first late stamp count, as read line by line
+                k = late[0]
+                error = ValueError(
+                    f"{path}: non-monotone timestamp {float(stamps[k])} "
+                    f"after {float(before[k])}"
                 )
-                late = np.flatnonzero(stamps <= before)
-                if late.size:
-                    # the rows before the first late stamp count, as read line by line
-                    k = late[0]
-                    error = ValueError(
-                        f"{path}: non-monotone timestamp {float(stamps[k])} "
-                        f"after {float(before[k])}"
-                    )
-                    rows = rows[:k]
-                if len(rows):
-                    if first_stamp is None:
-                        first_stamp = float(rows[0, 0])
-                    last_stamp = float(rows[-1, 0])
+                rows = rows[:k]
             if len(rows):
-                axes = rows[:, -3:].astype("<f4")
-                if spool is not None:
-                    spool.write(axes.tobytes())
-                total += len(axes)
-                x, y, z = axes.T.copy()
-                del rows, axes  # not held while the next block is read
-                yield TriaxialRecording(subject, x, y, z, schema.sample_rate_hz)
-            if error is not None:
-                raise error
-        if first_stamp is not None:
-            _check_cadence(total, first_stamp, last_stamp, schema, path)
-        if spool is not None:
-            _write_cache(cache, spool, total)
+                if first_stamp is None:
+                    first_stamp = float(rows[0, 0])
+                last_stamp = float(rows[-1, 0])
+        if len(rows):
+            total += len(rows)
+            x, y, z = rows[:, -3:].T.astype("<f4", order="C")
+            del rows  # not held while the next block is read
+            yield TriaxialRecording(subject, x, y, z, schema.sample_rate_hz)
+        if error is not None:
+            raise error
+    if first_stamp is not None:
+        _check_cadence(total, first_stamp, last_stamp, schema, path)
 
 
 class AxisFile:
-    """One float32 axis in a binary file, read-only: ``len``, and contiguous
-    slices, each read with ``readinto`` into a new float32 array.  The file
-    is read, not mapped, so the pages a read touches do not stay in the
-    process's resident set."""
+    """One float32 axis in a binary file, ``offset`` bytes in, read-only:
+    ``len``, and contiguous slices, each read with ``readinto`` into a new
+    float32 array.  The file is read, not mapped, so the pages a read
+    touches do not stay in the process's resident set."""
 
-    def __init__(self, fh: io.BufferedRandom, n: int) -> None:
-        self.fh, self.n = fh, n
+    def __init__(self, fh: io.BufferedIOBase, n: int, offset: int = 0) -> None:
+        self.fh, self.n, self.offset = fh, n, offset
 
     def __len__(self) -> int:
         return self.n
@@ -343,7 +288,7 @@ class AxisFile:
         if step != 1:
             raise ValueError("an axis file reads contiguous slices only")
         out = np.empty(max(0, stop - start), dtype="<f4")
-        self.fh.seek(4 * start)
+        self.fh.seek(self.offset + 4 * start)
         self.fh.readinto(out)
         return out
 
@@ -370,32 +315,82 @@ class SpooledRecording:
 def spool_raw_recording(
     path: str | os.PathLike, schema: RawFileSchema, directory: str | os.PathLike
 ) -> Iterator[SpooledRecording]:
-    """Spool a raw file to one unnamed float32 temporary file per axis in
-    ``directory`` and yield it as a :class:`SpooledRecording`.
+    """Yield a raw file as a :class:`SpooledRecording` of float32 axis files.
 
-    Each chunk of :func:`read_raw_recording` is appended to the files and
-    dropped, so the spool holds one chunk at a time; the files take 12 bytes
-    of disk per sample and are deleted on exit.  A file with no samples
-    raises ValueError.
+    A cached layout with a current SFG1 sidecar is read in place.  Otherwise
+    each chunk of :func:`read_raw_recording` is appended to one unnamed
+    temporary file per axis in ``directory`` (12 bytes of disk per sample,
+    deleted on exit) and dropped; once every chunk has passed its checks, a
+    cached layout's sidecar is written from those files.  A file with no
+    samples raises ValueError, after its sidecar is written.
     """
+    path = Path(path)
+    cache = cache_path(path)
     with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(tempfile.TemporaryFile(dir=directory)) for _ in "xyz"]
-        n = 0
-        for chunk in read_raw_recording(path, schema):
-            for fh, axis in zip(files, (chunk.x, chunk.y, chunk.z)):
-                fh.write(np.ascontiguousarray(axis, dtype="<f4"))
-            n += len(chunk)
-            del chunk  # not held while the next block is read
+        if schema.cached and _cache_is_current(cache, path):
+            fh = stack.enter_context(open(cache, "rb"))
+            n = _sidecar_count(fh, cache)
+            axes = [AxisFile(fh, n, 8 + 4 * n * axis) for axis in range(3)]
+        else:
+            files = [stack.enter_context(tempfile.TemporaryFile(dir=directory)) for _ in "xyz"]
+            n = 0
+            for chunk in read_raw_recording(path, schema):
+                for fh, axis in zip(files, (chunk.x, chunk.y, chunk.z)):
+                    fh.write(axis)
+                n += len(chunk)
+                del chunk  # not held while the next block is read
+            for fh in files:
+                fh.flush()
+            if schema.cached:
+                _write_sidecar(cache, path, files, n)
+            axes = [AxisFile(fh, n) for fh in files]
         if not n:
             raise ValueError(f"{path}: no samples")
-        for fh in files:
-            fh.flush()
-        yield SpooledRecording(*(AxisFile(fh, n) for fh in files), schema.sample_rate_hz)
+        yield SpooledRecording(*axes, schema.sample_rate_hz)
 
 
 def _cache_is_current(cache: Path, source: Path) -> bool:
     """A sidecar is used only when it is not older than the text it caches."""
     return cache.exists() and cache.stat().st_mtime_ns >= source.stat().st_mtime_ns
+
+
+def _sidecar_count(fh: io.BufferedReader, cache: Path) -> int:
+    """The sample count of the SFG1 sidecar open as ``fh``, after checking its
+    magic and that its payload holds exactly three axes of that many floats."""
+    magic = fh.read(4)
+    if magic != CACHE_MAGIC:
+        raise ValueError(f"{cache}: not an SFG1 cache (magic {magic!r})")
+    (count,) = struct.unpack("<I", fh.read(4))
+    payload = os.fstat(fh.fileno()).st_size - 8
+    expected = 3 * 4 * count
+    if payload != expected:
+        raise ValueError(
+            f"{cache}: truncated cache ({payload} payload bytes, expected {expected})"
+        )
+    return count
+
+
+def _write_sidecar(
+    cache: Path, source: Path, axes: Sequence[io.BufferedRandom], count: int
+) -> None:
+    """Write ``source``'s SFG1 sidecar, the header and then the axis files,
+    to a uniquely named file and rename it over ``cache``, so overlapping
+    runs share no partial file.  It takes the text's permission bits.  A
+    sidecar only saves a later parse: one that cannot be written is skipped.
+    """
+    with contextlib.suppress(OSError):
+        fd, partial = tempfile.mkstemp(dir=cache.parent, prefix=cache.name, suffix=".partial")
+        try:
+            with open(fd, "wb") as out:
+                os.fchmod(out.fileno(), source.stat().st_mode & 0o666)
+                out.write(CACHE_MAGIC + struct.pack("<I", count))
+                for fh in axes:
+                    fh.seek(0)
+                    shutil.copyfileobj(fh, out)
+            os.replace(partial, cache)
+        except BaseException:
+            os.unlink(partial)
+            raise
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ the rectified curve and truncates tiny areas.  Axis results combine per
 epoch.  Both return one value per epoch; the ``steps`` command stores them
 as the ``ac`` and ``mims`` columns of a minute table.  They read each axis
 only through ``len`` and contiguous slices, so the axes of an
-``ingest.SpooledRecording``, read from files, serve as well as arrays.
+``ingest.SpooledRecording``, temporary files or an SFG1 sidecar, serve too.
 """
 
 from __future__ import annotations

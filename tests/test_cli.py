@@ -1,8 +1,10 @@
+import errno
 import filecmp
 import gzip
 import os
 import pickle
 import re
+import tempfile
 from dataclasses import fields as dataclass_fields
 from dataclasses import replace
 
@@ -492,6 +494,41 @@ class TestExitCodes:
         monkeypatch.setattr(ingest, "_text_blocks", no_text)
         assert main(["steps", str(raw), "--out", str(tmp_path / "again")]) == 1
         assert failed in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "module, attr", [(tempfile, "mkstemp"), (os, "replace")], ids=["mkstemp", "replace"]
+    )
+    @pytest.mark.parametrize(
+        "error",
+        [PermissionError(errno.EACCES, "Permission denied"),
+         OSError(errno.ENOSPC, "No space left on device")],
+        ids=["EACCES", "ENOSPC"],
+    )
+    def test_steps_runs_when_the_sidecar_cannot_be_written(
+        self, tmp_path, monkeypatch, module, attr, error
+    ):
+        """A sidecar only saves a later parse: when it cannot be written the
+        subject still succeeds with the same minutes, and no partial file is
+        left in the raw directory."""
+        walk = [GaitSegment("walk", 70, cadence_hz=2.0, amplitude_g=0.35, noise_sd_g=0.02)]
+        rec, _ = gen_gait(walk, seed=5, subject_id="F1")
+        text = "x,y,z\n" + "".join(
+            f"{x!r},{y!r},{z!r}\n"
+            for x, y, z in zip(rec.x.tolist(), rec.y.tolist(), rec.z.tolist())
+        )
+        for name in ("cached", "refused"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "F1.csv").write_text(text, encoding="utf-8")
+        assert main(["steps", str(tmp_path / "cached"), "--out", str(tmp_path / "a")]) == 0
+
+        def refuse(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(module, attr, refuse)
+        assert main(["steps", str(tmp_path / "refused"), "--out", str(tmp_path / "b")]) == 0
+        assert [p.name for p in (tmp_path / "refused").iterdir()] == ["F1.csv"]
+        assert filecmp.cmp(tmp_path / "a" / "F1_minutes.csv",
+                           tmp_path / "b" / "F1_minutes.csv", shallow=False)
 
     def test_steps_timestamped_file_is_checked_on_every_run(self, tmp_path, capsys):
         """A sidecar would skip the cadence check, so timestamped files get none."""

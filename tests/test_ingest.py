@@ -1,6 +1,8 @@
 import gzip
 import math
 import os
+import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -13,13 +15,13 @@ from stepforge.ingest import (
     cache_path,
     import_external_steps,
     merge_external_steps,
-    read_binary_cache,
     read_covariates,
     read_minute_file,
     read_mortality,
     read_raw_recording,
     read_subject_summaries,
     read_table,
+    spool_raw_recording,
     write_covariates,
     write_minute_file,
     write_mortality,
@@ -40,6 +42,22 @@ def write_raw(path, rows, header="x,y,z"):
     lines = [header] if header else []
     lines += [",".join(str(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
+
+
+def spooled_axes(path, schema=RawFileSchema()):
+    """The axes that ``spool_raw_recording`` yields, as whole float32 arrays."""
+    with spool_raw_recording(path, schema, path.parent) as rec:
+        return [axis[:] for axis in (rec.x, rec.y, rec.z)]
+
+
+def sidecar_bytes(x, y, z):
+    """An SFG1 sidecar: the magic, the count, then the x, y and z blocks."""
+    axes = [np.asarray(a, dtype="<f4") for a in (x, y, z)]
+    return CACHE_MAGIC + struct.pack("<I", len(axes[0])) + b"".join(a.tobytes() for a in axes)
+
+
+def no_parse(*args):
+    raise AssertionError("text parsed although the sidecar is current")
 
 
 class TestRawFileSchema:
@@ -66,53 +84,49 @@ class TestRawReading:
         )
         assert rec.x.dtype == np.float32
 
-    def test_chunks_are_parse_blocks_from_text_and_sidecar(self, tmp_path, monkeypatch):
+    def test_chunks_are_parse_blocks(self, tmp_path, monkeypatch):
+        """A text read yields one chunk per parse block and writes no sidecar."""
         path = tmp_path / "S2.csv"
         n = 2 * 160 + 37
         write_raw(path, [(0.001 * i, 0.0, 1.0) for i in range(n)])
         monkeypatch.setattr(ingest, "_BLOCK_ROWS", 160)
-        from_text = list(read_raw_recording(path, RawFileSchema()))
-        assert cache_path(path).exists()
-        from_cache = list(read_raw_recording(path, RawFileSchema()))
+        chunks = list(read_raw_recording(path, RawFileSchema()))
+        assert [len(c.x) for c in chunks] == [160, 160, 37]
+        assert {c.subject_id for c in chunks} == {"S2"}
         want = np.array([0.001 * i for i in range(n)], dtype=np.float32)
-        for chunks in (from_text, from_cache):
-            assert [len(c.x) for c in chunks] == [160, 160, 37]
-            assert {c.subject_id for c in chunks} == {"S2"}
-            np.testing.assert_array_equal(np.concatenate([c.x for c in chunks]), want)
+        np.testing.assert_array_equal(np.concatenate([c.x for c in chunks]), want)
+        assert not cache_path(path).exists()
 
     def test_text_and_cache_reads_are_bit_identical(self, tmp_path, monkeypatch):
+        """The spool of the text, over several parse blocks, writes a sidecar;
+        the next spool reads it in place, without parsing, to the same bits."""
         path = tmp_path / "S3.csv"
-        rows = [(0.123456789, -1.987654321, 0.5000000001) for _ in range(50)]
+        rows = [(0.123456789 * i, -1.987654321, 0.5000000001 + i) for i in range(357)]
         write_raw(path, rows)
-        first = list(read_raw_recording(path, RawFileSchema()))
-        assert cache_path(path).exists()
-
-        # every text read goes through the block reader, which would raise
-        # here, so the second read uses the cache
-        def no_parse(*args):
-            raise AssertionError("text parsed although the cache is current")
-
+        monkeypatch.setattr(ingest, "_BLOCK_ROWS", 160)
+        chunks = list(read_raw_recording(path, RawFileSchema()))
+        text = [np.concatenate([getattr(c, a) for c in chunks]) for a in "xyz"]
+        first = spooled_axes(path)
+        assert cache_path(path).read_bytes() == sidecar_bytes(*text)
         monkeypatch.setattr(ingest, "_text_blocks", no_parse)
-        second = list(read_raw_recording(path, RawFileSchema()))
-        for a, b in zip(first, second):
-            np.testing.assert_array_equal(a.x, b.x)
-            np.testing.assert_array_equal(a.y, b.y)
-            np.testing.assert_array_equal(a.z, b.z)
-        assert first[0].x[0] == np.float32(0.123456789)
+        second = spooled_axes(path)
+        for a, b, c in zip(text, first, second):
+            assert a.tobytes() == b.tobytes() == c.tobytes()
+        assert first[0][1] == np.float32(0.123456789)
 
     def test_stale_cache_is_reparsed_and_rewritten(self, tmp_path):
         path = tmp_path / "S7.csv"
         write_raw(path, [(0.5, 0.5, 0.5)] * 10)
-        list(read_raw_recording(path, RawFileSchema()))
+        spooled_axes(path)
         cached_at = cache_path(path).stat().st_mtime_ns
         # replace the text with different samples and a later mtime
         write_raw(path, [(0.25, -0.75, 1.0)] * 12)
         os.utime(path, ns=(cached_at + 10**9, cached_at + 10**9))
-        (chunk,) = read_raw_recording(path, RawFileSchema())
-        np.testing.assert_array_equal(chunk.x, np.full(12, 0.25, dtype=np.float32))
-        np.testing.assert_array_equal(chunk.z, np.full(12, 1.0, dtype=np.float32))
-        ((rx, _, _),) = read_binary_cache(cache_path(path))
-        np.testing.assert_array_equal(rx, np.full(12, 0.25, dtype=np.float32))
+        x, _, z = spooled_axes(path)
+        np.testing.assert_array_equal(x, np.full(12, 0.25, dtype=np.float32))
+        np.testing.assert_array_equal(z, np.full(12, 1.0, dtype=np.float32))
+        want = sidecar_bytes([0.25] * 12, [-0.75] * 12, [1.0] * 12)
+        assert cache_path(path).read_bytes() == want
 
     def test_gzipped_input(self, tmp_path):
         path = tmp_path / "S4.csv.gz"
@@ -162,33 +176,71 @@ class TestRawReading:
         path = tmp_path / "d.csv"
         path.write_text("x,y,z\n1,2,3\n1,2\n")
         with pytest.raises(ValueError):
-            list(read_raw_recording(path, RawFileSchema()))
+            spooled_axes(path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
 
 
 class TestBinaryCache:
-    def test_round_trip(self, tmp_path):
+    """The SFG1 sidecar that ``spool_raw_recording`` writes and reads."""
+
+    def test_round_trip(self, tmp_path, monkeypatch):
         path = tmp_path / "r.csv"
         write_raw(path, [(0.1, 1.5, 0.0), (0.2, -2.5, 9.75)])
-        list(read_raw_recording(path, RawFileSchema()))
-        ((rx, ry, rz),) = read_binary_cache(cache_path(path))
-        np.testing.assert_array_equal(rx, np.array([0.1, 0.2], dtype=np.float32))
-        np.testing.assert_array_equal(ry, np.array([1.5, -2.5], dtype=np.float32))
-        np.testing.assert_array_equal(rz, np.array([0.0, 9.75], dtype=np.float32))
+        path.chmod(0o640)
+        spooled_axes(path)
+        want = ([0.1, 0.2], [1.5, -2.5], [0.0, 9.75])
+        assert cache_path(path).read_bytes() == sidecar_bytes(*want)
+        assert cache_path(path).stat().st_mode & 0o777 == 0o640
+        monkeypatch.setattr(ingest, "_text_blocks", no_parse)
+        for got, axis in zip(spooled_axes(path), want):
+            np.testing.assert_array_equal(got, np.array(axis, dtype=np.float32))
+
+    @staticmethod
+    def assert_refused(tmp_path, payload, error):
+        path = tmp_path / "b.csv"
+        write_raw(path, [(0.1, 1.5, 0.0)])
+        cache_path(path).write_bytes(payload)
+        with pytest.raises(ValueError, match=error):
+            spooled_axes(path)
 
     def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.sfg1"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(ValueError, match="not an SFG1 cache"):
-            next(read_binary_cache(path))
+        self.assert_refused(tmp_path, b"NOPE" + b"\x00" * 16, "not an SFG1 cache")
 
     def test_truncated_payload(self, tmp_path):
-        path = tmp_path / "short.sfg1"
-        import struct
+        payload = CACHE_MAGIC + struct.pack("<I", 10) + b"\x00" * 8
+        self.assert_refused(
+            tmp_path, payload, r"truncated cache \(8 payload bytes, expected 120\)"
+        )
 
-        path.write_bytes(CACHE_MAGIC + struct.pack("<I", 10) + b"\x00" * 8)
-        with pytest.raises(ValueError, match="truncated"):
-            next(read_binary_cache(path))
+    def test_payload_longer_than_its_count(self, tmp_path):
+        payload = CACHE_MAGIC + struct.pack("<I", 1) + b"\x00" * 24
+        self.assert_refused(
+            tmp_path, payload, r"truncated cache \(24 payload bytes, expected 12\)"
+        )
+
+    def test_overlapping_spools_write_one_whole_sidecar(self, tmp_path, monkeypatch):
+        """A second spool of the same text runs from start to end while the
+        first is copying its sidecar: both succeed, each writes through a file
+        of its own, and the sidecar is the text parse."""
+        path = tmp_path / "o.csv"
+        rows = [(0.01 * i, -0.02 * i, 1.0) for i in range(500)]
+        write_raw(path, rows)
+        want = np.array(rows, dtype=np.float32).T
+        copy, written_to, nested = shutil.copyfileobj, [], []
+
+        def copy_after_a_nested_spool(source, out, *args):
+            written_to.append(os.fstat(out.fileno()).st_ino)
+            if len(written_to) == 1:
+                nested.append(spooled_axes(path))
+            return copy(source, out, *args)
+
+        monkeypatch.setattr(shutil, "copyfileobj", copy_after_a_nested_spool)
+        outer = spooled_axes(path)
+        assert len(written_to) == 6 and len(set(written_to)) == 2, written_to
+        for axes in (outer, *nested):
+            assert b"".join(a.tobytes() for a in axes) == want.tobytes()
+        assert cache_path(path).read_bytes() == sidecar_bytes(*want)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["o.csv", "o.csv.sfg1"]
 
 
 class TestWriteTable:

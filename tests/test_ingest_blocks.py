@@ -119,9 +119,16 @@ def read_blocks(path, schema, chunks):
         chunks.append(np.stack([rec.x, rec.y, rec.z], axis=1))
 
 
+def read_spool(path, schema):
+    """The axes of ``spool_raw_recording``, as (n, 3) float32."""
+    with ingest.spool_raw_recording(path, schema, path.parent) as rec:
+        return np.stack([rec.x[:], rec.y[:], rec.z[:]], axis=1)
+
+
 def assert_same_raw(path, schema, block_rows):
     """Same rows in chunks of one parse block, or the same error after the same
-    rows; then, for a cached layout, the same rows from the sidecar."""
+    rows; then the same rows or error from the spool, which for a cached
+    layout writes them as an SFG1 sidecar, and again from that sidecar."""
     ingest.cache_path(path).unlink(missing_ok=True)
     want, got = [], []
     _, want_error = outcome(lambda: read_lines_longhand(path, schema, want))
@@ -132,13 +139,16 @@ def assert_same_raw(path, schema, block_rows):
         assert all(0 < len(c) <= block_rows for c in got)
         assert b"".join(c.tobytes() for c in got) == want.tobytes()
         cache = ingest.cache_path(path)
-        assert cache.exists() == (want_error is None and schema.cached)
-        if cache.exists():
-            cached = []
-            read_blocks(path, schema, cached)
-            sizes = [min(block_rows, len(want) - i) for i in range(0, len(want), block_rows)]
-            assert [len(c) for c in cached] == sizes
-            assert b"".join(c.tobytes() for c in cached) == want.tobytes()
+        assert not cache.exists()
+        # the spool refuses a file with no samples, after writing its sidecar
+        spool_error = want_error or (None if len(want) else f"ValueError: {path}: no samples")
+        for _ in ("text", "sidecar"):
+            spooled, error = outcome(lambda: read_spool(path, schema))
+            assert error == spool_error
+            assert spool_error or spooled.tobytes() == want.tobytes()
+            assert cache.exists() == (want_error is None and schema.cached)
+            if not cache.exists():
+                break
             head = ingest.CACHE_MAGIC + struct.pack("<I", len(want))
             assert cache.read_bytes() == head + want.T.tobytes()
 

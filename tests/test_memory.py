@@ -20,11 +20,15 @@ little: holding every parsed block beside the stacked table breaks it
 (measured then: 157 bytes per row, against 287 with the blocks held).  The
 raw read has a ratio: a 2 h read that keeps no chunk must peak within 10 %
 of a 1 h read, from text and from the sidecar (measured then: 17.7 MB and
-1.6 MB for both lengths with 65,536-row blocks, now 1.46 MB and 0.21 MB with
-8,192-row blocks; reading the whole sidecar payload took 10.4 MB for 1 h and
-20.7 MB for 2 h); and a text read must not hold one block's lines or rows
-while it parses the next (measured then: 10.9 MB for 65,536-row blocks,
-against 16.9 MB with them held; 178 bytes per block row now).
+1.6 MB for both lengths with 65,536-row blocks; reading the whole sidecar
+payload took 10.4 MB for 1 h and 20.7 MB for 2 h).  With 8,192-row blocks a
+text read peaks at 1.45 MB, the spool of the text, which also copies the
+axis files into the sidecar, at 1.47 MB, and the spool that reads the
+sidecar in place, one block slice of each axis at a time, at 42 kB (0.21 MB
+when the reader yielded the sidecar in blocks).  A text read must not hold
+one block's lines or rows while it parses the next (measured then: 10.9 MB
+for 65,536-row blocks, against 16.9 MB with them held; 178 bytes per block
+row now).
 
 The ``steps`` worker spools the raw axes to files and reads them, and the
 magnitude formed from them, in slices, so its peak grows only by MIMS's
@@ -167,13 +171,24 @@ def drain(path) -> None:
         pass
 
 
+def spool_in_blocks(path) -> None:
+    """Spool a raw file and read each axis back in slices of one parse block."""
+    with ingest.spool_raw_recording(path, ingest.RawFileSchema(), path.parent) as rec:
+        for axis in (rec.x, rec.y, rec.z):
+            for start in range(0, len(axis), ingest._BLOCK_ROWS):
+                axis[start : start + ingest._BLOCK_ROWS]
+
+
 def test_raw_read_holds_one_block(raw_files):
-    """A read that keeps no chunk peaks the same for 2 h as for 1 h, from text
-    and then from the sidecar the text read wrote."""
+    """A read that keeps no chunk peaks the same for 2 h as for 1 h: the text
+    read, the spool of the text, which writes the sidecar, and then the spool
+    that reads that sidecar in place."""
     peaks = {}
-    for source in ("text", "sidecar"):
-        assert [ingest.cache_path(p).exists() for p in raw_files] == [source == "sidecar"] * 2
-        peaks[source] = [traced_peak_bytes(drain, path) for path in raw_files]
+    reads = {"text": drain, "text spool": spool_in_blocks, "sidecar spool": spool_in_blocks}
+    for source, read in reads.items():
+        cached = [ingest.cache_path(p).exists() for p in raw_files]
+        assert cached == [source == "sidecar spool"] * 2
+        peaks[source] = [traced_peak_bytes(read, path) for path in raw_files]
     for source, (one_hour, two_hours) in peaks.items():
         assert two_hours <= 1.1 * one_hour, peaks
 

@@ -1,8 +1,9 @@
 """The spooled recording and the magnitude view against in-memory arrays.
 
-``steps`` spools each raw file to one float32 temporary file per axis
+``steps`` spools each raw file to one float32 temporary file per axis, or
+reads the three axes of its SFG1 sidecar in place
 (``ingest.spool_raw_recording``).  AC and MIMS then read slices of those
-files (``ingest.AxisFile``), and the detectors read slices of the magnitude
+axes (``ingest.AxisFile``), and the detectors read slices of the magnitude
 formed from them (``dsp.MagnitudeView``).  Every slice, every AC and MIMS
 epoch and every detector's per-second steps must equal what the whole
 in-memory arrays give, bit for bit, whatever the block sizes.
@@ -10,6 +11,7 @@ in-memory arrays give, bit for bit, whatever the block sizes.
 
 from __future__ import annotations
 
+import os
 import tempfile
 from contextlib import ExitStack
 from pathlib import Path
@@ -52,22 +54,31 @@ SLICE_BOUNDS = st.one_of(st.none(), st.integers(-3100, 3100))
     n=st.integers(1, 3000),
     block=st.sampled_from([1, 2, 7, 1000, dsp.BLOCK_SAMPLES]),
     bounds=st.lists(st.tuples(SLICE_BOUNDS, SLICE_BOUNDS), min_size=1, max_size=8),
+    head=st.one_of(st.none(), st.integers(1, 16)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_slices_equal_the_arrays(n, block, bounds, seed):
+def test_slices_equal_the_arrays(n, block, bounds, head, seed):
     """Random slices, empty ones and ones clamped at the end included, of
-    each axis file and of the magnitude view over them."""
+    each axis file and of the magnitude view over them.  The axes are three
+    files, or with ``head`` one shared file after ``head`` bytes, each axis
+    at its byte offset, as in a sidecar."""
     rng = np.random.default_rng(seed)
     axes = [rng.normal(0.0, 1.5, n).astype("<f4") for _ in range(3)]
     rec = TriaxialRecording("R", *axes, 80.0)
     whole = vector_magnitude(rec).values
     with ExitStack() as stack:
-        files = [stack.enter_context(tempfile.TemporaryFile()) for _ in axes]
+        if head is None:
+            files = [stack.enter_context(tempfile.TemporaryFile()) for _ in axes]
+            offsets = [0, 0, 0]
+        else:
+            files = [stack.enter_context(tempfile.TemporaryFile())] * 3
+            files[0].write(rng.bytes(head))
+            offsets = [head + 4 * n * i for i in range(3)]
         for fh, axis in zip(files, axes):
             fh.write(axis)
             fh.flush()
         spooled = ingest.SpooledRecording(
-            *(ingest.AxisFile(fh, n) for fh in files), 80.0
+            *(ingest.AxisFile(fh, n, offset) for fh, offset in zip(files, offsets)), 80.0
         )
         view = MagnitudeView(spooled)
         assert len(spooled) == len(view) == n
@@ -147,21 +158,31 @@ def test_summaries_and_detectors_equal_on_views(
 
 
 def test_every_layout_takes_the_spool(tmp_path, monkeypatch):
-    """Text with a header (and its sidecar on the second run), headerless text
-    and timestamped text all go through three temporary files in the output
-    directory, which are gone afterwards, and give the same minute file."""
+    """Text with a header, headerless text and timestamped text each go
+    through three temporary files in the output directory, none in the raw
+    directory, holding 12 bytes per sample together and gone afterwards; the
+    second header run reads the sidecar in place and makes none.  Every run
+    gives the same minute file."""
     rec, _ = gen_gait(
         [GaitSegment("walk", 90, cadence_hz=2.0, amplitude_g=0.35, noise_sd_g=0.02)],
         seed=4,
     )
-    made = []
+    made, sizes = [], []
     real = tempfile.TemporaryFile
 
     def recorded(*args, **kwargs):
-        made.append(Path(kwargs["dir"]))
-        return real(*args, **kwargs)
+        fh = real(*args, **kwargs)
+        made.append((Path(kwargs["dir"]), fh))
+        return fh
+
+    counts = cli.activity_counts
+
+    def activity_counts(spooled):
+        sizes.append(sum(os.fstat(fh.fileno()).st_size for _, fh in made))
+        return counts(spooled)
 
     monkeypatch.setattr(tempfile, "TemporaryFile", recorded)
+    monkeypatch.setattr(cli, "activity_counts", activity_counts)
     layouts = {
         "header": ((), {}),
         "sidecar": ((), {}),
@@ -176,11 +197,14 @@ def test_every_layout_takes_the_spool(tmp_path, monkeypatch):
             write_text(rec, raw / "R1.csv", **text)
         out = tmp_path / f"out_{layout}"
         made.clear()
+        sizes.clear()
         assert cli.main(["steps", str(raw), "--out", str(out), *flags]) == 0
-        assert made.count(out) == 3, (layout, made)
+        dirs = [directory for directory, _ in made]
+        assert dirs == ([] if layout == "sidecar" else [out] * 3), (layout, dirs)
+        assert sizes == [12 * len(rec) if made else 0], (layout, sizes)
         assert sorted(p.name for p in out.iterdir()) == ["R1_minutes.csv"]
         minute_files.append((out / "R1_minutes.csv").read_bytes())
-    assert (tmp_path / "header" / "R1.csv.sfg1").exists()
+    assert sorted(p.name for p in (tmp_path / "header").iterdir()) == ["R1.csv", "R1.csv.sfg1"]
     assert all(data == minute_files[0] for data in minute_files)
 
 
