@@ -185,12 +185,13 @@ def _steps_worker(args: tuple) -> tuple[str, dict[str, float], str]:
     """Process one raw file into a minute-level output; returns timings."""
     subject, path_text, out_dir_text, schema, params = args
     try:
-        # The axes are spooled to files in the output directory and every
-        # stage reads them, and the magnitude formed from them, in slices, so
-        # no stage holds a whole raw axis or the whole magnitude.
+        # The axes are spooled to files in the output directory, and so is
+        # the forward pass of the AC and MIMS filters; every stage reads them,
+        # and the magnitude formed from the axes, in slices, so no stage holds
+        # a whole raw axis, a whole filtered axis or the whole magnitude.
         with ingest.spool_raw_recording(Path(path_text), schema, out_dir_text) as rec:
-            ac = activity_counts(rec)
-            mims = mims_units(rec)
+            ac = activity_counts(rec, spool_dir=out_dir_text)
+            mims = mims_units(rec, spool_dir=out_dir_text)
             vm = MagnitudeView(rec)
             n_seconds = int(len(vm) // vm.sample_rate_hz)
             n_minutes = max(1, (n_seconds + 59) // 60)
@@ -545,10 +546,13 @@ def _survival_stage(
     ingest.write_table(out_path("univariate_cvc"), header, list(cvc.items()))
 
     rows = []
+    fits: dict[tuple[str, ...], survival.CoxFit] = {}  # the suite's full-sample fits
     try:
         # reuse the univariate cvC above; a failed measure is rerun and fails there
         done = {m: value for m, value in cvc.items() if math.isfinite(value)}
         for r in survival.model_suite(data, cfg, traditional=traditional, univariate=done):
+            if r.fit is not None:
+                fits[r.covariates] = r.fit
             rows.append([r.name, r.concordance, r.steps_variable or "", r.steps_hr_per_500,
                          *(r.steps_hr_ci or (None, None)), r.steps_p])
             _warn_diverging(f"model {r.name}", r.steps_variable, r.diverging)
@@ -562,7 +566,8 @@ def _survival_stage(
     rows = []
     for measure in [m for m in step_measures if m.startswith("steps_")]:
         try:
-            adjusted = survival.cox_fit(data.select(traditional + [measure]))
+            covariates = (*traditional, measure)
+            adjusted = fits.get(covariates) or survival.cox_fit(data.select(list(covariates)))
             _warn_diverging("hazard ratios", measure, adjusted.diverging)
             per_increment = survival.hazard_ratio(adjusted, measure, cfg.hr_step_increment)
             # standardizing the column (as survival.standardize does) scales

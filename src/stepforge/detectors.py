@@ -20,6 +20,7 @@ fans one signal out to named parameter objects and aggregates to minutes.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -30,12 +31,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as scipy_fft
 
 from . import dsp
-from .dsp import (
-    UniformSeries,
-    power_spectrum,
-    resample_linear,
-    sliding_windows,
-)
+from .dsp import UniformSeries, sliding_windows
 
 
 @dataclass(frozen=True)
@@ -123,6 +119,114 @@ def _strict_local_maxima(values: np.ndarray, k: int) -> np.ndarray:
     return np.nonzero(keep)[0] + k
 
 
+class _PeakScan:
+    """The peak detector's screens over a signal at its target rate, fed in
+    blocks, with the state that carries them across blocks.
+
+    Each block is screened as one array, except the similarity screen, a
+    plain loop over the values; the state is the last ``2 * k_neighbors``
+    samples and the prefix sums at them, the last candidate, the last kept
+    peak's value, position and prefix sums, the last ``continuity_required``
+    pass flags and the count of kept peaks.  Every float operation is the one
+    a scan of the whole signal makes, so no bit depends on the blocks.
+    """
+
+    def __init__(self, params: PeakParams, n_seconds: int) -> None:
+        self.params = params
+        # peaks per second, as the smallest integer type that can hold them
+        # (strict maxima are apart, so a second holds at most target_hz + 1)
+        self.counts = np.zeros(n_seconds, np.min_scalar_type(math.ceil(params.target_hz) + 1))
+        self.base = 0  # index of the first held sample
+        self.tail = np.empty(0)  # the held samples
+        # the prefix sums of the signal and of its square before each held
+        # sample and after the last: csum[base : base + len(tail) + 1]
+        self.csum = self.csum2 = np.zeros(1)
+        self.last_candidate: int | None = None
+        self.last_value: float | None = None
+        self.last_peak = 0  # the last kept peak, its csum and csum2
+        self.last_sums = (0.0, 0.0)
+        self.n_kept = 0
+        self.flags = np.empty(0, dtype=np.intp)  # the last pass flags
+
+    def feed(self, block: np.ndarray) -> None:
+        """Screen the next samples of the signal, consuming ``block``."""
+        p = self.params
+        k = p.k_neighbors
+        base = self.base
+        seg = np.concatenate((self.tail, block))
+        carried = base + len(self.tail) > 0
+        csum2 = _continued_sums(self.csum2, block * block, carried)
+        csum = _continued_sums(self.csum, block, carried)
+        keep_from = max(0, len(seg) - 2 * k)
+        self.base, self.tail = base + keep_from, seg[keep_from:]
+        self.csum, self.csum2 = csum[keep_from:], csum2[keep_from:]
+
+        at = _strict_local_maxima(seg, k)
+        at = at[seg[at] > p.mag_threshold_g]
+        if not len(at):
+            return
+        # Inter-peak period screen: gap to the previous candidate, kept or
+        # not, so counting resumes after a pause (Verisense, Gu et al. 2017).
+        # The first candidate has no period to screen.
+        gaps = np.diff(at, prepend=at[0] if self.last_candidate is None
+                       else self.last_candidate - base)
+        keep = (p.period_min_samples <= gaps) & (gaps <= p.period_max_samples)
+        if self.last_candidate is None:
+            keep[0] = True
+        self.last_candidate = base + int(at[-1])
+        at = at[keep]
+
+        # Amplitude-similarity screen against the previous surviving peak.
+        kept = []
+        last = self.last_value
+        for j, value in zip(at.tolist(), seg[at].tolist()):
+            if last is not None and abs(value - last) > p.similarity_threshold_g:
+                continue
+            kept.append(j)
+            last = value
+        if not kept:
+            return
+        self.last_value = last
+        at = np.array(kept, dtype=np.intp)
+
+        # Continuity: the variance of each inter-peak window, from the prefix
+        # sums at the window's ends.
+        lo, lo2 = csum[at], csum2[at]
+        b = at + base
+        a = np.concatenate(([self.last_peak], b[:-1]))
+        a_sum = np.concatenate(([self.last_sums[0]], lo[:-1]))
+        a_sum2 = np.concatenate(([self.last_sums[1]], lo2[:-1]))
+        length = b - a + 1
+        total = csum[at + 1] - a_sum
+        total2 = csum2[at + 1] - a_sum2
+        # a Python float's ** 2 is C pow, as the whole-signal scan's numpy
+        # scalar ** 2 is; an array's is x * x, which differs in the last bit
+        square = np.array([m**2 for m in (total / length).tolist()])
+        passes = (total2 / length - square > p.variance_threshold_g2).astype(np.intp)
+        if self.n_kept == 0:  # the first kept peak ends no window
+            passes = passes[1:]
+        self.last_peak = int(b[-1])
+        self.last_sums = (float(lo[-1]), float(lo2[-1]))
+
+        # A peak counts once more than continuity_window of the last
+        # continuity_required windows, its own included, passed.
+        r = p.continuity_required
+        flags = np.concatenate((self.flags, passes))
+        first = self.n_kept  # global index of the first new kept peak
+        self.n_kept += len(at)
+        # flags[j] is window flag number f0 + j, which ends at peak f0 + j + 1
+        f0 = max(0, first - 1) - len(self.flags)
+        self.flags = flags[-r:]
+        i = np.arange(first, self.n_kept)
+        i = i[i >= r]
+        if not len(i):
+            return
+        running = np.concatenate(([0], np.cumsum(flags)))
+        recent = running[i - f0] - running[i - r - f0]
+        steps = b[i - first][recent > p.continuity_window]
+        np.add.at(self.counts, (steps // p.target_hz).astype(np.intp), 1)
+
+
 def detect_steps_peak(
     vm: UniformSeries, params: PeakParams | None = None, name: str = "peak"
 ) -> StepSeries:
@@ -132,62 +236,22 @@ def detect_steps_peak(
     ``k_neighbors``; candidates survive magnitude, inter-peak period, and
     amplitude-similarity screens in sequence, and finally the trailing
     continuity (local variance) test.  Surviving peaks are bucketed per
-    second.
+    second.  The signal is resampled to the target rate and screened one
+    block at a time (``_PeakScan``), so only a block and the per-second
+    counts are held; the counts are whole numbers, so converting the scan's
+    integers gives the float sums of a whole-signal scan.
     """
     params = params or PeakParams()
-    if vm.sample_rate_hz < params.target_hz:
+    rate = vm.sample_rate_hz
+    if rate < params.target_hz:
         raise ValueError("vm rate must be at least the detector target rate")
     if len(vm) == 0:
         return StepSeries(name, np.zeros(0))
-    if vm.sample_rate_hz != params.target_hz:
-        vm = resample_linear(vm, params.target_hz)
-    values = vm.values[: len(vm)]  # an array, also of a MagnitudeView at the target rate
-    counts = np.zeros(int(math.ceil(len(values) / params.target_hz)))
-
-    locs = _strict_local_maxima(values, params.k_neighbors)
-    locs = locs[values[locs] > params.mag_threshold_g]
-
-    # Inter-peak period screen: gap to the previous candidate, kept or not,
-    # so counting resumes after a pause (Verisense, Gu et al. 2017).  The
-    # first candidate has no period to screen.
-    gaps = np.diff(locs)
-    keep = np.ones(len(locs), dtype=bool)
-    keep[1:] = (params.period_min_samples <= gaps) & (gaps <= params.period_max_samples)
-    locs = locs[keep]
-
-    # Amplitude-similarity screen against the previous surviving peak.
-    kept: list[int] = []
-    for loc in locs:
-        if kept and abs(values[loc] - values[kept[-1]]) > params.similarity_threshold_g:
-            continue
-        kept.append(int(loc))
-    locs = np.asarray(kept, dtype=np.intp)
-
-    if len(locs) == 0:
-        return StepSeries(name, counts)
-
-    # Continuity: prefix sums give O(1) variance of each inter-peak window.
-    csum = np.concatenate(([0.0], np.cumsum(values)))
-    csum2 = np.concatenate(([0.0], np.cumsum(values * values)))
-
-    def window_passes(a: int, b: int) -> bool:
-        length = b - a + 1
-        total = csum[b + 1] - csum[a]
-        total2 = csum2[b + 1] - csum2[a]
-        var = total2 / length - (total / length) ** 2
-        return var > params.variance_threshold_g2
-
-    passes = [
-        window_passes(locs[i - 1], locs[i]) for i in range(1, len(locs))
-    ]
-    for i in range(len(locs)):
-        if i < params.continuity_required:
-            continue
-        recent = passes[i - params.continuity_required : i]
-        if sum(recent) > params.continuity_window:
-            second = int(locs[i] // params.target_hz)
-            counts[second] += 1.0
-    return StepSeries(name, counts)
+    n = dsp.resampled_length(len(vm), rate, params.target_hz)
+    scan = _PeakScan(params, int(math.ceil(n / params.target_hz)))
+    for _, block in dsp.resampled_blocks(vm.values, rate, params.target_hz):
+        scan.feed(block)
+    return StepSeries(name, scan.counts.astype(np.float64))
 
 
 @dataclass(frozen=True)
@@ -210,6 +274,45 @@ class SpectralParams:
             raise ValueError("activity and prominence thresholds must be positive")
 
 
+def _window_cadences(windows: np.ndarray, rate: float, params: SpectralParams) -> np.ndarray:
+    """The cadence of each row of ``windows``, or 0 where a screen refuses it.
+
+    The rows are screened as one 2-D array, with the operations of
+    ``dsp.power_spectrum`` and of the screens, row by row.
+    """
+    low, high = params.cadence_band_hz
+    cadence = np.zeros(len(windows))
+    active = np.flatnonzero(windows.std(axis=1) >= params.activity_std_min_g)
+    if not len(active):
+        return cadence
+    n = windows.shape[1]
+    if n < 8:
+        raise ValueError("window too short for a spectrum (need >= 8 samples)")
+    v = windows[active]
+    v -= v.mean(axis=1, keepdims=True)
+    spec = np.fft.rfft(v, axis=1)
+    power = (spec.real**2 + spec.imag**2) / (n * n)
+    power[:, 1:] *= 2.0
+    if n % 2 == 0:
+        power[:, -1] /= 2.0
+    freqs = np.fft.rfftfreq(n, d=1.0 / rate)
+    band = (freqs >= low) & (freqs <= high)
+    if not band.any():
+        return cadence
+    band_power = power[:, band]
+    rows = np.arange(len(active))
+    peak = np.argmax(band_power, axis=1)
+    f_star = freqs[band][peak]
+    p_star = band_power[rows, peak]
+    prominent = ~(p_star < params.prominence_ratio * np.median(band_power, axis=1))
+    if params.harmonic_check:
+        # arm-swing dominance: the sub-harmonic carries more power
+        half_bin = np.argmin(np.abs(freqs - (f_star / 2.0)[:, np.newaxis]), axis=1)
+        f_star = np.where(power[rows, half_bin] > p_star, f_star / 2.0, f_star)
+    cadence[active[prominent]] = f_star[prominent]
+    return cadence
+
+
 def detect_steps_spectral(
     vm: UniformSeries, params: SpectralParams | None = None, name: str = "spectral"
 ) -> StepSeries:
@@ -220,43 +323,28 @@ def detect_steps_spectral(
     median in-band power by ``prominence_ratio``.  When the sub-harmonic at
     half the peak frequency carries more power, the cadence drops to it
     (arm-swing dominance).  Steps per window are cadence times window
-    length, spread uniformly over its seconds.
+    length, spread uniformly over its seconds.  The windows are read and
+    screened in groups of at least a block of samples
+    (``_window_cadences``).
     """
     params = params or SpectralParams()
     low, high = params.cadence_band_hz
-    if vm.sample_rate_hz < 2.0 * high:
+    rate = vm.sample_rate_hz
+    if rate < 2.0 * high:
         raise ValueError("vm rate must be at least twice the cadence band top")
-    n_seconds = int(math.ceil(len(vm) / vm.sample_rate_hz))
+    n_seconds = int(math.ceil(len(vm) / rate))
     counts = np.zeros(n_seconds)
     window_s = int(round(params.window_seconds))
-    # the windows are read in groups of at least a block of samples
-    group, first = np.empty(0), 0
-    for start, stop in sliding_windows(vm, params.window_seconds, params.window_seconds):
-        if stop > first + len(group):
-            first = start
-            group = vm.values[start : max(stop, start + dsp.BLOCK_SAMPLES)]
-        seg = group[start - first : stop - first]
-        if seg.std() < params.activity_std_min_g:
-            continue
-        freqs, power = power_spectrum(UniformSeries(vm.sample_rate_hz, seg))
-        band = (freqs >= low) & (freqs <= high)
-        if not band.any():
-            continue
-        band_power = power[band]
-        peak_pos = int(np.argmax(band_power))
-        f_star = float(freqs[band][peak_pos])
-        p_star = float(band_power[peak_pos])
-        if p_star < params.prominence_ratio * float(np.median(band_power)):
-            continue
-        cadence = f_star
-        if params.harmonic_check:
-            half_bin = int(np.argmin(np.abs(freqs - f_star / 2.0)))
-            if power[half_bin] > p_star:
-                cadence = f_star / 2.0
-        first_second = int(start // vm.sample_rate_hz)
-        for s in range(first_second, first_second + window_s):
-            if s < n_seconds:
-                counts[s] += cadence
+    width = int(round(params.window_seconds * rate))
+    per_group = max(1, dsp.BLOCK_SAMPLES // max(1, width))
+    # the windows abut, so a group of them is one contiguous slice
+    windows = sliding_windows(vm, params.window_seconds, params.window_seconds)
+    while group := list(itertools.islice(windows, per_group)):
+        values = vm.values[group[0][0] : group[-1][1]].reshape(len(group), width)
+        for (start, _), cadence in zip(group, _window_cadences(values, rate, params)):
+            if cadence:
+                first_second = int(start // rate)
+                counts[first_second : first_second + window_s] += cadence
     return StepSeries(name, counts)
 
 
@@ -491,6 +579,87 @@ class _OnsetScan:
         keep = rise & fall
         return onsets[keep], corr[keep]
 
+    @property
+    def next_onset(self) -> float:
+        """The smallest onset the scan can still return: its first waiting
+        onset, or the next batch's first offset (infinite once every offset
+        is scanned)."""
+        if len(self.waiting):
+            return int(self.waiting[0])
+        return self.start if self.start < self.m else math.inf
+
+
+def _greedy_cover(
+    onset: np.ndarray, length: np.ndarray, corr: np.ndarray, strides: np.ndarray, rate: float
+) -> None:
+    """Accept candidate strides greedily by descending correlation, counting
+    each accepted stride in ``strides`` at the second holding its midpoint; a
+    stride that overlaps an accepted one is refused."""
+    n_seconds = len(strides)
+    # Near-equal correlations count as ties so the earlier onset wins;
+    # quantizing at 0.01 keeps phase-ambiguous candidates from shuffling.
+    order = np.lexsort((length, onset, -np.round(corr / 0.01)))
+    # Accepted strides are disjoint, so sorted starts and ends describe them.
+    starts: list[int] = []
+    ends: list[int] = []
+    # The candidates become Python ints a block at a time.
+    for first in range(0, len(order), COVER_BLOCK_CANDIDATES):
+        block = order[first : first + COVER_BLOCK_CANDIDATES]
+        for a, L in zip(onset[block].tolist(), length[block].tolist()):
+            i = bisect.bisect_right(starts, a)
+            if (i and ends[i - 1] > a) or (i < len(starts) and starts[i] < a + L):
+                continue
+            starts.insert(i, a)
+            ends.insert(i, a + L)
+            midpoint_second = int((a + L // 2) // rate)
+            strides[min(midpoint_second, n_seconds - 1)] += 1
+
+
+class _GroupCover:
+    """The greedy cover, run on each group of overlapping candidates alone
+    as soon as no later candidate can join it.
+
+    Candidates in different groups never overlap, so whether one is
+    accepted depends only on the candidates of its group, in the cover's
+    order: the cover of each group alone accepts what the cover of all
+    candidates accepts.  A group, in onset order, ends where an onset lies
+    at or past the end of every earlier stride; it is closed once its
+    furthest stride end is at most the smallest onset that any scan can
+    still return.  Only the candidates of open groups are held.
+    """
+
+    def __init__(self, strides: np.ndarray, rate: float) -> None:
+        self.strides, self.rate = strides, rate
+        self.runs: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.first_end = math.inf  # the smallest stride end held
+
+    def add(self, onset: np.ndarray, length: int, corr: np.ndarray) -> None:
+        """Hold candidates of one stride ``length``, sorted by onset."""
+        if len(onset):
+            self.runs.append((onset, np.full(len(onset), length), corr))
+            self.first_end = min(self.first_end, int(onset[0]) + length)
+
+    def close(self, bound: float) -> None:
+        """Cover every held group whose strides all end at or before
+        ``bound``, the smallest onset a later candidate can have."""
+        if not self.runs or self.first_end > bound:  # no stride has ended
+            return
+        onset, length, corr = (np.concatenate(a) for a in zip(*self.runs))
+        order = np.argsort(onset, kind="stable")
+        onset, length, corr = onset[order], length[order], corr[order]
+        end = np.maximum.accumulate(onset + length)
+        # the groups before candidate c are closed if c starts a group and
+        # end[c - 1] <= bound; end rises, so the last such c is the cut
+        k = int(np.searchsorted(end, bound, side="right"))
+        if k == len(onset):
+            c = k
+        else:
+            starts_group = np.flatnonzero(onset[1 : k + 1] >= end[:k])
+            c = int(starts_group[-1]) + 1 if len(starts_group) else 0
+        _greedy_cover(onset[:c], length[:c], corr[:c], self.strides, self.rate)
+        self.runs = [(onset[c:], length[c:], corr[c:])]
+        self.first_end = int((onset[c:] + length[c:]).min()) if c < len(onset) else math.inf
+
 
 def detect_steps_template(
     vm: UniformSeries, params: TemplateParams | None = None, name: str = "template"
@@ -513,16 +682,18 @@ def detect_steps_template(
     all its templates, and each (length, template) profile is scanned for
     candidates as its batches come (``_OnsetScan``).  The prefix sums and the
     smoothing's running sums are carried exactly across batches, so the
-    candidates are those of a whole-signal search, bit for bit.  Besides the
-    magnitude it reads, only the candidates outlive a batch.
+    candidates are those of a whole-signal search, bit for bit.  The cover
+    runs on each group of overlapping candidates as the group closes
+    (``_GroupCover``), so besides the magnitude it reads and the per-second
+    counts, only the candidates of the open groups outlive a batch: memory
+    grows with the longest walking bout, not with the recording.
     """
     params = params or TemplateParams()
     rate = vm.sample_rate_hz
     n = len(vm)
     n_seconds = int(math.ceil(n / rate))
-    counts = np.zeros(n_seconds)
     if n == 0:
-        return StepSeries(name, counts)
+        return StepSeries(name, np.zeros(0))
     # An odd window of 2*half + 1 offsets (the nominal width rounded up to
     # odd) keeps the smoothed profile's maxima centered on symmetric peaks.
     half = max(1, int(round(params.smoothing_window_seconds * rate))) // 2
@@ -538,38 +709,23 @@ def detect_steps_template(
         [_OnsetScan(n - L + 1, params.correlation_threshold, half) for _ in params.templates]
         for L in stride_lengths
     ]
-    onsets, lengths, corrs = [], [], []
+    # accepted strides per second, as the smallest integer type that can
+    # hold them: strides are disjoint, so a second holds few midpoints
+    shortest = min(stride_lengths, default=n)
+    strides = np.zeros(n_seconds, np.min_scalar_type(int(rate) // shortest + 2))
+    cover = _GroupCover(strides, rate)
+    previous = len(stride_lengths)
     for i, _, r in _correlation_batches(vm.values, stacks):
+        if i <= previous:  # a batch begins: cover what the last one settled
+            cover.close(min(scan.next_onset for row in scans for scan in row))
+        previous = i
         for scan, row in zip(scans[i], r):
             onset, corr = scan.feed(row)
-            onsets.append(onset)
-            corrs.append(corr)
-            lengths.append(np.full(len(onset), stride_lengths[i]))
-    if not onsets:
-        return StepSeries(name, counts)
-
-    onset, length, corr = (np.concatenate(a) for a in (onsets, lengths, corrs))
-    del onsets, lengths, corrs
-    # Near-equal correlations count as ties so the earlier onset wins;
-    # quantizing at 0.01 keeps phase-ambiguous candidates from shuffling.
-    order = np.lexsort((length, onset, -np.round(corr / 0.01)))
-    del corr
-    # Accepted strides are disjoint, so sorted starts and ends describe them.
-    starts: list[int] = []
-    ends: list[int] = []
-    # The candidates become Python ints a block at a time.
-    for first in range(0, len(order), COVER_BLOCK_CANDIDATES):
-        block = order[first : first + COVER_BLOCK_CANDIDATES]
-        for a, L in zip(onset[block].tolist(), length[block].tolist()):
-            i = bisect.bisect_right(starts, a)
-            if (i and ends[i - 1] > a) or (i < len(starts) and starts[i] < a + L):
-                continue
-            starts.insert(i, a)
-            ends.insert(i, a + L)
-            # Two steps per stride, bucketed at the second holding its midpoint.
-            midpoint_second = int((a + L // 2) // rate)
-            counts[min(midpoint_second, n_seconds - 1)] += 2.0
-    return StepSeries(name, counts)
+            cover.add(onset, stride_lengths[i], corr)
+    cover.close(math.inf)
+    # Two steps per stride; whole numbers, so the float sums of booking 2.0
+    # per stride.
+    return StepSeries(name, np.multiply(strides, 2.0, dtype=np.float64))
 
 
 #: The parameters of any detector; their class picks the detector.
@@ -645,4 +801,5 @@ def run_detectors(
             continue
         timings[dname] = time.perf_counter() - t0
         minutes[dname] = per_second_to_minutes(result.steps_per_second, n_minutes)
+        del result  # the per-seconds are not held while the next detector runs
     return DetectorRun(minutes, timings, errors)

@@ -7,6 +7,9 @@ deterministic, vectorized, and validated up front.
 
 from __future__ import annotations
 
+import itertools
+import os
+import tempfile
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -111,7 +114,8 @@ def vector_magnitude(rec: TriaxialRecording) -> UniformSeries:
     return UniformSeries(rec.sample_rate_hz, MagnitudeView(rec)[:])
 
 
-def _resampled_length(n: int, rate_hz: float, target_hz: float) -> int:
+def resampled_length(n: int, rate_hz: float, target_hz: float) -> int:
+    """The number of samples ``n`` samples at ``rate_hz`` resample to."""
     if not target_hz > 0:
         raise ValueError("target_hz must be positive")
     if n == 0:
@@ -119,25 +123,40 @@ def _resampled_length(n: int, rate_hz: float, target_hz: float) -> int:
     return max(1, int(round(n * target_hz / rate_hz)))
 
 
-def _resample_into(
-    values: np.ndarray, rate_hz: float, target_hz: float, out: np.ndarray
-) -> None:
-    """Write ``values`` linearly resampled to ``target_hz`` into ``out``.
+def _resampled_slice(
+    values: np.ndarray, rate_hz: float, target_hz: float, start: int, stop: int
+) -> np.ndarray:
+    """Samples ``start`` to ``stop`` of ``values`` linearly resampled to
+    ``target_hz``, as a new float64 array.
 
-    Each block of ``out`` interpolates on the input samples it falls between,
-    plus one on each side.  Query and input times are absolute indices over
-    the rates, as for the whole series, so every output equals the one
-    ``np.interp`` gives on the whole grid.
+    They interpolate on the input samples they fall between, plus one on each
+    side.  Query and input times are absolute indices over the rates, as for
+    the whole series, so every output equals the one ``np.interp`` gives on
+    the whole grid.
     """
+    if target_hz == rate_hz:
+        return np.array(values[start:stop], dtype=np.float64)
     n = len(values)
     step = rate_hz / target_hz
-    for start in range(0, len(out), BLOCK_SAMPLES):
-        stop = min(len(out), start + BLOCK_SAMPLES)
-        j0 = max(0, min(n - 1, int(start * step) - 1))
-        j1 = min(n, int((stop - 1) * step) + 3)
-        t_in = np.arange(j0, j1, dtype=np.float64) / rate_hz
-        t_out = np.arange(start, stop, dtype=np.float64) / target_hz
-        out[start:stop] = np.interp(t_out, t_in, values[j0:j1])
+    j0 = max(0, min(n - 1, int(start * step) - 1))
+    j1 = min(n, int((stop - 1) * step) + 3)
+    t_in = np.arange(j0, j1, dtype=np.float64) / rate_hz
+    t_out = np.arange(start, stop, dtype=np.float64) / target_hz
+    return np.interp(t_out, t_in, values[j0:j1])
+
+
+def resampled_blocks(
+    values: np.ndarray, rate_hz: float, target_hz: float
+) -> Iterator[tuple[int, np.ndarray]]:
+    """``values`` linearly resampled to ``target_hz`` (or copied as float64
+    at its own rate), as consecutive ``(start, block)`` pairs of
+    ``BLOCK_SAMPLES`` output samples, each a new array; the same bits as
+    :func:`resample_linear`.  ``values`` is read only through ``len`` and
+    contiguous slices of about a block."""
+    n_out = resampled_length(len(values), rate_hz, target_hz)
+    for start in range(0, n_out, BLOCK_SAMPLES):
+        stop = min(n_out, start + BLOCK_SAMPLES)
+        yield start, _resampled_slice(values, rate_hz, target_hz, start, stop)
 
 
 def resample_linear(series: UniformSeries, target_hz: float) -> UniformSeries:
@@ -147,11 +166,12 @@ def resample_linear(series: UniformSeries, target_hz: float) -> UniformSeries:
     beyond the last input sample clamp to the endpoint.  Total duration is
     preserved to within one output sample.
     """
-    n_out = _resampled_length(len(series), series.sample_rate_hz, target_hz)
+    n_out = resampled_length(len(series), series.sample_rate_hz, target_hz)
     if target_hz == series.sample_rate_hz:
         return UniformSeries(target_hz, series.values.copy())
     out = np.empty(n_out)
-    _resample_into(series.values, series.sample_rate_hz, target_hz, out)
+    for start, block in resampled_blocks(series.values, series.sample_rate_hz, target_hz):
+        out[start : start + len(block)] = block
     return UniformSeries(target_hz, out)
 
 
@@ -171,28 +191,40 @@ def butterworth_bandpass(
         Pass-band edges; must satisfy 0 < low < high < Nyquist.
     """
     rate = series.sample_rate_hz
-    return UniformSeries(rate, resampled_bandpass(series.values, rate, rate, low_hz, high_hz))
+    out = np.empty(len(series))
+    for start, block in resampled_bandpass(series.values, rate, rate, low_hz, high_hz):
+        out[start : start + len(block)] = block
+    return UniformSeries(rate, out)
 
 
 def resampled_bandpass(
-    values: np.ndarray, rate_hz: float, target_hz: float, low_hz: float, high_hz: float
-) -> np.ndarray:
-    """``values`` linearly resampled to ``target_hz``, then zero-phase band-passed.
+    values: np.ndarray,
+    rate_hz: float,
+    target_hz: float,
+    low_hz: float,
+    high_hz: float,
+    spool_dir: str | os.PathLike | None = None,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """``values`` linearly resampled to ``target_hz``, then zero-phase
+    band-passed, as ``(start, block)`` pairs from the end of the series back
+    to its start: each block holds output samples ``start`` onwards, in time
+    order.
 
     The same bits as :func:`resample_linear` followed by
     :func:`butterworth_bandpass`, which is ``scipy.signal.sosfiltfilt`` with
-    its default odd padding.  The resampler writes straight into the
-    filter's one float64 buffer of the padded length, and both filter passes
-    run over it in blocks: the forward pass with its state carried from block
-    to block, the backward pass from the end, writing each block back in
-    place.  So one axis costs that buffer and a few blocks, not the input,
-    its extension and both pass outputs.  ``values`` is read only through
-    ``len`` and contiguous slices of about a block, so it may be an axis that
-    is read from a file.
+    its default odd padding.  The forward pass runs over the padded series a
+    resampled block at a time, with its state carried from block to block,
+    and writes its output to one unnamed temporary file in ``spool_dir``
+    (``tempfile``'s directory by default), 8 bytes per padded sample.  The
+    backward pass then reads that file back in blocks of ``BLOCK_SAMPLES``
+    from the end.  So one axis costs a few blocks of memory, not a buffer of
+    its resampled length.  ``values`` is read only through ``len`` and
+    contiguous slices of about a block, so it may be an axis that is read
+    from a file.
     """
     n = len(values)
     if target_hz != rate_hz:
-        n = _resampled_length(n, rate_hz, target_hz)
+        n = resampled_length(n, rate_hz, target_hz)
     nyquist = target_hz / 2.0
     if not (0.0 < low_hz < high_hz < nyquist):
         raise ValueError(
@@ -207,27 +239,29 @@ def resampled_bandpass(
             "The length of the input vector x must be greater than padlen, "
             f"which is {edge}."
         )
-    buf = np.empty(n + 2 * edge)
-    x = buf[edge : edge + n]
-    if target_hz != rate_hz:
-        _resample_into(values, rate_hz, target_hz, x)
-    else:
-        for start in range(0, n, BLOCK_SAMPLES):
-            x[start : start + BLOCK_SAMPLES] = values[start : start + BLOCK_SAMPLES]
     # odd extension at both ends, as scipy's odd_ext writes it
-    buf[:edge] = 2 * x[0] - x[edge:0:-1]
-    buf[edge + n :] = 2 * x[-1] - x[-2 : -(edge + 2) : -1]
+    head = _resampled_slice(values, rate_hz, target_hz, 0, edge + 1)
+    tail = _resampled_slice(values, rate_hz, target_hz, n - edge - 1, n)
+    left = 2 * head[0] - head[edge:0:-1]
+    right = 2 * tail[-1] - tail[-2 : -(edge + 2) : -1]
+    blocks = (block for _, block in resampled_blocks(values, rate_hz, target_hz))
     zi = signal.sosfilt_zi(sos)
-    state = zi * buf[0]
-    for start in range(0, len(buf), BLOCK_SAMPLES):
-        block = slice(start, start + BLOCK_SAMPLES)
-        buf[block], state = signal.sosfilt(sos, buf[block], zi=state)
-    state = zi * buf[-1]
-    for stop in range(len(buf), 0, -BLOCK_SAMPLES):
-        block = slice(max(0, stop - BLOCK_SAMPLES), stop)
-        backward, state = signal.sosfilt(sos, buf[block][::-1], zi=state)
-        buf[block] = backward[::-1]
-    return x
+    state = zi * left[0]
+    with tempfile.TemporaryFile(dir=spool_dir) as spool:
+        for block in itertools.chain([left], blocks, [right]):
+            forward, state = signal.sosfilt(sos, block, zi=state)
+            spool.write(forward)
+        state = zi * forward[-1]
+        for stop in range(n + 2 * edge, 0, -BLOCK_SAMPLES):
+            start = max(0, stop - BLOCK_SAMPLES)
+            block = np.empty(stop - start)
+            spool.seek(8 * start)
+            spool.readinto(block)
+            backward, state = signal.sosfilt(sos, block[::-1], zi=state)
+            # the pads fall away: output samples edge .. edge + n - 1 remain
+            first, last = max(start, edge), min(stop, edge + n)
+            if first < last:
+                yield first - edge, backward[stop - last : stop - first][::-1]
 
 
 def power_spectrum(window: UniformSeries) -> tuple[np.ndarray, np.ndarray]:

@@ -360,8 +360,12 @@ def _sidecar_count(fh: io.BufferedReader, cache: Path) -> int:
     magic = fh.read(4)
     if magic != CACHE_MAGIC:
         raise ValueError(f"{cache}: not an SFG1 cache (magic {magic!r})")
-    (count,) = struct.unpack("<I", fh.read(4))
-    payload = os.fstat(fh.fileno()).st_size - 8
+    header = fh.read(4)
+    size = os.fstat(fh.fileno()).st_size
+    if len(header) < 4:
+        raise ValueError(f"{cache}: truncated cache ({size} bytes, shorter than its header)")
+    (count,) = struct.unpack("<I", header)
+    payload = size - 8
     expected = 3 * 4 * count
     if payload != expected:
         raise ValueError(

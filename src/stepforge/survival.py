@@ -622,6 +622,8 @@ class ModelReport:
     steps_p: float | None
     #: ``CoxFit.diverging`` of the full-sample fit (models with steps only).
     diverging: tuple[str, ...] = ()
+    #: The full-sample fit of ``covariates`` (models with steps only).
+    fit: CoxFit | None = field(default=None, compare=False, repr=False)
 
 
 def model_suite(
@@ -671,7 +673,7 @@ def model_suite(
     reports: list[ModelReport] = []
     for name, covs, steps_var in ladder:
         c, _ = repeated_cv_concordance(data, covs, cfg)
-        hr = ci = pval = None
+        hr = ci = pval = fit = None
         diverging: tuple[str, ...] = ()
         if steps_var is not None:
             fit = cox_fit(data.select(covs))
@@ -688,6 +690,7 @@ def model_suite(
                 steps_hr_ci=ci,
                 steps_p=pval,
                 diverging=diverging,
+                fit=fit,
             )
         )
     return reports

@@ -10,6 +10,7 @@ import pytest
 from stepforge.dsp import vector_magnitude
 from stepforge.model import WEAR_CODE, WEAR_STATES, MinuteTable, WearState
 from stepforge.simulate import GaitSegment, gen_gait
+from stepforge.survival import SurvivalDataset
 
 WALK_RECIPE = [
     GaitSegment("rest", 30, noise_sd_g=0.01),
@@ -106,3 +107,49 @@ def assert_tables_equal(a, b):
             assert x.tobytes() == y.tobytes(), name
         else:
             assert np.array_equal(x, y), name
+
+
+def gen_survival(
+    n: int,
+    beta_per_step: float,
+    baseline_hazard: float = 0.002,
+    censor_rate: float = 0.3,
+    seed: int = 0,
+    steps_mean: float = 9000.0,
+    steps_sd: float = 3000.0,
+) -> SurvivalDataset:
+    """Simulate an exponential proportional-hazards cohort on daily steps.
+
+    Event times are exponential with rate
+    ``baseline_hazard * exp(beta_per_step * steps)``; censoring times are
+    independent exponentials tuned so roughly ``censor_rate`` of subjects
+    are censored (none when ``censor_rate`` is 0).
+
+    Returns a dataset with one covariate column named ``steps`` and unit
+    weights.
+    """
+    if n < 2:
+        raise ValueError("need at least two subjects")
+    if not 0.0 <= censor_rate < 1.0:
+        raise ValueError("censor_rate must lie in [0, 1)")
+    if baseline_hazard <= 0:
+        raise ValueError("baseline_hazard must be positive")
+    rng = np.random.default_rng(seed)
+    steps = np.maximum(rng.normal(steps_mean, steps_sd, size=n), 0.0)
+    rate = baseline_hazard * np.exp(beta_per_step * steps)
+    event_time = rng.exponential(1.0 / rate)
+    if censor_rate > 0:
+        censor_hazard = baseline_hazard * censor_rate / (1.0 - censor_rate)
+        censor_time = rng.exponential(1.0 / censor_hazard, size=n)
+    else:
+        censor_time = np.full(n, np.inf)
+    time = np.minimum(event_time, censor_time)
+    event = event_time <= censor_time
+    return SurvivalDataset(
+        followup_months=time,
+        event=event,
+        covariates=steps.reshape(-1, 1),
+        weights=np.ones(n),
+        covariate_names=("steps",),
+        subject_ids=tuple(f"S{i + 1:04d}" for i in range(n)),
+    )

@@ -40,14 +40,14 @@ from stepforge.model import (
     make_config,
     stack_minutes,
 )
-from stepforge.simulate import GaitSegment, gen_gait, gen_survival
+from stepforge.simulate import GaitSegment, gen_gait
 from stepforge.stats import (
     between_wave_percent_diff,
     spearman,
     winsorize_upper,
 )
 from stepforge.summaries import activity_counts, mims_units
-from tests.conftest import make_minute, minute_table
+from tests.conftest import gen_survival, make_minute, minute_table
 from stepforge.survival import (
     SurvivalDataset,
     concordance,

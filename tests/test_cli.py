@@ -359,6 +359,42 @@ class TestPipeline:
         assert filecmp.cmp(tmp_path / "reuse" / "model_suite.csv",
                            tmp_path / "rerun" / "model_suite.csv", shallow=False)
 
+    def test_hazard_ratios_reuse_the_suites_fit(self, tmp_path, monkeypatch):
+        """The model suite's full-sample fit of the traditional covariates
+        plus the best step measure serves that measure's hazard ratios, so
+        each covariate set is fitted once, and the tables are those of a
+        refit."""
+        corpus = tmp_path / "sim"
+        assert main(["simulate", "--out", str(corpus), "--subjects", "100", "--days", "4",
+                     "--seed", "11"]) == 0
+        conf = tmp_path / "cv.conf"
+        conf.write_text("cv_repeats = 1\ncv_folds = 3\n")
+        extra = ("--mortality", str(corpus / "mortality.csv"), "--config", str(conf))
+        fitted = []
+        real_fit = survival.cox_fit
+
+        def counted(data):
+            fitted.append(data.covariate_names)
+            return real_fit(data)
+
+        monkeypatch.setattr(survival, "cox_fit", counted)
+        code = run_analyze(corpus, tmp_path / "reuse", extra)
+        step_measures = {n for names in fitted for n in names if n.startswith("steps_")}
+        assert len(fitted) == len(set(fitted)) == len(step_measures) + 1
+
+        real_suite = survival.model_suite
+
+        def without_fits(*args, **kwargs):
+            return [replace(r, fit=None) for r in real_suite(*args, **kwargs)]
+
+        monkeypatch.setattr(survival, "model_suite", without_fits)
+        fitted.clear()
+        assert run_analyze(corpus, tmp_path / "refit", extra) == code
+        assert len(fitted) == len(step_measures) + 2
+        for name in ("model_suite.csv", "hazard_ratios.csv"):
+            assert filecmp.cmp(tmp_path / "reuse" / name, tmp_path / "refit" / name,
+                               shallow=False)
+
     def test_separated_cv_fold_is_scored(self, tmp_path, capsys):
         """A CV training fold of this cohort has more columns than its events
         support: its likelihood climbs towards a bound while beta diverges,

@@ -1,6 +1,7 @@
 import gzip
 import math
 import os
+import re
 import shutil
 import struct
 
@@ -210,6 +211,15 @@ class TestBinaryCache:
         payload = CACHE_MAGIC + struct.pack("<I", 10) + b"\x00" * 8
         self.assert_refused(
             tmp_path, payload, r"truncated cache \(8 payload bytes, expected 120\)"
+        )
+
+    def test_header_shorter_than_eight_bytes(self, tmp_path):
+        """A 6-byte sidecar, newer than its text, is refused with its path."""
+        path = tmp_path / "b.csv"
+        self.assert_refused(
+            tmp_path, CACHE_MAGIC + b"\x01\x00",
+            rf"^{re.escape(str(cache_path(path)))}: truncated cache \(6 bytes, "
+            r"shorter than its header\)$",
         )
 
     def test_payload_longer_than_its_count(self, tmp_path):

@@ -8,13 +8,16 @@ only its candidates (0.14 per sample on this recording, 24 bytes each) past
 a batch; a whole-signal prefix sum, correlation profile or threshold mask
 breaks its bound (measured then: 16.3 bytes per sample, against 44.0 with
 those arrays held), and its bytes per sample must fall with length (8.1 on
-3 h, against 44.0 on both with whole arrays).  The magnitude, MIMS and AC
-run in blocks (65,536 samples when their bounds were set, 16,384 now) into
-one output or one filter buffer per axis; squaring whole axes, resampling on
-whole time grids, or filtering a whole axis with ``scipy.signal.sosfiltfilt``
-breaks their bounds (measured then: 20.7, 18.1 and 16.4 bytes per sample,
-against 33.0, 44.1 and 22.0 with whole arrays; with 16,384-sample blocks
-11.2, 12.2 and 6.4, and on 3 h 9.1, 10.7 and 4.0).  The minute-file bound
+3 h, against 44.0 on both with whole arrays; 14.9 and 5.2 now that the
+cover runs per group of candidates).  The magnitude, MIMS and AC run in
+blocks (65,536 samples when their bounds were set, 16,384 now); squaring
+whole axes, resampling on whole time grids, or filtering a whole axis with
+``scipy.signal.sosfiltfilt`` breaks their bounds (measured then: 20.7, 18.1
+and 16.4 bytes per sample, against 33.0, 44.1 and 22.0 with whole arrays;
+with 16,384-sample blocks into one float64 filter buffer per axis 11.2, 12.2
+and 6.4, and on 3 h 9.1, 10.7 and 4.0; with the filter's forward pass
+spooled to a file MIMS and AC take 3.3 and 4.4 on 1 h, 1.1 and 1.1 on
+3 h).  The minute-file bound
 is per row, with small parse blocks so that one block's text counts for
 little: holding every parsed block beside the stacked table breaks it
 (measured then: 157 bytes per row, against 287 with the blocks held).  The
@@ -30,12 +33,17 @@ one block's lines or rows while it parses the next (measured then: 10.9 MB
 for 65,536-row blocks, against 16.9 MB with them held; 178 bytes per block
 row now).
 
-The ``steps`` worker spools the raw axes to files and reads them, and the
-magnitude formed from them, in slices, so its peak grows only by MIMS's
-filter buffer of one axis (10 bytes per raw sample).  Measured on 80 Hz
-text: 17.8 bytes per raw sample on 1 h and 8.4 bytes per added raw sample
-from 1 h to 4 h, against 44.9 and 17.1 when the worker concatenated the
-axes and formed the whole magnitude.  When the detectors start it holds
+The ``steps`` worker spools the raw axes and the filter's forward pass to
+files and reads them, and the magnitude formed from the axes, in slices;
+the peak detector screens one block at a time and the template cover holds
+only its open groups of candidates.  So its peak grows only by the
+per-second counts of one detector and the per-minute results.  Measured on
+80 Hz text: 16.0 bytes per raw sample on 1 h (4.61 MB) and 0.26 bytes per
+added raw sample from 1 h to 4 h, against 17.8 and 8.4 when MIMS held a
+filter buffer and 44.9 and 17.1 when the worker concatenated the axes and
+formed the whole magnitude.  On the hour tiled to one and three days and
+read from an SFG1 sidecar it peaks at 4.88 and 5.15 MB (0.02 bytes per
+added raw sample).  When the detectors start it holds
 49 kB (2.3 MB then, the magnitude), and they read 3.05 magnitude samples per
 raw sample, in slices of at most 87,380 samples on 1 h (the peak detector's
 resampler block at 15 Hz).
@@ -43,6 +51,7 @@ resampler block at 15 Hz).
 from __future__ import annotations
 
 import shutil
+import struct
 import tracemalloc
 from unittest import mock
 
@@ -228,12 +237,43 @@ def test_steps_worker_bytes_per_raw_sample(steps_worker_peaks):
     assert steps_worker_peaks[1] / 288_000 <= 22.0, steps_worker_peaks
 
 
-def test_steps_worker_grows_by_one_filter_buffer_per_raw_sample(steps_worker_peaks):
-    """From 1 h to 4 h the peak grows by MIMS's one float64 filter buffer of
-    the axis it filters (10 bytes per raw sample at 100 Hz from 80 Hz), not
-    by any whole raw axis or magnitude."""
+def test_steps_worker_grows_by_under_one_byte_per_raw_sample(steps_worker_peaks):
+    """From 1 h to 4 h the peak grows by less than one byte per raw sample:
+    no stage holds a whole raw axis, filter buffer, magnitude, resampled
+    signal or candidate list, only per-second and per-minute results."""
     growth = (steps_worker_peaks[4] - steps_worker_peaks[1]) / (3 * 288_000)
-    assert growth <= 12.0, steps_worker_peaks
+    assert growth <= 1.0, steps_worker_peaks
+
+
+def write_sidecar_days(raw_dir, rec, days):
+    """``rec`` tiled to ``days`` days as the SFG1 sidecar of a stub text, so
+    that ``steps`` reads the sidecar in place and parses no text."""
+    raw_dir.mkdir()
+    path = raw_dir / "R1.csv"
+    path.write_text("x,y,z\n0,0,1\n")
+    tiles = 24 * days
+    with open(ingest.cache_path(path), "wb") as fh:
+        fh.write(ingest.CACHE_MAGIC + struct.pack("<I", tiles * len(rec)))
+        for axis in (rec.x, rec.y, rec.z):
+            data = np.asarray(axis, dtype="<f4").tobytes()
+            for _ in range(tiles):
+                fh.write(data)
+    return path
+
+
+@pytest.mark.slow
+def test_steps_worker_peak_is_flat_from_one_day_to_three(hour_recording, tmp_path):
+    """The worker's traced peak on 3 days of the hour recording stays within
+    10 % of its peak on 1 day: every stage holds O(block) state, the
+    template cover holds only its open groups (the longest walk here is 6
+    minutes), and what grows, the per-second counts of one detector at a
+    time and the per-minute results, is small beside one batch."""
+    peaks = {}
+    for days in (1, 3):
+        raw = tmp_path / f"days{days}"
+        path = write_sidecar_days(raw, hour_recording, days)
+        peaks[days] = traced_peak_bytes(lambda p: run_steps_worker(p, raw), path)
+    assert peaks[3] <= 1.1 * peaks[1], peaks
 
 
 @pytest.fixture

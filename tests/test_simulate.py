@@ -8,10 +8,9 @@ from stepforge.simulate import (
     gen_covariates,
     gen_gait,
     gen_mortality_from_summary,
-    gen_survival,
     make_boundary_day,
 )
-from tests.conftest import assert_tables_equal, minute_rows
+from tests.conftest import assert_tables_equal, gen_survival, minute_rows
 
 
 class TestGenGait:

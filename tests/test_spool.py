@@ -161,8 +161,10 @@ def test_every_layout_takes_the_spool(tmp_path, monkeypatch):
     """Text with a header, headerless text and timestamped text each go
     through three temporary files in the output directory, none in the raw
     directory, holding 12 bytes per sample together and gone afterwards; the
-    second header run reads the sidecar in place and makes none.  Every run
-    gives the same minute file."""
+    second header run reads the sidecar in place and makes none.  On every
+    run the AC and MIMS filters then spool their forward passes to six more
+    temporary files in the output directory, one per axis.  Every run gives
+    the same minute file."""
     rec, _ = gen_gait(
         [GaitSegment("walk", 90, cadence_hz=2.0, amplitude_g=0.35, noise_sd_g=0.02)],
         seed=4,
@@ -177,9 +179,9 @@ def test_every_layout_takes_the_spool(tmp_path, monkeypatch):
 
     counts = cli.activity_counts
 
-    def activity_counts(spooled):
+    def activity_counts(spooled, **kwargs):
         sizes.append(sum(os.fstat(fh.fileno()).st_size for _, fh in made))
-        return counts(spooled)
+        return counts(spooled, **kwargs)
 
     monkeypatch.setattr(tempfile, "TemporaryFile", recorded)
     monkeypatch.setattr(cli, "activity_counts", activity_counts)
@@ -200,8 +202,9 @@ def test_every_layout_takes_the_spool(tmp_path, monkeypatch):
         sizes.clear()
         assert cli.main(["steps", str(raw), "--out", str(out), *flags]) == 0
         dirs = [directory for directory, _ in made]
-        assert dirs == ([] if layout == "sidecar" else [out] * 3), (layout, dirs)
-        assert sizes == [12 * len(rec) if made else 0], (layout, sizes)
+        axis_files = [] if layout == "sidecar" else [out] * 3
+        assert dirs == axis_files + [out] * 6, (layout, dirs)
+        assert sizes == [12 * len(rec) if axis_files else 0], (layout, sizes)
         assert sorted(p.name for p in out.iterdir()) == ["R1_minutes.csv"]
         minute_files.append((out / "R1_minutes.csv").read_bytes())
     assert sorted(p.name for p in (tmp_path / "header").iterdir()) == ["R1.csv", "R1.csv.sfg1"]
@@ -211,7 +214,7 @@ def test_every_layout_takes_the_spool(tmp_path, monkeypatch):
 @pytest.mark.parametrize("block", [7, 900, dsp.BLOCK_SAMPLES])
 def test_spectral_windows_equal_on_the_view(block, tmp_path, monkeypatch):
     """The spectral detector reads the view's windows in groups of about a
-    block; every window it takes a spectrum of holds the array's samples."""
+    block; every window it screens holds the array's samples."""
     rec, _ = gen_gait(
         [GaitSegment("walk", 200, cadence_hz=1.8, amplitude_g=0.35, noise_sd_g=0.02)],
         seed=6,
@@ -219,13 +222,13 @@ def test_spectral_windows_equal_on_the_view(block, tmp_path, monkeypatch):
     path = tmp_path / "R.csv"
     write_text(rec, path)
     windows = []
-    spectrum = detectors.power_spectrum
+    cadences = detectors._window_cadences
 
-    def recorded(window):
-        windows.append(window.values.tobytes())
-        return spectrum(window)
+    def recorded(group, *args):
+        windows.extend(row.tobytes() for row in group)
+        return cadences(group, *args)
 
-    monkeypatch.setattr(detectors, "power_spectrum", recorded)
+    monkeypatch.setattr(detectors, "_window_cadences", recorded)
     params = detectors.SpectralParams()
     schema = ingest.RawFileSchema()
     detectors.detect_steps_spectral(vector_magnitude(read_whole(path, schema)), params)

@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stepforge.model import make_config
-from stepforge.simulate import gen_survival
 from stepforge.survival import (
     ALIAS_TOL,
     ConvergenceError,
@@ -30,6 +29,7 @@ from stepforge.survival import (
     standardize,
     wald_p_value,
 )
+from tests.conftest import gen_survival
 
 
 def dataset(t, ev, x, w=None, names=None):
